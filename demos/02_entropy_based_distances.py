@@ -24,8 +24,8 @@ print("b =", repr(b))
 # functional.  Identical values land on 0.5, remote values near 0.
 h = hybrid(a, b)
 print("\nhybrid form (value | weight, one entry per cross pair):")
-for e in h.elements:
-    print(f"  {e.value:.4f} | {e.weight:.4f}   from value pair {e.source}")
+for value, weight in zip(h.values, h.weights):
+    print(f"  {value:.4f} | {weight:.4f}")
 print("weights sum to", f"{sum(h.weights):.4f}", "(no renormalisation happens)")
 
 # Step 2: the comprehensive entropy of that weighted list is 1 exactly

@@ -7,8 +7,8 @@ Run from the repository root:
 
 from phfe.verify import corrupted_complement, run_axiom_suites
 
-print("healthy run (1000 samples, seed 7):")
-for result in run_axiom_suites(seed=7, samples=1000):
+print("healthy run (200 samples, seed 7):")
+for result in run_axiom_suites(seed=7, samples=200):
     print(f"  [{'PASS' if result.passed else 'FAIL'}] {result.name}")
 
 print()

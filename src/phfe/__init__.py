@@ -16,7 +16,6 @@ from .distance import (
     PSI_HARMONIC,
     PSI_IDENTITY,
     PSI_SQUARE,
-    HybridElement,
     HybridElementList,
     PsiFunction,
     entropy_distance,
@@ -25,7 +24,6 @@ from .distance import (
 from .elements import (
     PHFE,
     LinguisticScale,
-    MembershipPair,
     canonicalize,
     complement,
     from_linguistic,
@@ -52,7 +50,9 @@ from .entropy import (
     comprehensive_entropy,
     f_kernel,
     fuzziness_entropy,
+    measure_value,
     nonspecificity_entropy,
+    parse_measure,
     r_kernel,
     weighted_comprehensive,
     weighted_fuzziness,

@@ -22,8 +22,8 @@ _SQRT_E = math.exp(0.5)
 def su_entropy_p1(a: PHFE) -> float:
     """Shannon-type membership entropy, probability-weighted over pairs."""
     total = 0.0
-    for p in a.pairs:
-        total += (_xlnx(p.value) + _xlnx(1.0 - p.value)) * p.prob
+    for v, p in a:
+        total += (_xlnx(v) + _xlnx(1.0 - v)) * p
     return -total / _LN2
 
 
@@ -35,15 +35,14 @@ def _xlnx(x: float) -> float:
 def su_entropy_p2(a: PHFE) -> float:
     """Exponential-type membership entropy, probability-weighted."""
     total = 0.0
-    for p in a.pairs:
-        v = p.value
-        total += (v * math.exp(1.0 - v) + (1.0 - v) * math.exp(v) - 1.0) * p.prob
+    for v, p in a:
+        total += (v * math.exp(1.0 - v) + (1.0 - v) * math.exp(v) - 1.0) * p
     return total / (_SQRT_E - 1.0)
 
 
 def expectation(a: PHFE) -> float:
     """Probability-weighted mean membership degree."""
-    return sum(p.value * p.prob for p in a.pairs)
+    return sum(v * p for v, p in a)
 
 
 def su_like_distance(a: PHFE, b: PHFE) -> float:

@@ -12,18 +12,19 @@ import json
 import sys
 from typing import Sequence
 
-from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
-from .distance import ALL_PSI, entropy_distance, hybrid
+from .distance import ALL_PSI, entropy_distance
 from .elements import PHFE, parse_phfe_list
 from .entropy import (
     EntropyConfig,
-    FuzzinessKernel,
-    NonSpecificityKernel,
+    Measure,
     fuzziness_entropy,
+    measure_value,
     nonspecificity_entropy,
+    parse_measure,
 )
 from .errors import PhfeError, UnknownMeasureError
 from .mcdm import (
+    format_number,
     format_result_table,
     parse_decision_matrix,
     result_to_dict,
@@ -35,14 +36,10 @@ from .verify import corrupted_complement, run_axiom_suites
 _PSI_BY_ID = {p.variant: p for p in ALL_PSI}
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
-
-
 def _round6(obj):
     """Recursively shorten floats to six significant digits for reports."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(format_number(obj))
     if isinstance(obj, dict):
         return {k: _round6(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -50,41 +47,21 @@ def _round6(obj):
     return obj
 
 
-def _config_with_r(text: str, r: float) -> EntropyConfig:
-    """Parse a config id; an explicit @r= suffix beats the --r flag."""
-    config = EntropyConfig.from_string(text)
-    if "@r=" not in text and config.fuzziness.variant == "r1" and r != 1.0:
-        config = EntropyConfig(
-            FuzzinessKernel("r1", r), config.nonspecificity, config.theta
-        )
+def _config(text: str, r: float) -> EntropyConfig:
+    """Parse a --config id; an explicit @r= suffix beats the --r flag."""
+    config = parse_measure(text, r)
+    if not isinstance(config, EntropyConfig):
+        raise UnknownMeasureError(f"bad entropy config {text!r}")
     return config
 
 
-def _evaluate_measure(measure: str, a: PHFE, r: float) -> dict:
-    """One measure row: the value plus its audit components."""
-    if measure == "su-p1":
-        return {"value": su_entropy_p1(a)}
-    if measure == "su-p2":
-        return {"value": su_entropy_p2(a)}
-    if measure == "su-d":
-        return {"value": su_entropy_d(a)}
-    base, _, r_text = measure.partition("@r=")
-    r_eff = float(r_text) if r_text else r
-    if base in ("r1", "r2"):
-        kernel = FuzzinessKernel(base, r_eff)
-        return {"value": fuzziness_entropy(a, kernel)}
-    if base in ("f1", "f2", "f3"):
-        return {"value": nonspecificity_entropy(a, NonSpecificityKernel(base))}
-    if ":" in measure:
-        config = _config_with_r(measure, r)
-        fuzz = fuzziness_entropy(a, config.fuzziness)
-        ns = nonspecificity_entropy(a, config.nonspecificity)
-        return {
-            "value": config.theta.combine(fuzz, ns),
-            "fuzziness": fuzz,
-            "nonspecificity": ns,
-        }
-    raise UnknownMeasureError(f"unknown measure id {measure!r}")
+def _measure_row(measure: Measure, a: PHFE) -> dict:
+    """One measure row: the value plus, for a config, its two components."""
+    if not isinstance(measure, EntropyConfig):
+        return {"value": measure_value(measure, a)}
+    fuzz = fuzziness_entropy(a, measure.fuzziness)
+    ns = nonspecificity_entropy(a, measure.nonspecificity)
+    return {"value": measure.theta.combine(fuzz, ns), "fuzziness": fuzz, "nonspecificity": ns}
 
 
 def _read_json(path: str):
@@ -109,15 +86,15 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
 
 def _cmd_entropy(args) -> int:
     phfes = parse_phfe_list(_read_json(args.input))
-    measures = [m for chunk in args.measure for m in chunk.split(",") if m]
-    if not measures:
-        measures = ["r1", "f1", "r1:f1:max"]
+    ids = [m for chunk in args.measure for m in chunk.split(",") if m]
+    if not ids:
+        ids = ["r1", "f1", "r1:f1:max"]
+    measures = [(text, parse_measure(text, args.r)) for text in ids]
     rows = []
     for index, a in enumerate(phfes):
-        for measure in measures:
-            info = _evaluate_measure(measure, a, args.r)
-            row = {"element": repr(a), "index": index, "measure": measure}
-            row.update({k: float(_fmt(v)) for k, v in info.items()})
+        for text, measure in measures:
+            row = {"element": repr(a), "index": index, "measure": text}
+            row.update(_round6(_measure_row(measure, a)))
             rows.append(row)
     columns = ["index", "element", "measure", "value", "fuzziness", "nonspecificity"]
     if not any("fuzziness" in r for r in rows):
@@ -130,18 +107,17 @@ def _cmd_distance(args) -> int:
     phfes = parse_phfe_list(_read_json(args.input))
     if len(phfes) < 2:
         raise PhfeError("distance needs at least two elements in the input")
-    config = _config_with_r(args.config, args.r)
+    config = _config(args.config, args.r)
     psi = _PSI_BY_ID[args.psi]
     rows = []
-    for i in range(len(phfes)):
-        for j in range(i + 1, len(phfes)):
-            h = hybrid(phfes[i], phfes[j])
+    for i, a in enumerate(phfes):
+        for b in phfes[i + 1:]:
             rows.append(
                 {
-                    "a": repr(phfes[i]),
-                    "b": repr(phfes[j]),
-                    "distance": float(_fmt(entropy_distance(phfes[i], phfes[j], psi, config))),
-                    "hybrid_size": len(h),
+                    "a": repr(a),
+                    "b": repr(b),
+                    "distance": _round6(entropy_distance(a, b, psi, config)),
+                    "hybrid_size": len(a) * len(b),
                 }
             )
     _emit_rows(rows, ["a", "b", "distance", "hybrid_size"], args.format)
@@ -150,7 +126,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_topsis(args) -> int:
     matrix = parse_decision_matrix(_read_json(args.input))
-    config = _config_with_r(args.config, args.r)
+    config = _config(args.config, args.r)
     psi = _PSI_BY_ID[args.psi]
     result = run_topsis(matrix, config, psi)
     if args.format == "json":
@@ -163,8 +139,9 @@ def _cmd_topsis(args) -> int:
         position = {alt: k + 1 for k, alt in enumerate(result.ranking)}
         for i, name in enumerate(matrix.alternatives):
             print(
-                f"{name},{_fmt(result.d_plus[i])},{_fmt(result.d_minus[i])},"
-                f"{_fmt(result.closeness[i])},{position[i]}"
+                f"{name},{format_number(result.d_plus[i])},"
+                f"{format_number(result.d_minus[i])},"
+                f"{format_number(result.closeness[i])},{position[i]}"
             )
     else:
         print(f"config: {config.label}  psi: {psi.label}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elements import PHFE, pi
+from .elements import PHFE, _pi_fast
 from .entropy import DEFAULT_CONFIG, EntropyConfig, weighted_comprehensive
 from .errors import UnknownMeasureError
 
@@ -23,47 +23,31 @@ _PSI_VARIANTS = ("id", "sq", "harm", "exp")
 
 
 @dataclass(frozen=True)
-class HybridElement:
-    """One cross pair of the hybrid form, with its contributing indices."""
-
-    value: float
-    weight: float
-    source: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class HybridElementList:
-    """All cross pairs of two elements, sorted ascending by value.
+    """All cross pairs of two elements as parallel ``values`` and ``weights``.
 
-    Ties are ordered by (weight, sorted source indices); the key is
-    symmetric in the two input elements, which makes every downstream
-    sum bit-identical under argument swap.
+    Entries are sorted by (value, weight).  Entries equal in both cannot be
+    told apart by any later sum, so the order is symmetric in the two input
+    elements, which makes every downstream sum bit-identical under
+    argument swap.
     """
 
-    elements: tuple[HybridElement, ...]
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(e.value for e in self.elements)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(e.weight for e in self.elements)
+    values: tuple[float, ...]
+    weights: tuple[float, ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.values)
 
 
 def hybrid(a: PHFE, b: PHFE) -> HybridElementList:
     """Hybrid form of two canonical elements (l_a * l_b entries)."""
-    items = []
-    for i, pa in enumerate(a.pairs):
-        for j, pb in enumerate(b.pairs):
-            value = (1.0 - abs(pa.value - pb.value)) / 2.0
-            weight = pi(pa.prob, pb.prob)
-            items.append(HybridElement(value, weight, (i, j)))
-    items.sort(key=lambda e: (e.value, e.weight, min(e.source), max(e.source)))
-    return HybridElementList(tuple(items))
+    entries = sorted(
+        ((1.0 - abs(va - vb)) / 2.0, _pi_fast(pa, pb))
+        for va, pa in zip(a.values, a.probs)
+        for vb, pb in zip(b.values, b.probs)
+    )
+    values, weights = zip(*entries)
+    return HybridElementList(values, weights)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ sorted ascending by value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -27,56 +27,53 @@ PROB_SUM_TOL = 1e-9
 PI_EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MembershipPair:
-    """One membership degree together with its occurrence probability."""
+class Pair(NamedTuple):
+    """One (value, prob) entry of an element, as iteration yields it."""
 
     value: float
     prob: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise OutOfRangeError(f"membership value {self.value!r} outside [0, 1]")
-        if not 0.0 < self.prob <= 1.0:
-            raise OutOfRangeError(f"probability {self.prob!r} outside (0, 1]")
 
 
 @dataclass(frozen=True)
 class PHFE:
     """Canonical probabilistic hesitant fuzzy element.
 
-    Construct through :func:`canonicalize` (or the parsing helpers); the
-    constructor only validates that the given pairs already are canonical.
+    Two parallel tuples: membership ``values`` strictly ascending in
+    [0, 1] and their occurrence ``probs`` in (0, 1], summing to one.
+    Iterating yields ``(value, prob)`` pairs.  Construct through
+    :func:`canonicalize` (or the parsing helpers); the constructor only
+    validates that the given tuples already are canonical.
     """
 
-    pairs: tuple[MembershipPair, ...]
+    values: tuple[float, ...]
+    probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.pairs:
+        values, probs = self.values, self.probs
+        if not values:
             raise EmptyInputError("an element needs at least one pair")
-        values = [p.value for p in self.pairs]
+        if len(probs) != len(values):
+            raise OutOfRangeError(f"{len(values)} values but {len(probs)} probabilities")
+        for v in values:
+            if not 0.0 <= v <= 1.0:
+                raise OutOfRangeError(f"membership value {v!r} outside [0, 1]")
+        for p in probs:
+            if not 0.0 < p <= 1.0:
+                raise OutOfRangeError(f"probability {p!r} outside (0, 1]")
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise OutOfRangeError("pairs must be strictly increasing by value")
-        total = sum(p.prob for p in self.pairs)
+            raise OutOfRangeError("values must be strictly increasing")
+        total = sum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ProbabilitySumError(f"probabilities sum to {total!r}, expected 1")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.values)
 
-    def __iter__(self) -> Iterator[MembershipPair]:
-        return iter(self.pairs)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(p.value for p in self.pairs)
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return tuple(p.prob for p in self.pairs)
+    def __iter__(self) -> Iterator[Pair]:
+        return map(Pair, self.values, self.probs)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{p.value:g}|{p.prob:g}" for p in self.pairs)
+        body = ", ".join(f"{v:g}|{p:g}" for v, p in zip(self.values, self.probs))
         return "{" + body + "}"
 
 
@@ -85,7 +82,7 @@ def canonicalize(raw_pairs: Iterable[tuple[float, float]]) -> PHFE:
 
     Zero-probability pairs are dropped, equal membership values are merged
     by summing their probabilities, and the result is sorted ascending by
-    value.  Idempotent: feeding back ``phfe.pairs`` reproduces ``phfe``.
+    value.  Idempotent: ``canonicalize(a) == a`` for a canonical ``a``.
     """
     pairs = [(float(v), float(p)) for v, p in raw_pairs]
     if not pairs:
@@ -107,12 +104,9 @@ def canonicalize(raw_pairs: Iterable[tuple[float, float]]) -> PHFE:
             continue
         merged[v] = merged.get(v, 0.0) + p
 
-    out = []
-    for v in sorted(merged):
-        p = merged[v]
-        # Summing may overshoot 1 by the declared input tolerance.
-        out.append(MembershipPair(v, min(p, 1.0)))
-    return PHFE(tuple(out))
+    values = tuple(sorted(merged))
+    # Summing may overshoot 1 by the declared input tolerance.
+    return PHFE(values, tuple(min(merged[v], 1.0) for v in values))
 
 
 def complement(a: PHFE) -> PHFE:
@@ -121,7 +115,7 @@ def complement(a: PHFE) -> PHFE:
     Probabilities are untouched, so the probability multiset and the
     length are preserved.
     """
-    return canonicalize([(1.0 - p.value, p.prob) for p in a.pairs])
+    return canonicalize([(1.0 - v, p) for v, p in a])
 
 
 def pi(p_i: float, p_j: float) -> float:
@@ -226,4 +220,4 @@ def parse_phfe_list(obj, default_tau: int | None = None) -> list[PHFE]:
 
 def phfe_to_dict(a: PHFE) -> dict:
     """JSON object form of an element."""
-    return {"pairs": [{"v": p.value, "p": p.prob} for p in a.pairs]}
+    return {"pairs": [{"v": v, "p": p} for v, p in a]}

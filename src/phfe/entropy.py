@@ -16,10 +16,10 @@ weights do not sum to one.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, Union
 
+from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
 from .elements import PHFE, _pi_fast
 from .errors import OutOfRangeError, UnknownMeasureError
 
@@ -174,16 +174,10 @@ class EntropyConfig:
     @classmethod
     def from_string(cls, text: str) -> "EntropyConfig":
         """Parse a config id like ``r1:f2:max`` or ``r1:f1:bsum@r=2``."""
-        m = re.fullmatch(r"(r[12]):(f[123]):(max|psum|bsum)(?:@r=([0-9.]+))?", text)
-        if m is None:
+        config = parse_measure(text)
+        if not isinstance(config, cls):
             raise UnknownMeasureError(f"bad entropy config {text!r}")
-        fuzz_id, ns_id, theta_id, r_text = m.groups()
-        r = float(r_text) if r_text is not None else 1.0
-        return cls(
-            FuzzinessKernel(fuzz_id, r),
-            NonSpecificityKernel(ns_id),
-            ThetaCombiner(theta_id),
-        )
+        return config
 
     @property
     def label(self) -> str:
@@ -204,6 +198,64 @@ def all_configs(r: float = 1.0) -> list[EntropyConfig]:
             for ns in (F1, F2, F3):
                 out.append(EntropyConfig(fuzz, ns, theta))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Measure ids: the one grammar shared by the CLI, the config parser and the
+# reproduction report.
+# ---------------------------------------------------------------------------
+
+_BASELINES = {"su-p1": su_entropy_p1, "su-p2": su_entropy_p2, "su-d": su_entropy_d}
+
+Measure = Union[
+    Callable[[PHFE], float], FuzzinessKernel, NonSpecificityKernel, EntropyConfig
+]
+
+
+def parse_measure(text: str, r: float = 1.0) -> Measure:
+    """Parse a measure id into the object that evaluates it.
+
+    ::
+
+        su-p1 | su-p2 | su-d                     baseline function
+        r1[@r=x] | r2                            FuzzinessKernel
+        f1 | f2 | f3                             NonSpecificityKernel
+        <r1|r2>:<f1|f2|f3>:<max|psum|bsum>[@r=x] EntropyConfig
+
+    ``r`` is the r1 exponent of an id without ``@r=``; an explicit suffix
+    beats it.  ``x`` is read by ``float`` and must be at least 1, and only
+    ids with the r1 kernel take the suffix.
+    """
+    if text in _BASELINES:
+        return _BASELINES[text]
+    base, suffix, r_text = text.partition("@r=")
+    parts = base.split(":")
+    if suffix:
+        if parts[0] != "r1":
+            raise UnknownMeasureError(f"@r= applies only to the r1 kernel, in {text!r}")
+        try:
+            r = float(r_text)
+        except ValueError:
+            raise UnknownMeasureError(f"bad r1 exponent {r_text!r} in {text!r}") from None
+    if base in _NONSPEC_VARIANTS:
+        return NonSpecificityKernel(base)
+    if len(parts) not in (1, 3) or parts[0] not in _FUZZINESS_VARIANTS:
+        raise UnknownMeasureError(f"unknown measure id {text!r}")
+    fuzz = FuzzinessKernel(parts[0], r if parts[0] == "r1" else 1.0)
+    if len(parts) == 1:
+        return fuzz
+    return EntropyConfig(fuzz, NonSpecificityKernel(parts[1]), ThetaCombiner(parts[2]))
+
+
+def measure_value(measure: Measure, a: PHFE) -> float:
+    """Evaluate a parsed measure id on one element."""
+    if isinstance(measure, FuzzinessKernel):
+        return fuzziness_entropy(a, measure)
+    if isinstance(measure, NonSpecificityKernel):
+        return nonspecificity_entropy(a, measure)
+    if isinstance(measure, EntropyConfig):
+        return comprehensive_entropy(a, measure)
+    return measure(a)
 
 
 # ---------------------------------------------------------------------------

@@ -208,23 +208,27 @@ def result_to_dict(result: TopsisResult, matrix: DecisionMatrix) -> dict:
     }
 
 
+def format_number(x: float) -> str:
+    """Six significant digits: the precision of every reported number."""
+    return format(x, ".6g")
+
+
 def format_result_table(result: TopsisResult, matrix: DecisionMatrix) -> str:
     """Aligned text rendering of a TOPSIS run, six significant digits."""
     lines = []
     crit_names = [c.name for c in matrix.criteria]
     lines.append("criterion  " + "  ".join(f"{n:>10s}" for n in crit_names))
-    lines.append("raw        " + "  ".join(f"{w:>10.6g}" for w in result.weights.raw))
-    lines.append(
-        "weight     " + "  ".join(f"{w:>10.6g}" for w in result.weights.normalized)
-    )
+    for label, weights in (("raw", result.weights.raw), ("weight", result.weights.normalized)):
+        lines.append(f"{label:<11s}" + "  ".join(f"{format_number(w):>10s}" for w in weights))
     lines.append("")
     header = f"{'alternative':<12s} {'d_plus':>10s} {'d_minus':>10s} {'closeness':>10s} {'rank':>5s}"
     lines.append(header)
     position = {alt: k + 1 for k, alt in enumerate(result.ranking)}
     for i, name in enumerate(matrix.alternatives):
         lines.append(
-            f"{name:<12s} {result.d_plus[i]:>10.6g} {result.d_minus[i]:>10.6g} "
-            f"{result.closeness[i]:>10.6g} {position[i]:>5d}"
+            f"{name:<12s} {format_number(result.d_plus[i]):>10s} "
+            f"{format_number(result.d_minus[i]):>10s} "
+            f"{format_number(result.closeness[i]):>10s} {position[i]:>5d}"
         )
     lines.append("")
     lines.append(

@@ -10,22 +10,12 @@ the run unless strict mode is requested.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable
-
-from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
-from .elements import PHFE, parse_phfe
-from .entropy import (
-    EntropyConfig,
-    FuzzinessKernel,
-    NonSpecificityKernel,
-    comprehensive_entropy,
-    fuzziness_entropy,
-    nonspecificity_entropy,
-)
-from .errors import UnknownMeasureError
-from .mcdm import entropy_weights, parse_decision_matrix, run_topsis
+from .elements import parse_phfe
+from .entropy import EntropyConfig, all_configs, measure_value, parse_measure
+from .mcdm import entropy_weights, format_number, parse_decision_matrix, run_topsis
 
 _TABLE_NUMBERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 
@@ -53,31 +43,6 @@ def load_table(number: int) -> dict:
     return json.loads(data)
 
 
-def _measure_fn(measure: str) -> Callable[[PHFE], float]:
-    if measure == "su-p1":
-        return su_entropy_p1
-    if measure == "su-p2":
-        return su_entropy_p2
-    if measure == "su-d":
-        return su_entropy_d
-    kind, _, rest = measure.partition(":")
-    if kind == "fuzz":
-        kernel_id, _, r_text = rest.partition("@r=")
-        kernel = FuzzinessKernel(kernel_id, float(r_text) if r_text else 1.0)
-        return lambda a: fuzziness_entropy(a, kernel)
-    if kind == "ns":
-        kernel = NonSpecificityKernel(rest)
-        return lambda a: nonspecificity_entropy(a, kernel)
-    if kind == "comp":
-        config = EntropyConfig.from_string(rest)
-        return lambda a: comprehensive_entropy(a, config)
-    raise UnknownMeasureError(f"unknown measure id {measure!r}")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
-
-
 def _order_string(names: list[str], values: list[float]) -> str:
     ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
     parts = [names[ranked[0]]]
@@ -94,12 +59,13 @@ def _value_rows_block(spec: dict) -> TableBlock:
     header = f"{'measure':<16s}" + "".join(f"{n:>12s}" for n in names)
     block.lines.append(header + "  ordering")
     for row in spec["rows"]:
-        fn = _measure_fn(row["measure"])
-        computed = [fn(inputs[n]) for n in names]
+        # Table ids tag their kind ("fuzz:r1", "ns:f1", "comp:r1:f1:max").
+        measure = parse_measure(re.sub(r"^(fuzz|ns|comp):", "", row["measure"]))
+        computed = [measure_value(measure, inputs[n]) for n in names]
         order = _order_string(names, computed)
         block.lines.append(
             f"{row['measure']:<16s}"
-            + "".join(f"{_fmt(v):>12s}" for v in computed)
+            + "".join(f"{format_number(v):>12s}" for v in computed)
             + f"  {order}"
         )
         printed = row.get("printed")
@@ -107,7 +73,7 @@ def _value_rows_block(spec: dict) -> TableBlock:
             tol = row["tolerance"]
             flags = [abs(c - p) <= tol for c, p in zip(computed, printed)]
             cells = ", ".join(
-                f"{name} {_fmt(p)}->{_fmt(c)} {'ok' if good else 'DIFF'}"
+                f"{name} {format_number(p)}->{format_number(c)} {'ok' if good else 'DIFF'}"
                 for name, p, c, good in zip(names, printed, computed, flags)
             )
             block.checks.append(
@@ -127,7 +93,7 @@ def _value_rows_block(spec: dict) -> TableBlock:
                     f"{row['measure']} cannot separate the inputs",
                     "accept",
                     ok,
-                    "computed [" + ", ".join(_fmt(c) for c in computed) + "]",
+                    "computed [" + ", ".join(format_number(c) for c in computed) + "]",
                 )
             )
         printed_order = row.get("printed_order")
@@ -180,7 +146,7 @@ def _table10_block() -> TableBlock:
     for comp in spec["comparison_rows"]:
         block.lines.append(
             f"# {comp['label']}: ["
-            + ", ".join(_fmt(v) for v in comp["printed"])
+            + ", ".join(format_number(v) for v in comp["printed"])
             + "] ordering "
             + " > ".join(comp["printed_order"])
         )
@@ -190,7 +156,7 @@ def _table10_block() -> TableBlock:
         order = _order_string(names, list(weights.raw))
         block.lines.append(
             f"{row['config']:<14s}"
-            + "".join(f"{_fmt(w):>10s}" for w in weights.raw)
+            + "".join(f"{format_number(w):>10s}" for w in weights.raw)
             + f"         {order}"
         )
         flags = [
@@ -198,7 +164,7 @@ def _table10_block() -> TableBlock:
             for c, p in zip(weights.raw, row["printed_raw"])
         ]
         cells = ", ".join(
-            f"{name} {_fmt(p)}->{_fmt(c)} {'ok' if good else 'DIFF'}"
+            f"{name} {format_number(p)}->{format_number(c)} {'ok' if good else 'DIFF'}"
             for name, p, c, good in zip(names, row["printed_raw"], weights.raw, flags)
         )
         block.checks.append(
@@ -243,18 +209,16 @@ def _table11_block() -> TableBlock:
             f"# {comp['label']}: "
             + " > ".join(comp["printed_ranking"])
             + "  scores ["
-            + ", ".join(_fmt(v) for v in comp["printed_scores"])
+            + ", ".join(format_number(v) for v in comp["printed_scores"])
             + "]"
         )
-    from .entropy import all_configs
-
     rankings = {}
     block.lines.append(f"{'config':<14s}{'closeness':<36s}ranking")
     for config in all_configs():
         result = run_topsis(matrix, config)
         ranking = [matrix.alternatives[i] for i in result.ranking]
         rankings[config.label] = (ranking, result.closeness)
-        scores = "[" + ", ".join(_fmt(c) for c in result.closeness) + "]"
+        scores = "[" + ", ".join(format_number(c) for c in result.closeness) + "]"
         block.lines.append(f"{config.label:<14s}{scores:<36s}" + " > ".join(ranking))
     for row in spec["rows"]:
         ranking, scores = rankings[row["config"]]

@@ -78,6 +78,23 @@ class TestEntropyCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["entropy", "--input", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--measure", "r1@r=abc"],
+            ["entropy", "--measure", "r1:f1:max@r=1.2.3"],
+            ["distance", "--config", "r1:f1:max@r=1.2.3"],
+            # Only the r1 kernel has an exponent.
+            ["entropy", "--measure", "r2@r=3"],
+            ["entropy", "--measure", "r2:f1:max@r=3"],
+        ],
+    )
+    def test_bad_measure_id_exits_2(self, elements_file, capsys, argv):
+        assert main(argv + ["--input", elements_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_csv_format(self, elements_file, capsys):
         assert main(
             ["entropy", "--input", elements_file, "--measure", "r1", "--format", "csv"]

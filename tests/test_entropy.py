@@ -22,8 +22,12 @@ from phfe import (
     comprehensive_entropy,
     f_kernel,
     fuzziness_entropy,
+    measure_value,
     nonspecificity_entropy,
+    parse_measure,
     r_kernel,
+    su_entropy_d,
+    su_entropy_p2,
 )
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
@@ -234,8 +238,50 @@ class TestEntropyConfig:
             with pytest.raises(UnknownMeasureError):
                 EntropyConfig.from_string(bad)
 
+    def test_from_string_rejects_other_measure_ids(self):
+        for bad in ("r1@r=2", "f1", "su-d", "r2:f1:max@r=2"):
+            with pytest.raises(UnknownMeasureError):
+                EntropyConfig.from_string(bad)
+
     def test_all_configs_covers_grid(self):
         labels = [c.label for c in all_configs()]
         assert len(labels) == 18
         assert len(set(labels)) == 18
         assert "r1:f1:max" in labels and "r2:f3:bsum" in labels
+
+
+class TestParseMeasure:
+    def test_every_form(self):
+        assert parse_measure("su-d") is su_entropy_d
+        assert parse_measure("r2") == FuzzinessKernel("r2")
+        assert parse_measure("r1@r=2") == FuzzinessKernel("r1", 2.0)
+        assert parse_measure("f3") == NonSpecificityKernel("f3")
+        assert parse_measure("r1:f2:psum@r=3") == EntropyConfig.from_string("r1:f2:psum@r=3")
+
+    def test_explicit_exponent_beats_default(self):
+        assert parse_measure("r1", 2.0).r == 2.0
+        assert parse_measure("r1@r=3", 2.0).r == 3.0
+        assert parse_measure("r1:f1:max", 2.0).fuzziness.r == 2.0
+        assert parse_measure("r1:f1:max@r=1", 2.0).fuzziness.r == 1.0
+        # r2 has no exponent, so the default does not reach it.
+        assert parse_measure("r2:f1:max", 2.0) == EntropyConfig.from_string("r2:f1:max")
+
+    def test_rejects_malformed_ids(self):
+        for bad in ("", "r3", "f1@r=2", "su-p1@r=2", "r2@r=3", "r1@r=abc",
+                    "r1:f1:max@r=1.2.3", "r1:f1", "r1:f1:max:max", "r1:f4:max"):
+            with pytest.raises(UnknownMeasureError):
+                parse_measure(bad)
+        with pytest.raises(OutOfRangeError):
+            parse_measure("r1@r=0.5")
+
+    def test_measure_value_matches_the_measures(self):
+        a = canonicalize([(0.3, 0.25), (0.45, 0.5), (0.7, 0.25)])
+        config = EntropyConfig.from_string("r2:f3:bsum")
+        assert measure_value(parse_measure("r2:f3:bsum"), a) == comprehensive_entropy(a, config)
+        assert measure_value(parse_measure("r1@r=2"), a) == fuzziness_entropy(
+            a, FuzzinessKernel("r1", 2.0)
+        )
+        assert measure_value(parse_measure("f2"), a) == nonspecificity_entropy(
+            a, NonSpecificityKernel("f2")
+        )
+        assert measure_value(parse_measure("su-p2"), a) == su_entropy_p2(a)

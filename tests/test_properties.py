@@ -95,7 +95,7 @@ def test_distance_symmetry_and_bounds(a, b):
 
 @given(phfes())
 def test_permutation_invariance(a):
-    reversed_pairs = [(p.value, p.prob) for p in reversed(a.pairs)]
+    reversed_pairs = list(a)[::-1]
     assert canonicalize(reversed_pairs) == a
 
 
