@@ -9,6 +9,7 @@ sorted ascending by value.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -180,6 +181,24 @@ def from_linguistic(
 # ---------------------------------------------------------------------------
 
 
+def json_number(obj: Mapping, key: str, integral: bool = False) -> int | float:
+    """Field ``key`` of a JSON object, which must hold a JSON number.
+
+    Strings, booleans and null are refused; with ``integral`` the number
+    must also be whole (``2`` and ``2.0`` pass, ``2.7`` does not) and is
+    returned as an ``int``.
+    """
+    value = obj[key]
+    # json.load yields exactly these two types for numbers; bool is refused.
+    if type(value) not in (float, int):
+        raise ParseError(f'"{key}" must be a number, got {json.dumps(value, default=repr)}')
+    if not integral:
+        return value
+    if type(value) is float and not value.is_integer():
+        raise ParseError(f'"{key}" must be an integer, got {json.dumps(value)}')
+    return int(value)
+
+
 def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
     """Parse one element from its JSON object form.
 
@@ -190,19 +209,22 @@ def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     if "pairs" in obj:
         try:
-            raw = [(item["v"], item["p"]) for item in obj["pairs"]]
+            raw = [(json_number(item, "v"), json_number(item, "p")) for item in obj["pairs"]]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"malformed pair list: {exc}") from exc
         return canonicalize(raw)
     if "terms" in obj:
-        tau = obj.get("tau", default_tau)
+        tau = json_number(obj, "tau", integral=True) if "tau" in obj else default_tau
         if tau is None:
             raise ParseError('linguistic element without "tau"')
         try:
-            raw = [(int(item["t"]), item["p"]) for item in obj["terms"]]
-        except (TypeError, KeyError, ValueError) as exc:
+            raw = [
+                (json_number(item, "t", integral=True), json_number(item, "p"))
+                for item in obj["terms"]
+            ]
+        except (TypeError, KeyError) as exc:
             raise ParseError(f"malformed term list: {exc}") from exc
-        return from_linguistic(raw, LinguisticScale(int(tau)))
+        return from_linguistic(raw, LinguisticScale(tau))
     raise ParseError('element object needs "pairs" or "terms"')
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .distance import PSI_IDENTITY, PsiFunction, entropy_distance
-from .elements import PHFE, canonicalize, parse_phfe, phfe_to_dict
+from .elements import PHFE, canonicalize, json_number, parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig, comprehensive_entropy
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
 
@@ -179,7 +179,7 @@ def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
         rows = obj["cells"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed decision matrix: {exc}") from exc
-    default_tau = obj.get("tau")
+    default_tau = json_number(obj, "tau", integral=True) if "tau" in obj else None
     cells = tuple(
         tuple(parse_phfe(cell, default_tau) for cell in row) for row in rows
     )

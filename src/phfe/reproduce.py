@@ -13,11 +13,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+
 from .elements import parse_phfe
 from .entropy import EntropyConfig, all_configs, measure_value, parse_measure
-from .mcdm import entropy_weights, format_number, parse_decision_matrix, run_topsis
-
-_TABLE_NUMBERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+from .mcdm import DecisionMatrix, entropy_weights, format_number, parse_decision_matrix, run_topsis
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,17 @@ def _order_string(names: list[str], values: list[float]) -> str:
     return "".join(parts)
 
 
+def _cells_check(table: int, label: str, row: dict, names, printed, computed) -> Check:
+    """Each computed cell within the row's tolerance of its printed value, at its grade."""
+    tol = row["tolerance"]
+    flags = [abs(c - p) <= tol for c, p in zip(computed, printed)]
+    cells = ", ".join(
+        f"{name} {format_number(p)}->{format_number(c)} {'ok' if good else 'DIFF'}"
+        for name, p, c, good in zip(names, printed, computed, flags)
+    )
+    return Check(table, label, row["grade"], all(flags), f"per cell at tol {tol:g}: {cells}")
+
+
 def _value_rows_block(spec: dict) -> TableBlock:
     block = TableBlock(spec["table"], spec["caption"])
     names = spec["input_order"]
@@ -70,21 +80,8 @@ def _value_rows_block(spec: dict) -> TableBlock:
         )
         printed = row.get("printed")
         if printed is not None:
-            tol = row["tolerance"]
-            flags = [abs(c - p) <= tol for c, p in zip(computed, printed)]
-            cells = ", ".join(
-                f"{name} {format_number(p)}->{format_number(c)} {'ok' if good else 'DIFF'}"
-                for name, p, c, good in zip(names, printed, computed, flags)
-            )
-            block.checks.append(
-                Check(
-                    spec["table"],
-                    f"{row['measure']} values",
-                    row["grade"],
-                    all(flags),
-                    f"per cell at tol {tol:g}: {cells}",
-                )
-            )
+            label = f"{row['measure']} values"
+            block.checks.append(_cells_check(spec["table"], label, row, names, printed, computed))
         if row.get("expect_equal"):
             ok = len(set(computed)) == 1
             block.checks.append(
@@ -114,14 +111,7 @@ def _value_rows_block(spec: dict) -> TableBlock:
     return block
 
 
-def _matrix_from_fixture() -> tuple:
-    spec = load_table(9)
-    matrix = parse_decision_matrix(spec["matrix"])
-    return spec, matrix
-
-
-def _table9_block() -> TableBlock:
-    spec, matrix = _matrix_from_fixture()
+def _table9_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
     block = TableBlock(9, spec["caption"])
     names = [c.name for c in matrix.criteria]
     block.lines.append("canonical cells after zero-probability and duplicate cleanup:")
@@ -135,9 +125,7 @@ def _table9_block() -> TableBlock:
     return block
 
 
-def _table10_block() -> TableBlock:
-    spec = load_table(10)
-    _, matrix = _matrix_from_fixture()
+def _table10_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
     block = TableBlock(10, spec["caption"])
     names = [c.name for c in matrix.criteria]
     block.lines.append(
@@ -159,23 +147,8 @@ def _table10_block() -> TableBlock:
             + "".join(f"{format_number(w):>10s}" for w in weights.raw)
             + f"         {order}"
         )
-        flags = [
-            abs(c - p) <= row["tolerance"]
-            for c, p in zip(weights.raw, row["printed_raw"])
-        ]
-        cells = ", ".join(
-            f"{name} {format_number(p)}->{format_number(c)} {'ok' if good else 'DIFF'}"
-            for name, p, c, good in zip(names, row["printed_raw"], weights.raw, flags)
-        )
-        block.checks.append(
-            Check(
-                10,
-                f"raw weights [{row['config']}]",
-                row["grade"],
-                all(flags),
-                f"per cell at tol {row['tolerance']:g}: {cells}",
-            )
-        )
+        label = f"raw weights [{row['config']}]"
+        block.checks.append(_cells_check(10, label, row, names, row["printed_raw"], weights.raw))
         argmax_ok = names[weights.argmax] == "c3"
         block.checks.append(
             Check(
@@ -200,9 +173,7 @@ def _table10_block() -> TableBlock:
     return block
 
 
-def _table11_block() -> TableBlock:
-    spec = load_table(11)
-    _, matrix = _matrix_from_fixture()
+def _table11_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
     block = TableBlock(11, spec["caption"])
     for comp in spec["comparison_rows"]:
         block.lines.append(
@@ -249,16 +220,13 @@ DOCUMENTED_DEVIATIONS = (
 
 
 def reproduce_all() -> list[TableBlock]:
-    blocks = []
-    for number in _TABLE_NUMBERS:
-        if number <= 8:
-            blocks.append(_value_rows_block(load_table(number)))
-        elif number == 9:
-            blocks.append(_table9_block())
-        elif number == 10:
-            blocks.append(_table10_block())
-        else:
-            blocks.append(_table11_block())
+    blocks = [_value_rows_block(load_table(number)) for number in range(1, 9)]
+    # Tables 9-11 all read the case-study matrix of table 9, parsed once.
+    case_study = load_table(9)
+    matrix = parse_decision_matrix(case_study["matrix"])
+    blocks.append(_table9_block(case_study, matrix))
+    blocks.append(_table10_block(load_table(10), matrix))
+    blocks.append(_table11_block(load_table(11), matrix))
     return blocks
 
 

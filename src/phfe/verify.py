@@ -6,17 +6,18 @@ generated elements.  Membership values are drawn on a dyadic grid
 binary floating point; probabilities come from random simplexes.
 
 The suites are pure functions from a seed to a report: a fixed seed
-always reproduces the same verdicts and counterexamples.  Suites that
+always reproduces the same verdicts and counterexamples.  Draws come from
+the standard library's ``random.Random`` with a string seed, through
+``random()`` and ``getrandbits`` only.  Suites that
 share inputs are evaluated in one pass over a common corpus, with the
 base entropies of each element computed once.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import baselines
 from .distance import ALL_PSI, entropy_distance, hybrid
@@ -59,43 +60,48 @@ class SuiteResult:
 class _Collector:
     """Per-suite verdict: remembers the first counterexample only."""
 
-    def __init__(self, name: str, samples: int):
+    def __init__(self, name: str):
         self.name = name
-        self.samples = samples
         self.first: str | None = None
 
     def fail(self, message: str) -> None:
         if self.first is None:
             self.first = message
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.samples, self.first is None, self.first)
+    def result(self, checked: int) -> SuiteResult:
+        """Verdict over ``checked`` draws: those not skipped as premise-void."""
+        return SuiteResult(self.name, checked, self.first is None, self.first)
 
 
-def _distinct_ticks(rng: np.random.Generator, length: int, low: int, high: int) -> list[int]:
+def _distinct_ticks(rng: random.Random, length: int, low: int, high: int) -> list[int]:
     ticks: set[int] = set()
     while len(ticks) < length:
-        ticks.add(int(rng.integers(low, high)))
+        ticks.add(rng.randrange(low, high))
     return sorted(ticks)
 
 
-def random_phfe(rng: np.random.Generator, max_len: int = 6) -> PHFE:
+def _random_simplex_element(rng: random.Random, values: list[float]) -> PHFE:
+    """Element on ``values``; normalised unit exponentials are uniform on the simplex."""
+    draws = [rng.expovariate(1.0) for _ in values]
+    total = sum(draws)
+    # Tiny parts would be dropped as zero-probability; nudge them up.
+    probs = [(d / total + 1e-6) / (1.0 + len(values) * 1e-6) for d in draws]
+    return canonicalize(list(zip(values, probs)))
+
+
+def random_phfe(rng: random.Random, max_len: int = 6) -> PHFE:
     """Random canonical element: 1..max_len grid values, simplex probabilities.
 
     A small share of draws pins the extreme values 0 and 1 into the
     element; those corners reach non-specificity 1 exactly and stress
     the combiner and distance edge cases.
     """
-    length = int(rng.integers(1, max_len + 1))
+    length = rng.randrange(1, max_len + 1)
     if length >= 2 and rng.random() < 0.05:
         ticks = [0, _GRID] + _distinct_ticks(rng, length - 2, 1, _GRID)
     else:
         ticks = _distinct_ticks(rng, length, 0, _GRID + 1)
-    values = [t / _GRID for t in sorted(ticks)]
-    probs = rng.dirichlet(np.ones(length))
-    # Tiny parts would be dropped as zero-probability; nudge them up.
-    probs = (probs + 1e-6) / (1.0 + length * 1e-6)
-    return canonicalize(list(zip(values, probs.tolist())))
+    return _random_simplex_element(rng, [t / _GRID for t in sorted(ticks)])
 
 
 def _bases(a: PHFE) -> dict[str, float]:
@@ -132,15 +138,15 @@ def _edge_elements() -> list[PHFE]:
 
 
 def _corpus_pass(
-    rng: np.random.Generator,
+    rng: random.Random,
     samples: int,
     complement_fn: Callable[[PHFE], PHFE],
 ) -> list[SuiteResult]:
-    roundtrip = _Collector("canonical form roundtrip", samples)
-    involution = _Collector("complement involution", samples)
-    ranges = _Collector("entropy range", samples)
-    symmetry = _Collector("complement symmetry", samples)
-    ordering = _Collector("combiner ordering", samples)
+    roundtrip = _Collector("canonical form roundtrip")
+    involution = _Collector("complement involution")
+    ranges = _Collector("entropy range")
+    symmetry = _Collector("complement symmetry")
+    ordering = _Collector("combiner ordering")
 
     edges = _edge_elements()
     for index in range(samples):
@@ -199,7 +205,7 @@ def _corpus_pass(
             if abs(x - y) > _EXACT_TOL:
                 symmetry.fail(f"{fn.__name__}: {a!r} -> {x!r} vs complement {y!r}")
 
-    return [r.result() for r in (roundtrip, involution, ranges, symmetry, ordering)]
+    return [r.result(samples) for r in (roundtrip, involution, ranges, symmetry, ordering)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +213,13 @@ def _corpus_pass(
 # ---------------------------------------------------------------------------
 
 
-def _distance_pass(rng: np.random.Generator, samples: int) -> list[SuiteResult]:
-    symmetry = _Collector("distance symmetry and range", samples)
-    endpoints = _Collector("psi endpoint agreement", samples)
+def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
+    symmetry = _Collector("distance symmetry and range")
+    endpoints = _Collector("psi endpoint agreement")
 
     for _ in range(samples):
         a, b = random_phfe(rng), random_phfe(rng)
-        psi = ALL_PSI[int(rng.integers(0, len(ALL_PSI)))]
+        psi = rng.choice(ALL_PSI)
         d_ab = entropy_distance(a, b, psi)
         d_ba = entropy_distance(b, a, psi)
         if d_ab != d_ba:
@@ -227,7 +233,7 @@ def _distance_pass(rng: np.random.Generator, samples: int) -> list[SuiteResult]:
         if len(flags) != 1:
             endpoints.fail(f"psi variants disagree on zero distance for {a!r}, {b!r}")
 
-    return [symmetry.result(), endpoints.result()]
+    return [symmetry.result(samples), endpoints.result(samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +241,20 @@ def _distance_pass(rng: np.random.Generator, samples: int) -> list[SuiteResult]:
 # ---------------------------------------------------------------------------
 
 
-def _fuzziness_monotonicity(rng: np.random.Generator, samples: int) -> SuiteResult:
-    col = _Collector("fuzziness monotonicity", samples)
+def _fuzziness_monotonicity(rng: random.Random, samples: int) -> SuiteResult:
+    col = _Collector("fuzziness monotonicity")
+    checked = 0
     for _ in range(samples):
         # Upper element B sits in [0, 1/2]; A shrinks B's values by a
         # shared factor and keeps the same probabilities, so every
         # pairwise probability term coincides and the value premise
         # holds elementwise.
         b = _random_lower_half_phfe(rng)
-        factor = float(rng.uniform(0.0, 1.0))
+        factor = rng.uniform(0.0, 1.0)
         a = canonicalize([(v * factor, p) for v, p in b])
         if len(a) != len(b):
             continue  # shrink collided values; premise void
+        checked += 1
         for kernel in (R1, R2):
             ea, eb = fuzziness_entropy(a, kernel), fuzziness_entropy(b, kernel)
             if ea > eb + _EXACT_TOL:
@@ -254,30 +262,30 @@ def _fuzziness_monotonicity(rng: np.random.Generator, samples: int) -> SuiteResu
                     f"fuzziness[{kernel.label}] not monotone: {a!r} -> {ea!r} "
                     f"exceeds {b!r} -> {eb!r}"
                 )
-    return col.result()
+    return col.result(checked)
 
 
-def _random_lower_half_phfe(rng) -> PHFE:
-    length = int(rng.integers(1, 7))
-    values = [t / _GRID for t in _distinct_ticks(rng, length, 1, _GRID // 2 + 1)]
-    probs = rng.dirichlet(np.ones(length))
-    probs = (probs + 1e-6) / (1.0 + length * 1e-6)
-    return canonicalize(list(zip(values, probs.tolist())))
+def _random_lower_half_phfe(rng: random.Random) -> PHFE:
+    length = rng.randrange(1, 7)
+    ticks = _distinct_ticks(rng, length, 1, _GRID // 2 + 1)
+    return _random_simplex_element(rng, [t / _GRID for t in ticks])
 
 
-def _nonspecificity_monotonicity(rng: np.random.Generator, samples: int) -> SuiteResult:
-    col = _Collector("nonspecificity monotonicity", samples)
+def _nonspecificity_monotonicity(rng: random.Random, samples: int) -> SuiteResult:
+    col = _Collector("nonspecificity monotonicity")
+    checked = 0
     for _ in range(samples):
         # A contracts B's values toward a centre, so every pairwise gap
         # shrinks while the probabilities (hence all pi terms) stay equal.
         b = random_phfe(rng)
         if len(b) == 1:
             continue
-        centre = float(rng.uniform(0.0, 1.0))
-        t = float(rng.uniform(0.0, 1.0))
+        centre = rng.uniform(0.0, 1.0)
+        t = rng.uniform(0.0, 1.0)
         a_values = [centre + t * (v - centre) for v in b.values]
         if len(set(a_values)) != len(a_values):
             continue
+        checked += 1
         a = canonicalize(zip(a_values, b.probs))
         for kernel in _NS_KERNELS:
             ea, eb = nonspecificity_entropy(a, kernel), nonspecificity_entropy(b, kernel)
@@ -286,7 +294,7 @@ def _nonspecificity_monotonicity(rng: np.random.Generator, samples: int) -> Suit
                     f"nonspecificity[{kernel.label}] not monotone: {a!r} -> {ea!r} "
                     f"exceeds {b!r} -> {eb!r}"
                 )
-    return col.result()
+    return col.result(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +302,25 @@ def _nonspecificity_monotonicity(rng: np.random.Generator, samples: int) -> Suit
 # ---------------------------------------------------------------------------
 
 
-def _pi_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
-    col = _Collector("pi symmetry and range", samples)
+def _pi_suite(rng: random.Random, samples: int) -> SuiteResult:
+    col = _Collector("pi symmetry and range")
     for _ in range(samples):
-        a = float(rng.uniform(1e-9, 1.0))
-        b = float(rng.uniform(1e-9, 1.0))
+        a = rng.uniform(1e-9, 1.0)
+        b = rng.uniform(1e-9, 1.0)
         left, right = pi(a, b), pi(b, a)
         if left != right:
             col.fail(f"pi({a!r}, {b!r}) != pi({b!r}, {a!r})")
         elif not 0.0 < left <= 1.0:
             col.fail(f"pi({a!r}, {b!r}) = {left!r} outside (0, 1]")
-    return col.result()
+    return col.result(samples)
 
 
-def _theta_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
-    col = _Collector("theta contract", samples)
+def _theta_suite(rng: random.Random, samples: int) -> SuiteResult:
+    col = _Collector("theta contract")
     for _ in range(samples):
-        x = float(rng.uniform(0.0, 1.0))
-        y = float(rng.uniform(0.0, 1.0))
-        z = float(rng.uniform(y, 1.0))
+        x = rng.uniform(0.0, 1.0)
+        y = rng.uniform(0.0, 1.0)
+        z = rng.uniform(y, 1.0)
         for theta in _THETAS:
             for edge in (0.0, 1.0):
                 if theta.combine(edge, 0.0) != edge:
@@ -321,26 +329,26 @@ def _theta_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
                 col.fail(f"theta[{theta.label}] not commutative at ({x!r}, {y!r})")
             if theta.combine(x, y) > theta.combine(x, z) + _EXACT_TOL:
                 col.fail(f"theta[{theta.label}] not monotone at ({x!r}, {y!r} -> {z!r})")
-    return col.result()
+    return col.result(samples)
 
 
-def _singleton_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
-    col = _Collector("singleton self-distance", samples)
+def _singleton_suite(rng: random.Random, samples: int) -> SuiteResult:
+    col = _Collector("singleton self-distance")
     for _ in range(samples):
-        g = float(rng.integers(0, _GRID + 1)) / _GRID
+        g = rng.randrange(0, _GRID + 1) / _GRID
         s = canonicalize([(g, 1.0)])
         for psi in ALL_PSI:
             d = entropy_distance(s, s, psi)
             if d != 0.0:
                 col.fail(f"distance({s!r}, {s!r}) = {d!r} with psi={psi.label}")
-    return col.result()
+    return col.result(samples)
 
 
-def _weights_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
-    col = _Collector("weights and closeness", samples)
+def _weights_suite(rng: random.Random, samples: int) -> SuiteResult:
+    col = _Collector("weights and closeness")
     for _ in range(samples):
-        m = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 5))
+        m = rng.randrange(2, 5)
+        n = rng.randrange(1, 5)
         cells = tuple(
             tuple(random_phfe(rng, max_len=4) for _ in range(n)) for _ in range(m)
         )
@@ -353,7 +361,8 @@ def _weights_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
         try:
             w = entropy_weights(matrix)
         except DegenerateWeightsError:
-            # The refusal is correct only when every cell has entropy one.
+            # The refusal is correct only when every cell has entropy one;
+            # either way the draw counts as checked.
             if any(comprehensive_entropy(c) != 1.0 for row in cells for c in row):
                 col.fail(f"weights refused although some cell has entropy below 1: {cells!r}")
             continue
@@ -367,7 +376,7 @@ def _weights_suite(rng: np.random.Generator, samples: int) -> SuiteResult:
         ordered = [result.closeness[i] for i in result.ranking]
         if any(x < y for x, y in zip(ordered, ordered[1:])):
             col.fail(f"ranking not sorted by closeness: {result.ranking!r}")
-    return col.result()
+    return col.result(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +437,23 @@ def run_axiom_suites(
     samples: int,
     complement_fn: Callable[[PHFE], PHFE] = complement,
 ) -> list[SuiteResult]:
-    """Run every suite with deterministic per-pass seeding.
+    """Run every suite; pass ``k`` draws from ``random.Random(f"{seed}:{k}")``.
 
-    ``complement_fn`` exists for mutation testing: passing a corrupted
-    complement must make the involution and symmetry suites fail.
+    Each result counts the draws its suite checked, fewer than ``samples``
+    where a draw voids the suite's premise.  ``complement_fn`` exists for
+    mutation testing: passing a corrupted complement must make the
+    involution and symmetry suites fail.
     """
+    rng = [random.Random(f"{seed}:{k}") for k in range(8)]
     results: list[SuiteResult] = []
-    results.extend(_corpus_pass(np.random.default_rng([seed, 0]), samples, complement_fn))
-    results.append(_fuzziness_monotonicity(np.random.default_rng([seed, 1]), samples))
-    results.append(_nonspecificity_monotonicity(np.random.default_rng([seed, 2]), samples))
-    results.extend(_distance_pass(np.random.default_rng([seed, 3]), samples))
-    results.append(_pi_suite(np.random.default_rng([seed, 4]), samples))
-    results.append(_theta_suite(np.random.default_rng([seed, 5]), samples))
-    results.append(_singleton_suite(np.random.default_rng([seed, 6]), samples))
-    results.append(_weights_suite(np.random.default_rng([seed, 7]), max(1, samples // 20)))
+    results.extend(_corpus_pass(rng[0], samples, complement_fn))
+    results.append(_fuzziness_monotonicity(rng[1], samples))
+    results.append(_nonspecificity_monotonicity(rng[2], samples))
+    results.extend(_distance_pass(rng[3], samples))
+    results.append(_pi_suite(rng[4], samples))
+    results.append(_theta_suite(rng[5], samples))
+    results.append(_singleton_suite(rng[6], samples))
+    results.append(_weights_suite(rng[7], max(1, samples // 20)))
     results.append(_boundary_suite())
 
     witness, self_distance = demonstrate_reflexivity_failure()

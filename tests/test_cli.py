@@ -95,6 +95,36 @@ class TestEntropyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("entropy", {"pairs": [{"v": "abc", "p": 1}]}),
+            ("entropy", {"terms": [{"t": 2, "p": 1}], "tau": "x"}),
+            ("entropy", {"pairs": [{"v": None, "p": 1}]}),
+            ("entropy", {"pairs": [{"v": "0.5", "p": 1}]}),
+            ("entropy", {"pairs": [{"v": 0.5, "p": True}]}),
+            ("entropy", {"terms": [{"t": 2.7, "p": 1}], "tau": 3}),
+            ("entropy", {"terms": [{"t": 2, "p": 1}], "tau": 2.5}),
+            # The matrix-level tau is read by the same rules.
+            (
+                "topsis",
+                {
+                    "criteria": [{"name": "c1"}],
+                    "alternatives": ["x1"],
+                    "cells": [[{"terms": [{"t": 2, "p": 1}]}]],
+                    "tau": "3",
+                },
+            ),
+        ],
+    )
+    def test_non_number_fields_exit_2(self, tmp_path, capsys, command, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_csv_format(self, elements_file, capsys):
         assert main(
             ["entropy", "--input", elements_file, "--measure", "r1", "--format", "csv"]
