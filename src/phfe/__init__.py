@@ -2,13 +2,12 @@
 hesitant fuzzy elements."""
 
 from .baselines import (
-    LINEAR_ZETA,
-    ZetaFunction,
     expectation,
     su_entropy_d,
     su_entropy_p1,
     su_entropy_p2,
     su_like_distance,
+    zeta,
 )
 from .distance import (
     ALL_PSI,
@@ -48,6 +47,7 @@ from .entropy import (
     ThetaCombiner,
     all_configs,
     comprehensive_entropy,
+    entropy_components,
     f_kernel,
     fuzziness_entropy,
     measure_value,
@@ -55,8 +55,6 @@ from .entropy import (
     parse_measure,
     r_kernel,
     weighted_comprehensive,
-    weighted_fuzziness,
-    weighted_nonspecificity,
 )
 from .errors import (
     DegenerateWeightsError,

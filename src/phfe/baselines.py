@@ -10,10 +10,8 @@ whose expected membership coincides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .elements import PHFE
-from .errors import UnknownMeasureError
 
 _LN2 = math.log(2.0)
 _SQRT_E = math.exp(0.5)
@@ -50,30 +48,19 @@ def su_like_distance(a: PHFE, b: PHFE) -> float:
     return abs(expectation(a) - expectation(b))
 
 
-@dataclass(frozen=True)
-class ZetaFunction:
-    """Strictly decreasing map with zeta(0) = 1 and zeta(1/2) = 0.
+def zeta(t: float) -> float:
+    """Strictly decreasing map with zeta(0) = 1 and zeta(1/2) = 0: 1 - 2t.
 
-    Only the linear variant 1 - 2t is shipped; the source material never
-    fixes a choice, and this is the simplest one meeting the conditions.
-    Values are clamped to [0, 1] because expectations can exceed 1/2.
+    The source material never fixes a choice; this is the simplest one
+    meeting the conditions.  Values are clamped to [0, 1] because
+    expectations can exceed 1/2.
     """
+    return min(1.0, max(0.0, 1.0 - 2.0 * t))
 
-    variant: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.variant != "linear":
-            raise UnknownMeasureError(f"unknown zeta function {self.variant!r}")
-
-    def __call__(self, t: float) -> float:
-        return min(1.0, max(0.0, 1.0 - 2.0 * t))
-
-
-LINEAR_ZETA = ZetaFunction()
 
 _HALF_SINGLETON_EXPECTATION = 0.5
 
 
-def su_entropy_d(a: PHFE, zeta: ZetaFunction = LINEAR_ZETA) -> float:
+def su_entropy_d(a: PHFE) -> float:
     """Distance-based entropy: zeta of the like-distance to {0.5|1}."""
     return zeta(abs(expectation(a) - _HALF_SINGLETON_EXPECTATION))

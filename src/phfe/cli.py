@@ -17,12 +17,11 @@ from .elements import PHFE, parse_phfe_list
 from .entropy import (
     EntropyConfig,
     Measure,
-    fuzziness_entropy,
+    entropy_components,
     measure_value,
-    nonspecificity_entropy,
     parse_measure,
 )
-from .errors import PhfeError, UnknownMeasureError
+from .errors import ParseError, PhfeError, UnknownMeasureError
 from .mcdm import (
     format_number,
     format_result_table,
@@ -59,14 +58,17 @@ def _measure_row(measure: Measure, a: PHFE) -> dict:
     """One measure row: the value plus, for a config, its two components."""
     if not isinstance(measure, EntropyConfig):
         return {"value": measure_value(measure, a)}
-    fuzz = fuzziness_entropy(a, measure.fuzziness)
-    ns = nonspecificity_entropy(a, measure.nonspecificity)
+    fuzz, ns = entropy_components(a, measure)
     return {"value": measure.theta.combine(fuzz, ns), "fuzziness": fuzz, "nonspecificity": ns}
 
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            # Malformed JSON, bad UTF-8, or an integer past Python's digit limit.
+            raise ParseError(str(exc)) from None
 
 
 def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
@@ -239,10 +241,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PhfeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (PhfeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,7 @@ The hybrid form crosses every membership value of one element with every
 value of the other: each of the l_a * l_b cross pairs contributes the
 value (1 - |v_a - v_b|) / 2 with weight pi(p_a, p_b).  The comprehensive
 entropy of that weighted list is pushed through a strictly increasing
-generator and affinely renormalised into a distance.
+generator that fixes 0 and 1, and one minus the result is the distance.
 
 The hybrid list is consumed as-is: weights are not renormalised and equal
 values are not merged, so it is generally not a valid element itself.
@@ -52,7 +52,12 @@ def hybrid(a: PHFE, b: PHFE) -> HybridElementList:
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """Strictly increasing generator on [0, 1] used to shape the distance."""
+    """Strictly increasing generator on [0, 1] used to shape the distance.
+
+    Every variant maps 0 to 0.0 and 1 to 1.0 exactly, so the distance
+    1 - psi(entropy) needs no affine renormalisation; a new variant must
+    keep both endpoints exact.
+    """
 
     variant: str
 
@@ -88,7 +93,7 @@ def entropy_distance(
     psi: PsiFunction = PSI_IDENTITY,
     config: EntropyConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Distance in [0, 1]: one minus the renormalised entropy of the hybrid.
+    """Distance in [0, 1]: one minus psi of the entropy of the hybrid.
 
     Symmetric in its arguments bit-for-bit.  Zero exactly when the hybrid
     collapses to {0.5|1}, which for singletons means equality; for
@@ -97,6 +102,4 @@ def entropy_distance(
     surfaces rather than patches.
     """
     h = hybrid(a, b)
-    ec = weighted_comprehensive(h.values, h.weights, config)
-    lo, hi = psi(0.0), psi(1.0)
-    return 1.0 - (psi(ec) - lo) / (hi - lo)
+    return 1.0 - psi(weighted_comprehensive(h.values, h.weights, config))

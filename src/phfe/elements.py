@@ -10,6 +10,7 @@ sorted ascending by value.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -184,14 +185,16 @@ def from_linguistic(
 def json_number(obj: Mapping, key: str, integral: bool = False) -> int | float:
     """Field ``key`` of a JSON object, which must hold a JSON number.
 
-    Strings, booleans and null are refused; with ``integral`` the number
-    must also be whole (``2`` and ``2.0`` pass, ``2.7`` does not) and is
-    returned as an ``int``.
+    Strings, booleans, null and integers beyond the float range are
+    refused; with ``integral`` the number must also be whole (``2`` and
+    ``2.0`` pass, ``2.7`` does not) and is returned as an ``int``.
     """
     value = obj[key]
     # json.load yields exactly these two types for numbers; bool is refused.
     if type(value) not in (float, int):
         raise ParseError(f'"{key}" must be a number, got {json.dumps(value, default=repr)}')
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ParseError(f'"{key}" is an integer beyond the float range')
     if not integral:
         return value
     if type(value) is float and not value.is_integer():

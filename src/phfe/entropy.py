@@ -7,10 +7,10 @@ singletons).  A comprehensive measure combines the two through a
 commutative, monotone combiner.
 
 All three measures are pairwise double sums over the element, weighted by
-the probability functional :func:`phfe.elements.pi`.  The weighted variants
-at the bottom run the same sums over an arbitrary (value, weight) list;
-the distance module feeds them the hybrid form of two elements, whose
-weights do not sum to one.
+the probability functional :func:`phfe.elements.pi`.  One private pass
+computes both sums; :func:`weighted_comprehensive` runs it over an
+arbitrary (value, weight) list, which the distance module feeds the
+hybrid form of two elements, whose weights do not sum to one.
 """
 
 from __future__ import annotations
@@ -259,39 +259,36 @@ def measure_value(measure: Measure, a: PHFE) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Weighted element-list engines.  `weights` plays the role the probabilities
-# play for a canonical element; the list need not be normalised or free of
-# duplicate values (the hybrid form of two elements is neither).
+# The pairwise engine.  `weights` plays the role the probabilities play for
+# a canonical element; the list need not be normalised or free of duplicate
+# values (the hybrid form of two elements is neither).
 # ---------------------------------------------------------------------------
 
 
-def weighted_fuzziness(
-    values: Sequence[float], weights: Sequence[float], kernel: FuzzinessKernel
-) -> float:
-    fn = _r_fn(kernel)
+def _pairwise(
+    values: Sequence[float],
+    weights: Sequence[float],
+    fuzz: FuzzinessKernel | None,
+    nonspec: NonSpecificityKernel | None,
+) -> tuple[float, float]:
+    """(fuzziness, non-specificity) in one i <= j pass; a None kernel's sum stays 0."""
+    r_fn = None if fuzz is None else _r_fn(fuzz)
+    f_fn = None if nonspec is None else _F_FNS[nonspec.variant]
     l = len(values)
-    total = 0.0
+    fuzz_total = ns_total = 0.0
     for i in range(l):
         vi, wi = values[i], weights[i]
         for j in range(i, l):
-            total += fn(vi, values[j]) * _pi_fast(wi, weights[j])
-    return 2.0 * total / (l * (l + 1))
-
-
-def weighted_nonspecificity(
-    values: Sequence[float], weights: Sequence[float], kernel: NonSpecificityKernel
-) -> float:
-    fn = _F_FNS[kernel.variant]
-    l = len(values)
-    total = 0.0
-    for i in range(l):
-        vi, wi = values[i], weights[i]
-        for j in range(i, l):
-            base = fn(vi, values[j])
-            if base > 0.0:
-                total += base ** _pi_fast(wi, weights[j])
-            # base == 0 contributes 0: zero to a positive power.
-    return 2.0 * total / max(2, l * (l - 1))
+            vj = values[j]
+            w = _pi_fast(wi, weights[j])
+            if r_fn is not None:
+                fuzz_total += r_fn(vi, vj) * w
+            if f_fn is not None:
+                base = f_fn(vi, vj)
+                if base > 0.0:
+                    ns_total += base ** w
+                # base == 0 contributes 0: zero to a positive power.
+    return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
 
 
 def weighted_comprehensive(
@@ -299,9 +296,9 @@ def weighted_comprehensive(
     weights: Sequence[float],
     config: EntropyConfig = DEFAULT_CONFIG,
 ) -> float:
+    """Comprehensive entropy of a weighted list, such as a hybrid form."""
     return config.theta.combine(
-        weighted_fuzziness(values, weights, config.fuzziness),
-        weighted_nonspecificity(values, weights, config.nonspecificity),
+        *_pairwise(values, weights, config.fuzziness, config.nonspecificity)
     )
 
 
@@ -317,7 +314,7 @@ def fuzziness_entropy(a: PHFE, kernel: FuzzinessKernel = R1) -> float:
     functional; 0 exactly at the crisp singletons {0|1} and {1|1}, 1 at
     {0.5|1} for the r1 family.
     """
-    return weighted_fuzziness(a.values, a.probs, kernel)
+    return _pairwise(a.values, a.probs, kernel, None)[0]
 
 
 def nonspecificity_entropy(a: PHFE, kernel: NonSpecificityKernel = F1) -> float:
@@ -327,12 +324,18 @@ def nonspecificity_entropy(a: PHFE, kernel: NonSpecificityKernel = F1) -> float:
     scaled by 2 / max(2, l*(l-1)); 0 exactly for singletons, 1 exactly at
     {0|0.5, 1|0.5}.
     """
-    return weighted_nonspecificity(a.values, a.probs, kernel)
+    return _pairwise(a.values, a.probs, None, kernel)[1]
+
+
+def entropy_components(a: PHFE, config: EntropyConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+    """(fuzziness, non-specificity) of an element under ``config``, in one pass.
+
+    Each equals, bit for bit, what :func:`fuzziness_entropy` and
+    :func:`nonspecificity_entropy` return for the config's kernels.
+    """
+    return _pairwise(a.values, a.probs, config.fuzziness, config.nonspecificity)
 
 
 def comprehensive_entropy(a: PHFE, config: EntropyConfig = DEFAULT_CONFIG) -> float:
     """Combiner applied to the fuzziness and non-specificity of an element."""
-    return config.theta.combine(
-        fuzziness_entropy(a, config.fuzziness),
-        nonspecificity_entropy(a, config.nonspecificity),
-    )
+    return config.theta.combine(*entropy_components(a, config))

@@ -31,7 +31,9 @@ from .entropy import (
     THETA_BSUM,
     THETA_MAX,
     THETA_PSUM,
+    EntropyConfig,
     comprehensive_entropy,
+    entropy_components,
     fuzziness_entropy,
     nonspecificity_entropy,
     r_kernel,
@@ -104,15 +106,15 @@ def random_phfe(rng: random.Random, max_len: int = 6) -> PHFE:
     return _random_simplex_element(rng, [t / _GRID for t in sorted(ticks)])
 
 
+_R1_F1 = EntropyConfig(R1, F1)
+_R2_F2 = EntropyConfig(R2, F2)
+
+
 def _bases(a: PHFE) -> dict[str, float]:
-    """Base entropies of one element, each computed exactly once."""
-    return {
-        "r1": fuzziness_entropy(a, R1),
-        "r2": fuzziness_entropy(a, R2),
-        "f1": nonspecificity_entropy(a, F1),
-        "f2": nonspecificity_entropy(a, F2),
-        "f3": nonspecificity_entropy(a, F3),
-    }
+    """Base entropies of one element, each computed exactly once, in three passes."""
+    r1, f1 = entropy_components(a, _R1_F1)
+    r2, f2 = entropy_components(a, _R2_F2)
+    return {"r1": r1, "r2": r2, "f1": f1, "f2": f2, "f3": nonspecificity_entropy(a, F3)}
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
 
         h = hybrid(a, b)
         ec = weighted_comprehensive(h.values, h.weights)
-        flags = {1.0 - (p(ec) - p(0.0)) / (p(1.0) - p(0.0)) == 0.0 for p in ALL_PSI}
+        flags = {1.0 - p(ec) == 0.0 for p in ALL_PSI}
         if len(flags) != 1:
             endpoints.fail(f"psi variants disagree on zero distance for {a!r}, {b!r}")
 

@@ -1,9 +1,6 @@
 import pytest
 
 from phfe import (
-    LINEAR_ZETA,
-    UnknownMeasureError,
-    ZetaFunction,
     canonicalize,
     complement,
     expectation,
@@ -11,6 +8,7 @@ from phfe import (
     su_entropy_p1,
     su_entropy_p2,
     su_like_distance,
+    zeta,
 )
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
@@ -92,11 +90,7 @@ class TestDistanceEntropy:
             assert su_entropy_d(a) == pytest.approx(su_entropy_d(complement(a)), abs=1e-12)
 
     def test_zeta_contract(self):
-        assert LINEAR_ZETA(0.0) == 1.0
-        assert LINEAR_ZETA(0.5) == 0.0
+        assert zeta(0.0) == 1.0
+        assert zeta(0.5) == 0.0
         # Expectations beyond one half clamp instead of going negative.
-        assert LINEAR_ZETA(0.75) == 0.0
-
-    def test_zeta_unknown_variant(self):
-        with pytest.raises(UnknownMeasureError):
-            ZetaFunction("cubic")
+        assert zeta(0.75) == 0.0

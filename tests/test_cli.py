@@ -115,15 +115,25 @@ class TestEntropyCommand:
                     "tau": "3",
                 },
             ),
+            # An integer beyond the float range; the message skips its digits.
+            ("entropy", {"pairs": [{"v": 10**400, "p": 1}]}),
+            # Past Python's 4300-digit limit json.load itself refuses the
+            # literal, and json.dumps cannot write it, so the text is raw.
+            pytest.param(
+                "entropy",
+                '{"pairs": [{"v": ' + "1" * 5000 + ', "p": 1}]}',
+                id="entropy-digits-past-limit",
+            ),
         ],
     )
     def test_non_number_fields_exit_2(self, tmp_path, capsys, command, document):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
         assert main([command, "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert len(captured.err) < 200
 
     def test_csv_format(self, elements_file, capsys):
         assert main(

@@ -22,6 +22,7 @@ from phfe import (
     all_configs,
     canonicalize,
     comprehensive_entropy,
+    entropy_components,
     fuzziness_entropy,
     nonspecificity_entropy,
 )
@@ -101,6 +102,13 @@ def test_comprehensive_matches_oracle_for_all_configs():
             )
             got = comprehensive_entropy(a, config)
             assert got == pytest.approx(expected, abs=TOL), f"{config.label} on {a!r}"
+            # The one-pass components equal the single-kernel measures exactly.
+            components = entropy_components(a, config)
+            assert components == (
+                fuzziness_entropy(a, config.fuzziness),
+                nonspecificity_entropy(a, config.nonspecificity),
+            ), f"{config.label} on {a!r}"
+            assert got == config.theta.combine(*components), f"{config.label} on {a!r}"
 
 
 def test_comprehensive_matches_oracle_with_exponent():
