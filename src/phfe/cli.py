@@ -80,7 +80,7 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
         for row in rows:
             print(",".join(str(row.get(c, "")) for c in columns))
         return
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in columns}
+    widths = {c: max([len(c), *(len(str(r.get(c, ""))) for r in rows)]) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
     for row in rows:
         print("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns))

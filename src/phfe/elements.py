@@ -141,6 +141,15 @@ def _pi_fast(p_i: float, p_j: float) -> float:
     return d
 
 
+def _brief(x: object) -> str:
+    """``repr(x)`` for an error message, with an integer past 15 digits in .6g form."""
+    if isinstance(x, int) and abs(x) >= 10**15:
+        from decimal import Decimal  # on the error path only; exact for any size
+
+        return format(Decimal(x), ".6g")
+    return repr(x)
+
+
 @dataclass(frozen=True)
 class LinguisticScale:
     """Totally ordered term set s_0 .. s_{2*tau}."""
@@ -149,7 +158,7 @@ class LinguisticScale:
 
     def __post_init__(self) -> None:
         if not isinstance(self.tau, int) or self.tau < 1:
-            raise OutOfRangeError(f"tau must be a positive integer, got {self.tau!r}")
+            raise OutOfRangeError(f"tau must be a positive integer, got {_brief(self.tau)}")
 
     @property
     def top_term(self) -> int:
@@ -168,7 +177,7 @@ def from_linguistic(
     for t, p in terms:
         if not 0 <= t <= scale.top_term:
             raise TermOutOfRangeError(
-                f"term index {t!r} outside 0..{scale.top_term}"
+                f"term index {_brief(t)} outside 0..{_brief(scale.top_term)}"
             )
         raw.append((t / scale.top_term, p))
     return canonicalize(raw)

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .elements import parse_phfe
 from .entropy import EntropyConfig, all_configs, measure_value, parse_measure
-from .mcdm import DecisionMatrix, entropy_weights, format_number, parse_decision_matrix, run_topsis
+from .mcdm import DecisionMatrix, format_number, parse_decision_matrix, run_topsis
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,16 @@ def _value_rows_block(spec: dict) -> TableBlock:
                     "computed [" + ", ".join(format_number(c) for c in computed) + "]",
                 )
             )
-        printed_order = row.get("printed_order")
-        if printed_order is not None:
-            computed_order = sorted(range(len(computed)), key=lambda i: (-computed[i], i))
-            ok = [names[i] for i in computed_order] == printed_order and len(
-                set(computed)
-            ) == len(computed)
+        if row.get("printed_order") is not None:
+            # A tie shows as " = " in the computed order, so it never matches.
+            printed_order = " > ".join(row["printed_order"])
             block.checks.append(
                 Check(
                     spec["table"],
                     f"{row['measure']} ordering",
                     row.get("order_grade") or "report",
-                    ok,
-                    f"printed {' > '.join(printed_order)} vs computed {order}",
+                    order == printed_order,
+                    f"printed {printed_order} vs computed {order}",
                 )
             )
     return block
@@ -125,7 +122,7 @@ def _table9_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
     return block
 
 
-def _table10_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
+def _table10_block(spec: dict, matrix: DecisionMatrix, results: dict) -> TableBlock:
     block = TableBlock(10, spec["caption"])
     names = [c.name for c in matrix.criteria]
     block.lines.append(
@@ -139,8 +136,7 @@ def _table10_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
             + " > ".join(comp["printed_order"])
         )
     for row in spec["rows"]:
-        config = EntropyConfig.from_string(row["config"])
-        weights = entropy_weights(matrix, config)
+        weights = results[EntropyConfig.from_string(row["config"]).label].weights
         order = _order_string(names, list(weights.raw))
         block.lines.append(
             f"{row['config']:<14s}"
@@ -173,7 +169,7 @@ def _table10_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
     return block
 
 
-def _table11_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
+def _table11_block(spec: dict, matrix: DecisionMatrix, results: dict) -> TableBlock:
     block = TableBlock(11, spec["caption"])
     for comp in spec["comparison_rows"]:
         block.lines.append(
@@ -183,16 +179,13 @@ def _table11_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
             + ", ".join(format_number(v) for v in comp["printed_scores"])
             + "]"
         )
-    rankings = {}
     block.lines.append(f"{'config':<14s}{'closeness':<36s}ranking")
-    for config in all_configs():
-        result = run_topsis(matrix, config)
+    for label, result in results.items():
         ranking = [matrix.alternatives[i] for i in result.ranking]
-        rankings[config.label] = (ranking, result.closeness)
         scores = "[" + ", ".join(format_number(c) for c in result.closeness) + "]"
-        block.lines.append(f"{config.label:<14s}{scores:<36s}" + " > ".join(ranking))
+        block.lines.append(f"{label:<14s}{scores:<36s}" + " > ".join(ranking))
     for row in spec["rows"]:
-        ranking, scores = rankings[row["config"]]
+        ranking = [matrix.alternatives[i] for i in results[row["config"]].ranking]
         ok = ranking == row["printed_ranking"]
         block.checks.append(
             Check(
@@ -224,9 +217,11 @@ def reproduce_all() -> list[TableBlock]:
     # Tables 9-11 all read the case-study matrix of table 9, parsed once.
     case_study = load_table(9)
     matrix = parse_decision_matrix(case_study["matrix"])
+    # One pipeline run per config feeds both Table 10 (weights) and Table 11.
+    results = {config.label: run_topsis(matrix, config) for config in all_configs()}
     blocks.append(_table9_block(case_study, matrix))
-    blocks.append(_table10_block(load_table(10), matrix))
-    blocks.append(_table11_block(load_table(11), matrix))
+    blocks.append(_table10_block(load_table(10), matrix, results))
+    blocks.append(_table11_block(load_table(11), matrix, results))
     return blocks
 
 

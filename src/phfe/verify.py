@@ -40,7 +40,7 @@ from .entropy import (
     weighted_comprehensive,
 )
 from .errors import DegenerateWeightsError
-from .mcdm import CriterionSpec, DecisionMatrix, entropy_weights, run_topsis
+from .mcdm import CriterionSpec, DecisionMatrix, run_topsis
 
 #: Grid resolution for membership values; 1 - k/2**20 is exact for all k.
 _GRID = 1 << 20
@@ -175,12 +175,11 @@ def _corpus_pass(
                 ranges.fail(f"{key} entropy of {a!r} = {value!r}")
         for fuzz in ("r1", "r2"):
             for ns in ("f1", "f2", "f3"):
-                x, y = base_a[fuzz], base_a[ns]
-                for theta in _THETAS:
-                    e = theta.combine(x, y)
+                combined = [theta.combine(base_a[fuzz], base_a[ns]) for theta in _THETAS]
+                for theta, e in zip(_THETAS, combined):
                     if not 0.0 <= e <= 1.0:
                         ranges.fail(f"comprehensive[{fuzz}:{ns}:{theta.label}]({a!r}) = {e!r}")
-                e_max, e_psum, e_bsum = (t.combine(x, y) for t in _THETAS)
+                e_max, e_psum, e_bsum = combined
                 if not e_max <= e_psum <= e_bsum:
                     ordering.fail(
                         f"combiner ordering broken on {a!r} [{fuzz}:{ns}]: "
@@ -222,15 +221,16 @@ def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
     for _ in range(samples):
         a, b = random_phfe(rng), random_phfe(rng)
         psi = rng.choice(ALL_PSI)
-        d_ab = entropy_distance(a, b, psi)
+        # d_ab is entropy_distance by its definition; ec also feeds the psi check.
+        h = hybrid(a, b)
+        ec = weighted_comprehensive(h.values, h.weights)
+        d_ab = 1.0 - psi(ec)
         d_ba = entropy_distance(b, a, psi)
         if d_ab != d_ba:
             symmetry.fail(f"distance asymmetric on {a!r}, {b!r}: {d_ab!r} vs {d_ba!r}")
         if not 0.0 <= d_ab <= 1.0:
             symmetry.fail(f"distance out of range on {a!r}, {b!r}: {d_ab!r}")
 
-        h = hybrid(a, b)
-        ec = weighted_comprehensive(h.values, h.weights)
         flags = {1.0 - p(ec) == 0.0 for p in ALL_PSI}
         if len(flags) != 1:
             endpoints.fail(f"psi variants disagree on zero distance for {a!r}, {b!r}")
@@ -361,18 +361,18 @@ def _weights_suite(rng: random.Random, samples: int) -> SuiteResult:
             cells,
         )
         try:
-            w = entropy_weights(matrix)
+            result = run_topsis(matrix)
         except DegenerateWeightsError:
             # The refusal is correct only when every cell has entropy one;
             # either way the draw counts as checked.
             if any(comprehensive_entropy(c) != 1.0 for row in cells for c in row):
                 col.fail(f"weights refused although some cell has entropy below 1: {cells!r}")
             continue
+        w = result.weights
         if any(x < 0.0 for x in w.normalized):
             col.fail(f"negative weight in {w.normalized!r}")
         elif abs(sum(w.normalized) - 1.0) > 1e-9:
             col.fail(f"weights sum to {sum(w.normalized)!r}")
-        result = run_topsis(matrix)
         if any(not 0.0 <= c <= 1.0 for c in result.closeness):
             col.fail(f"closeness out of range: {result.closeness!r}")
         ordered = [result.closeness[i] for i in result.ranking]
@@ -399,18 +399,17 @@ def _boundary_suite() -> SuiteResult:
         ("nonspecificity singleton", nonspecificity_entropy(half), 0.0),
         ("nonspecificity({0|.5,1|.5})", nonspecificity_entropy(split), 1.0),
     ]
+    col = _Collector("boundary exactness")
     for label, got, want in checks:
         if got != want:
-            return SuiteResult("boundary exactness", 1, False, f"{label} = {got!r}")
+            col.fail(f"{label} = {got!r}")
     # The split element must sit strictly between the crisp extremes in
     # fuzziness; its exact value is the 0-1 kernel value over six.
     split_fuzz = fuzziness_entropy(split)
     expected = r_kernel(R1, 0.0, 1.0) / 6.0
     if not (0.0 < split_fuzz < 1.0) or abs(split_fuzz - expected) > _EXACT_TOL:
-        return SuiteResult(
-            "boundary exactness", 1, False, f"fuzziness({split!r}) = {split_fuzz!r}"
-        )
-    return SuiteResult("boundary exactness", 1, True)
+        col.fail(f"fuzziness({split!r}) = {split_fuzz!r}")
+    return col.result(1)
 
 
 def demonstrate_reflexivity_failure() -> tuple[PHFE, float]:
@@ -459,14 +458,8 @@ def run_axiom_suites(
     results.append(_boundary_suite())
 
     witness, self_distance = demonstrate_reflexivity_failure()
-    results.append(
-        SuiteResult(
-            "multi-valued self-distance stays positive (documented)",
-            1,
-            self_distance > 0.0,
-            None
-            if self_distance > 0.0
-            else f"distance({witness!r}, itself) = {self_distance!r}",
-        )
-    )
+    documented = _Collector("multi-valued self-distance stays positive (documented)")
+    if not self_distance > 0.0:
+        documented.fail(f"distance({witness!r}, itself) = {self_distance!r}")
+    results.append(documented.result(1))
     return results

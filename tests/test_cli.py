@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -124,6 +125,21 @@ class TestEntropyCommand:
                 '{"pairs": [{"v": ' + "1" * 5000 + ', "p": 1}]}',
                 id="entropy-digits-past-limit",
             ),
+            # A whole float becomes a 301-digit int; messages shorten it.
+            ("entropy", {"terms": [{"t": 1e300, "p": 1}], "tau": 3}),
+            ("entropy", {"terms": [{"t": -1, "p": 1}], "tau": 1e300}),
+            (
+                "topsis",
+                {
+                    "criteria": [{"name": "c1"}],
+                    "alternatives": ["x1"],
+                    "cells": [[{"terms": [{"t": 1e300, "p": 1}]}]],
+                    "tau": 3,
+                },
+            ),
+            ("entropy", {"terms": [{"t": 1, "p": 1}], "tau": -1e300}),
+            # The top term 2 * tau lies beyond the float range.
+            ("entropy", {"terms": [{"t": -1, "p": 1}], "tau": 1e308}),
         ],
     )
     def test_non_number_fields_exit_2(self, tmp_path, capsys, command, document):
@@ -134,6 +150,22 @@ class TestEntropyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert len(captured.err) < 200
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("table", "index  element  measure  value\n"),
+            ("csv", "index,element,measure,value\n"),
+            ("json", "[]\n"),
+        ],
+        ids=["table", "csv", "json"],
+    )
+    def test_empty_element_list(self, tmp_path, capsys, fmt, expected):
+        path = tmp_path / "empty.json"
+        for document in ([], {"phfes": []}):
+            path.write_text(json.dumps(document))
+            assert main(["entropy", "--input", str(path), "--format", fmt]) == 0
+            assert capsys.readouterr() == (expected, "")
 
     def test_csv_format(self, elements_file, capsys):
         assert main(
@@ -219,3 +251,36 @@ class TestAxiomsCommand:
         main(["axioms", "--seed", "3", "--samples", "40"])
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["reproduce"], 0, "360748d3c6c862c9e19afaedf0e43c9a4047afdcb9d364083eefee7ee1012514"),
+        (
+            ["reproduce", "--strict"],
+            1,
+            "5b32749df82176d2d7f85cf6b33a0ffd27955d0a81d7a7860a7a3f680a9f24ac",
+        ),
+        (
+            ["axioms", "--seed", "42", "--samples", "300"],
+            0,
+            "e03bda014a76ba4e85074423d7835429ae2f00fc896c9c27ad8d5a9e3bbd837e",
+        ),
+        # Prints counterexamples, so it also pins message text and check order.
+        (
+            ["axioms", "--seed", "7", "--samples", "60", "--mutate", "complement"],
+            1,
+            "62cb731089484c55cdeb1b4ce4d912c0701c82f39324d750d4aff7ac43623847",
+        ),
+    ],
+    ids=["reproduce", "reproduce-strict", "axioms", "axioms-mutate-complement"],
+)
+def test_stdout_digest(capsys, argv, code, digest):
+    """SHA-256 of stdout pins the report and the axiom output byte for byte.
+
+    A changed digest means the output changed; update one only together
+    with a CHANGES.md line that says why.
+    """
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

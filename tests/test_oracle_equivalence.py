@@ -12,6 +12,7 @@ import pytest
 
 import oracle
 from phfe import (
+    ALL_PSI,
     EntropyConfig,
     F1,
     F2,
@@ -23,8 +24,11 @@ from phfe import (
     canonicalize,
     comprehensive_entropy,
     entropy_components,
+    entropy_distance,
     fuzziness_entropy,
+    hybrid,
     nonspecificity_entropy,
+    weighted_comprehensive,
 )
 
 VALUE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -96,7 +100,7 @@ def test_comprehensive_matches_oracle_for_all_configs():
         ]
         reference_f = ORACLE_F[config.nonspecificity.variant]
         reference_t = ORACLE_THETA[config.theta.variant]
-        for a in ELEMENTS:
+        for a, b in zip(ELEMENTS, reversed(ELEMENTS)):
             expected = oracle.comprehensive(
                 list(a.values), list(a.probs), reference_r, reference_f, reference_t
             )
@@ -109,6 +113,14 @@ def test_comprehensive_matches_oracle_for_all_configs():
                 nonspecificity_entropy(a, config.nonspecificity),
             ), f"{config.label} on {a!r}"
             assert got == config.theta.combine(*components), f"{config.label} on {a!r}"
+            # The distance is one minus psi of its hybrid's entropy, exactly:
+            # the axiom harness takes one side of its symmetry check from it.
+            h = hybrid(a, b)
+            for psi in ALL_PSI:
+                by_definition = 1.0 - psi(weighted_comprehensive(h.values, h.weights, config))
+                assert entropy_distance(a, b, psi, config) == by_definition, (
+                    f"{config.label}, {psi.label} on {a!r}, {b!r}"
+                )
 
 
 def test_comprehensive_matches_oracle_with_exponent():
