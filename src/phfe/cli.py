@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Sequence
 
-from .distance import ALL_PSI, entropy_distance
+from .distance import ALL_PSI, PsiFunction, entropy_distance
 from .elements import PHFE, parse_phfe_list
 from .entropy import (
     EntropyConfig,
@@ -21,7 +21,7 @@ from .entropy import (
     measure_value,
     parse_measure,
 )
-from .errors import ParseError, PhfeError, UnknownMeasureError
+from .errors import ParseError, PhfeError
 from .mcdm import (
     format_number,
     format_result_table,
@@ -32,9 +32,6 @@ from .mcdm import (
 from .reproduce import render_report, reproduce_all
 from .verify import corrupted_complement, run_axiom_suites
 
-_PSI_BY_ID = {p.variant: p for p in ALL_PSI}
-
-
 def _round6(obj):
     """Recursively shorten floats to six significant digits for reports."""
     if isinstance(obj, float):
@@ -44,14 +41,6 @@ def _round6(obj):
     if isinstance(obj, (list, tuple)):
         return [_round6(v) for v in obj]
     return obj
-
-
-def _config(text: str, r: float) -> EntropyConfig:
-    """Parse a --config id; an explicit @r= suffix beats the --r flag."""
-    config = parse_measure(text, r)
-    if not isinstance(config, EntropyConfig):
-        raise UnknownMeasureError(f"bad entropy config {text!r}")
-    return config
 
 
 def _measure_row(measure: Measure, a: PHFE) -> dict:
@@ -69,6 +58,8 @@ def _read_json(path: str):
         except ValueError as exc:
             # Malformed JSON, bad UTF-8, or an integer past Python's digit limit.
             raise ParseError(str(exc)) from None
+        except RecursionError:
+            raise ParseError("JSON nested too deeply") from None
 
 
 def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
@@ -109,8 +100,8 @@ def _cmd_distance(args) -> int:
     phfes = parse_phfe_list(_read_json(args.input))
     if len(phfes) < 2:
         raise PhfeError("distance needs at least two elements in the input")
-    config = _config(args.config, args.r)
-    psi = _PSI_BY_ID[args.psi]
+    config = EntropyConfig.from_string(args.config, args.r)
+    psi = PsiFunction(args.psi)
     rows = []
     for i, a in enumerate(phfes):
         for b in phfes[i + 1:]:
@@ -128,8 +119,8 @@ def _cmd_distance(args) -> int:
 
 def _cmd_topsis(args) -> int:
     matrix = parse_decision_matrix(_read_json(args.input))
-    config = _config(args.config, args.r)
-    psi = _PSI_BY_ID[args.psi]
+    config = EntropyConfig.from_string(args.config, args.r)
+    psi = PsiFunction(args.psi)
     result = run_topsis(matrix, config, psi)
     if args.format == "json":
         payload = result_to_dict(result, matrix)
@@ -204,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distance.add_argument("--input", required=True, help="JSON file with elements")
     p_distance.add_argument("--config", default="r1:f1:max", help="entropy config id")
     p_distance.add_argument("--r", type=float, default=1.0, help="exponent for the r1 kernel")
-    p_distance.add_argument("--psi", choices=sorted(_PSI_BY_ID), default="id")
+    p_distance.add_argument("--psi", choices=sorted(p.label for p in ALL_PSI), default="id")
     p_distance.add_argument("--format", choices=("json", "table", "csv"), default="table")
     p_distance.set_defaults(fn=_cmd_distance)
 
@@ -212,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_topsis.add_argument("--input", required=True, help="JSON decision matrix")
     p_topsis.add_argument("--config", default="r1:f1:max", help="entropy config id")
     p_topsis.add_argument("--r", type=float, default=1.0, help="exponent for the r1 kernel")
-    p_topsis.add_argument("--psi", choices=sorted(_PSI_BY_ID), default="id")
+    p_topsis.add_argument("--psi", choices=sorted(p.label for p in ALL_PSI), default="id")
     p_topsis.add_argument("--format", choices=("json", "table", "csv"), default="table")
     p_topsis.set_defaults(fn=_cmd_topsis)
 

@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .elements import PHFE, _pi_fast
-from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise
-from .errors import UnknownMeasureError
-
-_PSI_VARIANTS = ("id", "sq", "harm", "exp")
+from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise, _Variant
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,27 @@ def hybrid(a: PHFE, b: PHFE) -> HybridElementList:
     return HybridElementList(values, weights)
 
 
+def _psi_id(z: float) -> float:
+    return z
+
+
+def _psi_sq(z: float) -> float:
+    return z * z
+
+
+def _psi_harm(z: float) -> float:
+    return 2.0 * z / (1.0 + z)
+
+
+def _psi_exp(z: float) -> float:
+    return z * math.exp(z - 1.0)
+
+
+_PSI = {"id": _psi_id, "sq": _psi_sq, "harm": _psi_harm, "exp": _psi_exp}
+
+
 @dataclass(frozen=True)
-class PsiFunction:
+class PsiFunction(_Variant):
     """Strictly increasing generator on [0, 1] used to shape the distance.
 
     Every variant maps 0 to 0.0 and 1 to 1.0 exactly, so the distance
@@ -59,32 +75,14 @@ class PsiFunction:
     keep both endpoints exact.
     """
 
-    variant: str
-
-    def __post_init__(self) -> None:
-        if self.variant not in _PSI_VARIANTS:
-            raise UnknownMeasureError(f"unknown psi generator {self.variant!r}")
+    _table, _kind = _PSI, "psi generator"
 
     def __call__(self, z: float) -> float:
-        if self.variant == "id":
-            return z
-        if self.variant == "sq":
-            return z * z
-        if self.variant == "harm":
-            return 2.0 * z / (1.0 + z)
-        return z * math.exp(z - 1.0)
-
-    @property
-    def label(self) -> str:
-        return self.variant
+        return self._fn(z)
 
 
-PSI_IDENTITY = PsiFunction("id")
-PSI_SQUARE = PsiFunction("sq")
-PSI_HARMONIC = PsiFunction("harm")
-PSI_EXP_TILT = PsiFunction("exp")
-
-ALL_PSI = (PSI_IDENTITY, PSI_SQUARE, PSI_HARMONIC, PSI_EXP_TILT)
+ALL_PSI = tuple(map(PsiFunction, _PSI))
+PSI_IDENTITY, PSI_SQUARE, PSI_HARMONIC, PSI_EXP_TILT = ALL_PSI
 
 
 def entropy_distance(
@@ -112,4 +110,4 @@ def hybrid_components(a: PHFE, b: PHFE, config: EntropyConfig) -> tuple[float, f
 
 def component_distance(f: float, n: float, psi: PsiFunction, config: EntropyConfig) -> float:
     """entropy_distance from the two sums (f, n) that hybrid_components returns."""
-    return 1.0 - psi(config.theta.combine(f, n))
+    return 1.0 - psi._fn(config.theta._fn(f, n))

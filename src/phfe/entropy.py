@@ -16,102 +16,25 @@ hybrid form of two elements, whose weights do not sum to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
 from .elements import PHFE, _pi_fast
 from .errors import OutOfRangeError, UnknownMeasureError
 
-_FUZZINESS_VARIANTS = ("r1", "r2")
-_NONSPEC_VARIANTS = ("f1", "f2", "f3")
-_THETA_VARIANTS = ("max", "psum", "bsum")
+# Each family is one table from id to scalar function, the only list of its
+# ids.  Fuzziness kernels take the r1 exponent as a third argument; r2 ignores it.
 
 
-@dataclass(frozen=True)
-class FuzzinessKernel:
-    """Pairwise fuzziness kernel, either the exponent family r1 or r2."""
-
-    variant: str
-    r: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.variant not in _FUZZINESS_VARIANTS:
-            raise UnknownMeasureError(f"unknown fuzziness kernel {self.variant!r}")
-        if self.variant == "r1" and not self.r >= 1.0:
-            raise OutOfRangeError(f"r1 exponent must be >= 1, got {self.r!r}")
-
-    @property
-    def label(self) -> str:
-        if self.variant == "r1":
-            return f"r1@r={self.r:g}" if self.r != 1.0 else "r1"
-        return "r2"
+def _r1(x: float, y: float, r: float) -> float:
+    prod = x * y
+    a = 1.0 - (abs(1.0 - 4.0 * prod) / 3.0) ** r
+    b = 1.0 - (abs(4.0 * (x + y - prod) - 3.0) / 3.0) ** r
+    return a * b
 
 
-@dataclass(frozen=True)
-class NonSpecificityKernel:
-    """Pairwise non-specificity kernel, one of f1, f2, f3."""
-
-    variant: str
-
-    def __post_init__(self) -> None:
-        if self.variant not in _NONSPEC_VARIANTS:
-            raise UnknownMeasureError(
-                f"unknown non-specificity kernel {self.variant!r}"
-            )
-
-    @property
-    def label(self) -> str:
-        return self.variant
-
-
-@dataclass(frozen=True)
-class ThetaCombiner:
-    """Combiner for (fuzziness, non-specificity): max, probabilistic or bounded sum."""
-
-    variant: str
-
-    def __post_init__(self) -> None:
-        if self.variant not in _THETA_VARIANTS:
-            raise UnknownMeasureError(f"unknown combiner {self.variant!r}")
-
-    def combine(self, x: float, y: float) -> float:
-        if self.variant == "max":
-            return max(x, y)
-        if self.variant == "psum":
-            # 1 absorbs exactly; the open form x + y - x*y rounds to
-            # 1 - 1e-16 there, breaking the max <= psum <= bsum chain.
-            if x == 1.0 or y == 1.0:
-                return 1.0
-            return x + y - x * y
-        return min(x + y, 1.0)
-
-    @property
-    def label(self) -> str:
-        return self.variant
-
-
-R1 = FuzzinessKernel("r1")
-R2 = FuzzinessKernel("r2")
-F1 = NonSpecificityKernel("f1")
-F2 = NonSpecificityKernel("f2")
-F3 = NonSpecificityKernel("f3")
-THETA_MAX = ThetaCombiner("max")
-THETA_PSUM = ThetaCombiner("psum")
-THETA_BSUM = ThetaCombiner("bsum")
-
-
-def _r1_fn(r: float):
-    def kernel(x: float, y: float) -> float:
-        prod = x * y
-        a = 1.0 - (abs(1.0 - 4.0 * prod) / 3.0) ** r
-        b = 1.0 - (abs(4.0 * (x + y - prod) - 3.0) / 3.0) ** r
-        return a * b
-
-    return kernel
-
-
-def _r2_fn(x: float, y: float) -> float:
+def _r2(x: float, y: float, r: float) -> float:
     prod = x * y
     s = x + y - prod
     a = (2.0 / 3.0) * (min(1.0 - 2.0 * prod, prod) + 1.0)
@@ -119,7 +42,7 @@ def _r2_fn(x: float, y: float) -> float:
     return a * b
 
 
-def _f1_fn(x: float, y: float) -> float:
+def _f1(x: float, y: float) -> float:
     d = abs(x - y)
     return 2.0 * d / (1.0 + d)
 
@@ -127,40 +50,110 @@ def _f1_fn(x: float, y: float) -> float:
 _LN2 = math.log(2.0)
 
 
-def _f2_fn(x: float, y: float) -> float:
+def _f2(x: float, y: float) -> float:
     return math.log(1.0 + abs(x - y)) / _LN2
 
 
-def _f3_fn(x: float, y: float) -> float:
+def _f3(x: float, y: float) -> float:
     d = abs(x - y)
     return d * math.exp(d - 1.0)
 
 
-def _r_fn(kernel: FuzzinessKernel):
-    """Unchecked scalar function for a fuzziness kernel (hot path)."""
-    return _r1_fn(kernel.r) if kernel.variant == "r1" else _r2_fn
+def _psum(x: float, y: float) -> float:
+    # 1 absorbs exactly; the open form x + y - x*y rounds to
+    # 1 - 1e-16 there, breaking the max <= psum <= bsum chain.
+    if x == 1.0 or y == 1.0:
+        return 1.0
+    return x + y - x * y
 
 
-_F_FNS = {"f1": _f1_fn, "f2": _f2_fn, "f3": _f3_fn}
+def _bsum(x: float, y: float) -> float:
+    return min(x + y, 1.0)
+
+
+_FUZZINESS = {"r1": _r1, "r2": _r2}
+_NONSPECIFICITY = {"f1": _f1, "f2": _f2, "f3": _f3}
+_THETA = {"max": max, "psum": _psum, "bsum": _bsum}
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """One member of a function family; ``_fn`` is its function, looked up once."""
+
+    variant: str
+    _fn: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.variant not in self._table:
+            raise UnknownMeasureError(f"unknown {self._kind} {self.variant!r}")
+        object.__setattr__(self, "_fn", self._table[self.variant])
+
+    @property
+    def label(self) -> str:
+        return self.variant
+
+
+@dataclass(frozen=True)
+class FuzzinessKernel(_Variant):
+    """Pairwise fuzziness kernel: r1 with exponent ``r >= 1``, or r2, which takes none."""
+
+    r: float = 1.0
+    _table, _kind = _FUZZINESS, "fuzziness kernel"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.variant == "r1" and not self.r >= 1.0:
+            raise OutOfRangeError(f"r1 exponent must be >= 1, got {self.r!r}")
+        if self.variant != "r1" and self.r != 1.0:
+            raise OutOfRangeError(f"only r1 takes an exponent, got {self.variant}@r={self.r!r}")
+
+    @property
+    def label(self) -> str:
+        if self.r == 1.0:
+            return self.variant
+        text = f"{self.r:g}"  # six digits where they round-trip, else repr
+        if float(text) != self.r:
+            text = repr(self.r)
+        return f"{self.variant}@r={text}"
+
+
+@dataclass(frozen=True)
+class NonSpecificityKernel(_Variant):
+    """Pairwise non-specificity kernel, one of f1, f2, f3."""
+
+    _table, _kind = _NONSPECIFICITY, "non-specificity kernel"
+
+
+@dataclass(frozen=True)
+class ThetaCombiner(_Variant):
+    """Combiner for (fuzziness, non-specificity): max, probabilistic or bounded sum."""
+
+    _table, _kind = _THETA, "combiner"
+
+    def combine(self, x: float, y: float) -> float:
+        return self._fn(x, y)
+
+
+R1, R2 = map(FuzzinessKernel, _FUZZINESS)
+F1, F2, F3 = map(NonSpecificityKernel, _NONSPECIFICITY)
+THETA_MAX, THETA_PSUM, THETA_BSUM = map(ThetaCombiner, _THETA)
 
 
 def r_kernel(kernel: FuzzinessKernel, x: float, y: float) -> float:
     """Evaluate a fuzziness kernel at a pair of membership values."""
-    _check_unit(x)
-    _check_unit(y)
-    return _r_fn(kernel)(x, y)
+    return _checked(kernel._fn, x, y, kernel.r)
 
 
 def f_kernel(kernel: NonSpecificityKernel, x: float, y: float) -> float:
     """Evaluate a non-specificity kernel at a pair of membership values."""
-    _check_unit(x)
-    _check_unit(y)
-    return _F_FNS[kernel.variant](x, y)
+    return _checked(kernel._fn, x, y)
 
 
-def _check_unit(v: float) -> None:
-    if not 0.0 <= v <= 1.0:
-        raise OutOfRangeError(f"kernel argument {v!r} outside [0, 1]")
+def _checked(fn: Callable, x: float, y: float, *args: float) -> float:
+    for v in (x, y):
+        if not 0.0 <= v <= 1.0:
+            raise OutOfRangeError(f"kernel argument {v!r} outside [0, 1]")
+    return fn(x, y, *args)
 
 
 @dataclass(frozen=True)
@@ -172,19 +165,17 @@ class EntropyConfig:
     theta: ThetaCombiner = THETA_MAX
 
     @classmethod
-    def from_string(cls, text: str) -> "EntropyConfig":
-        """Parse a config id like ``r1:f2:max`` or ``r1:f1:bsum@r=2``."""
-        config = parse_measure(text)
+    def from_string(cls, text: str, r: float = 1.0) -> "EntropyConfig":
+        """Parse a config id like ``r1:f2:max`` or ``r1:f1:bsum@r=2``; ``r`` as in parse_measure."""
+        config = parse_measure(text, r)
         if not isinstance(config, cls):
             raise UnknownMeasureError(f"bad entropy config {text!r}")
         return config
 
     @property
     def label(self) -> str:
-        base = f"{self.fuzziness.variant}:{self.nonspecificity.label}:{self.theta.label}"
-        if self.fuzziness.variant == "r1" and self.fuzziness.r != 1.0:
-            return f"{base}@r={self.fuzziness.r:g}"
-        return base
+        fuzz, at, r_text = self.fuzziness.label.partition("@")
+        return f"{fuzz}:{self.nonspecificity.label}:{self.theta.label}{at}{r_text}"
 
 
 DEFAULT_CONFIG = EntropyConfig()
@@ -192,12 +183,12 @@ DEFAULT_CONFIG = EntropyConfig()
 
 def all_configs(r: float = 1.0) -> list[EntropyConfig]:
     """All 18 kernel/combiner combinations, in a fixed documented order."""
-    out = []
-    for theta in (THETA_MAX, THETA_PSUM, THETA_BSUM):
-        for fuzz in (FuzzinessKernel("r1", r), R2):
-            for ns in (F1, F2, F3):
-                out.append(EntropyConfig(fuzz, ns, theta))
-    return out
+    return [
+        parse_measure(f"{fuzz}:{ns}:{theta}", r)
+        for theta in _THETA
+        for fuzz in _FUZZINESS
+        for ns in _NONSPECIFICITY
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +228,9 @@ def parse_measure(text: str, r: float = 1.0) -> Measure:
             r = float(r_text)
         except ValueError:
             raise UnknownMeasureError(f"bad r1 exponent {r_text!r} in {text!r}") from None
-    if base in _NONSPEC_VARIANTS:
+    if base in _NONSPECIFICITY:
         return NonSpecificityKernel(base)
-    if len(parts) not in (1, 3) or parts[0] not in _FUZZINESS_VARIANTS:
+    if len(parts) not in (1, 3) or parts[0] not in _FUZZINESS:
         raise UnknownMeasureError(f"unknown measure id {text!r}")
     fuzz = FuzzinessKernel(parts[0], r if parts[0] == "r1" else 1.0)
     if len(parts) == 1:
@@ -272,8 +263,8 @@ def _pairwise(
     nonspec: NonSpecificityKernel | None,
 ) -> tuple[float, float]:
     """(fuzziness, non-specificity) in one i <= j pass; a None kernel's sum stays 0."""
-    r_fn = None if fuzz is None else _r_fn(fuzz)
-    f_fn = None if nonspec is None else _F_FNS[nonspec.variant]
+    r_fn, r = (None, 1.0) if fuzz is None else (fuzz._fn, fuzz.r)
+    f_fn = None if nonspec is None else nonspec._fn
     l = len(values)
     fuzz_total = ns_total = 0.0
     for i in range(l):
@@ -282,7 +273,7 @@ def _pairwise(
             vj = values[j]
             w = _pi_fast(wi, weights[j])
             if r_fn is not None:
-                fuzz_total += r_fn(vi, vj) * w
+                fuzz_total += r_fn(vi, vj, r) * w
             if f_fn is not None:
                 base = f_fn(vi, vj)
                 if base > 0.0:
@@ -297,9 +288,7 @@ def weighted_comprehensive(
     config: EntropyConfig = DEFAULT_CONFIG,
 ) -> float:
     """Comprehensive entropy of a weighted list, such as a hybrid form."""
-    return config.theta.combine(
-        *_pairwise(values, weights, config.fuzziness, config.nonspecificity)
-    )
+    return config.theta._fn(*_pairwise(values, weights, config.fuzziness, config.nonspecificity))
 
 
 # ---------------------------------------------------------------------------
@@ -338,4 +327,4 @@ def entropy_components(a: PHFE, config: EntropyConfig = DEFAULT_CONFIG) -> tuple
 
 def comprehensive_entropy(a: PHFE, config: EntropyConfig = DEFAULT_CONFIG) -> float:
     """Combiner applied to the fuzziness and non-specificity of an element."""
-    return config.theta.combine(*entropy_components(a, config))
+    return config.theta._fn(*entropy_components(a, config))

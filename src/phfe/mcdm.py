@@ -107,7 +107,7 @@ def entropy_weights(
     """
     m, n = matrix.shape
     fuzz, nonspec = _columns(matrix, config)
-    combine = config.theta.combine
+    combine = config.theta._fn
     raw = [1.0 - sum(map(combine, fuzz[j::n], nonspec[j::n])) / m for j in range(n)]
     denom = sum(raw)
     if denom <= 0.0:
@@ -193,17 +193,19 @@ def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
             CriterionSpec(str(c["name"]), str(c.get("kind", "benefit")))
             for c in obj["criteria"]
         )
-        alternatives = tuple(str(a) for a in obj["alternatives"])
+        names = obj["alternatives"]
         rows = obj["cells"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed decision matrix: {exc}") from exc
+    if not isinstance(names, list):
+        raise ParseError("decision matrix alternatives must be a list of names")
     if not isinstance(rows, Sequence) or not all(isinstance(row, Sequence) for row in rows):
         raise ParseError("decision matrix cells must be a list of rows, each a list of elements")
     default_tau = json_number(obj, "tau", integral=True) if "tau" in obj else None
     cells = tuple(
         tuple(parse_phfe(cell, default_tau) for cell in row) for row in rows
     )
-    return DecisionMatrix(alternatives, criteria, cells)
+    return DecisionMatrix(tuple(map(str, names)), criteria, cells)
 
 
 def matrix_to_dict(matrix: DecisionMatrix) -> dict:

@@ -28,25 +28,24 @@ from .entropy import (
     F3,
     R1,
     R2,
-    THETA_BSUM,
-    THETA_MAX,
-    THETA_PSUM,
     EntropyConfig,
+    FuzzinessKernel,
+    NonSpecificityKernel,
     comprehensive_entropy,
     entropy_components,
     fuzziness_entropy,
     nonspecificity_entropy,
     r_kernel,
     weighted_comprehensive,
+    _FUZZINESS,
+    _NONSPECIFICITY,
+    _THETA,
 )
 from .errors import DegenerateWeightsError
 from .mcdm import CriterionSpec, DecisionMatrix, run_topsis
 
 #: Grid resolution for membership values; 1 - k/2**20 is exact for all k.
 _GRID = 1 << 20
-
-_NS_KERNELS = (F1, F2, F3)
-_THETAS = (THETA_MAX, THETA_PSUM, THETA_BSUM)
 
 _EXACT_TOL = 1e-12
 
@@ -173,12 +172,12 @@ def _corpus_pass(
         for key, value in base_a.items():
             if not 0.0 <= value <= 1.0:
                 ranges.fail(f"{key} entropy of {a!r} = {value!r}")
-        for fuzz in ("r1", "r2"):
-            for ns in ("f1", "f2", "f3"):
-                combined = [theta.combine(base_a[fuzz], base_a[ns]) for theta in _THETAS]
-                for theta, e in zip(_THETAS, combined):
+        for fuzz in _FUZZINESS:
+            for ns in _NONSPECIFICITY:
+                combined = [theta(base_a[fuzz], base_a[ns]) for theta in _THETA.values()]
+                for theta, e in zip(_THETA, combined):
                     if not 0.0 <= e <= 1.0:
-                        ranges.fail(f"comprehensive[{fuzz}:{ns}:{theta.label}]({a!r}) = {e!r}")
+                        ranges.fail(f"comprehensive[{fuzz}:{ns}:{theta}]({a!r}) = {e!r}")
                 e_max, e_psum, e_bsum = combined
                 if not e_max <= e_psum <= e_bsum:
                     ordering.fail(
@@ -190,17 +189,17 @@ def _corpus_pass(
         # exactness suite covers the r1 family, all non-specificity
         # kernels, their combinations, and the baselines (see the
         # documented-deviations section of the report).
-        for key in ("r1", "f1", "f2", "f3"):
+        for key in ("r1", *_NONSPECIFICITY):
             if abs(base_a[key] - base_c[key]) > _EXACT_TOL:
                 symmetry.fail(
                     f"{key} entropy: {a!r} -> {base_a[key]!r} vs complement {base_c[key]!r}"
                 )
-        for ns in ("f1", "f2", "f3"):
-            for theta in _THETAS:
-                x = theta.combine(base_a["r1"], base_a[ns])
-                y = theta.combine(base_c["r1"], base_c[ns])
+        for ns in _NONSPECIFICITY:
+            for theta, combine in _THETA.items():
+                x = combine(base_a["r1"], base_a[ns])
+                y = combine(base_c["r1"], base_c[ns])
                 if abs(x - y) > _EXACT_TOL:
-                    symmetry.fail(f"comprehensive[r1:{ns}:{theta.label}]: {x!r} vs {y!r} on {a!r}")
+                    symmetry.fail(f"comprehensive[r1:{ns}:{theta}]: {x!r} vs {y!r} on {a!r}")
         for fn in (baselines.su_entropy_p1, baselines.su_entropy_p2, baselines.su_entropy_d):
             x, y = fn(a), fn(c)
             if abs(x - y) > _EXACT_TOL:
@@ -245,6 +244,7 @@ def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
 
 def _fuzziness_monotonicity(rng: random.Random, samples: int) -> SuiteResult:
     col = _Collector("fuzziness monotonicity")
+    kernels = [FuzzinessKernel(v) for v in _FUZZINESS]
     checked = 0
     for _ in range(samples):
         # Upper element B sits in [0, 1/2]; A shrinks B's values by a
@@ -257,7 +257,7 @@ def _fuzziness_monotonicity(rng: random.Random, samples: int) -> SuiteResult:
         if len(a) != len(b):
             continue  # shrink collided values; premise void
         checked += 1
-        for kernel in (R1, R2):
+        for kernel in kernels:
             ea, eb = fuzziness_entropy(a, kernel), fuzziness_entropy(b, kernel)
             if ea > eb + _EXACT_TOL:
                 col.fail(
@@ -275,6 +275,7 @@ def _random_lower_half_phfe(rng: random.Random) -> PHFE:
 
 def _nonspecificity_monotonicity(rng: random.Random, samples: int) -> SuiteResult:
     col = _Collector("nonspecificity monotonicity")
+    kernels = [NonSpecificityKernel(v) for v in _NONSPECIFICITY]
     checked = 0
     for _ in range(samples):
         # A contracts B's values toward a centre, so every pairwise gap
@@ -289,7 +290,7 @@ def _nonspecificity_monotonicity(rng: random.Random, samples: int) -> SuiteResul
             continue
         checked += 1
         a = canonicalize(zip(a_values, b.probs))
-        for kernel in _NS_KERNELS:
+        for kernel in kernels:
             ea, eb = nonspecificity_entropy(a, kernel), nonspecificity_entropy(b, kernel)
             if ea > eb + _EXACT_TOL:
                 col.fail(
@@ -323,14 +324,14 @@ def _theta_suite(rng: random.Random, samples: int) -> SuiteResult:
         x = rng.uniform(0.0, 1.0)
         y = rng.uniform(0.0, 1.0)
         z = rng.uniform(y, 1.0)
-        for theta in _THETAS:
+        for theta, combine in _THETA.items():
             for edge in (0.0, 1.0):
-                if theta.combine(edge, 0.0) != edge:
-                    col.fail(f"theta[{theta.label}]({edge}, 0) != {edge}")
-            if theta.combine(x, y) != theta.combine(y, x):
-                col.fail(f"theta[{theta.label}] not commutative at ({x!r}, {y!r})")
-            if theta.combine(x, y) > theta.combine(x, z) + _EXACT_TOL:
-                col.fail(f"theta[{theta.label}] not monotone at ({x!r}, {y!r} -> {z!r})")
+                if combine(edge, 0.0) != edge:
+                    col.fail(f"theta[{theta}]({edge}, 0) != {edge}")
+            if combine(x, y) != combine(y, x):
+                col.fail(f"theta[{theta}] not commutative at ({x!r}, {y!r})")
+            if combine(x, y) > combine(x, z) + _EXACT_TOL:
+                col.fail(f"theta[{theta}] not monotone at ({x!r}, {y!r} -> {z!r})")
     return col.result(samples)
 
 

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from phfe.cli import main
+from phfe.cli import build_parser, main
+from phfe.distance import ALL_PSI
 from phfe.reproduce import load_table
 
 
@@ -140,6 +141,8 @@ class TestEntropyCommand:
             ("entropy", {"terms": [{"t": 1, "p": 1}], "tau": -1e300}),
             # The top term 2 * tau lies beyond the float range.
             ("entropy", {"terms": [{"t": -1, "p": 1}], "tau": 1e308}),
+            # Nesting past the recursion limit of json.load.
+            pytest.param("entropy", "[" * 200_000 + "]" * 200_000, id="entropy-deep-nesting"),
         ],
     )
     def test_non_number_fields_exit_2(self, tmp_path, capsys, command, document):
@@ -217,6 +220,24 @@ class TestTopsisCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "cells" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_non_list_alternatives_exit_2(self, tmp_path, capsys):
+        # A string would otherwise run as one alternative per letter.
+        path = tmp_path / "bad.json"
+        cell = {"pairs": [{"v": 0.5, "p": 1}]}
+        path.write_text(
+            json.dumps({"criteria": [{"name": "c1"}], "alternatives": "ab", "cells": [[cell], [cell]]})
+        )
+        assert main(["topsis", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "alternatives" in captured.err
+
+    @pytest.mark.parametrize("command", ["distance", "topsis"])
+    def test_psi_choices_are_the_generator_labels(self, command):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+        psi = next(a for a in sub._actions if a.dest == "psi")
+        assert list(psi.choices) == sorted(p.label for p in ALL_PSI)
 
 
 class TestReproduceCommand:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from phfe import (
@@ -74,6 +77,14 @@ class TestPsiFunctions:
     def test_unknown_variant(self):
         with pytest.raises(UnknownMeasureError):
             PsiFunction("cube")
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_generators_survive_copies(self, copier):
+        copies = copier(ALL_PSI)
+        assert copies == ALL_PSI
+        assert [hash(p) for p in copies] == [hash(p) for p in ALL_PSI]
+        assert [p(0.3) for p in copies] == [p(0.3) for p in ALL_PSI]
 
 
 class TestEntropyDistance:

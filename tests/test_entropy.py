@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from phfe import (
@@ -29,6 +32,7 @@ from phfe import (
     su_entropy_d,
     su_entropy_p2,
 )
+from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
 H2 = canonicalize([(0.6, 0.9), (0.9, 0.1)])
@@ -249,6 +253,33 @@ class TestEntropyConfig:
         assert len(set(labels)) == 18
         assert "r1:f1:max" in labels and "r2:f3:bsum" in labels
 
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 1.0000001, 1234567.5])
+    def test_labels_round_trip(self, r):
+        measures = [FuzzinessKernel("r1", r), R2, F1, F2, F3, *all_configs(r)]
+        for measure in measures:
+            assert parse_measure(measure.label) == measure, measure.label
+
+    def test_short_exponents_keep_six_digit_labels(self):
+        labels = [FuzzinessKernel("r1", r).label for r in (1.5, 2.0, 3.0)]
+        assert labels == ["r1@r=1.5", "r1@r=2", "r1@r=3"]
+        assert all_configs(2.0)[0].label == "r1:f1:max@r=2"
+
+    def test_only_r1_takes_an_exponent(self):
+        with pytest.raises(OutOfRangeError):
+            FuzzinessKernel("r2", 3.0)
+        assert FuzzinessKernel("r2", 1.0) == R2
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_configs_survive_copies(self, copier):
+        configs = all_configs(2.0)
+        copies = copier(configs)
+        assert copies == configs
+        assert [hash(c) for c in copies] == [hash(c) for c in configs]
+        a = canonicalize([(0.2, 0.3), (0.7, 0.7)])
+        for config, twin in zip(configs, copies):
+            assert comprehensive_entropy(a, twin) == comprehensive_entropy(a, config)
+
 
 class TestParseMeasure:
     def test_every_form(self):
@@ -265,6 +296,16 @@ class TestParseMeasure:
         assert parse_measure("r1:f1:max@r=1", 2.0).fuzziness.r == 1.0
         # r2 has no exponent, so the default does not reach it.
         assert parse_measure("r2:f1:max", 2.0) == EntropyConfig.from_string("r2:f1:max")
+
+    def test_accepts_exactly_the_table_ids(self):
+        decoys = ["r0", "r3", "f0", "f4", "min", "sum", "su-p3", "R1", "F1"]
+        fuzz, ns, theta = [*_FUZZINESS, *decoys], [*_NONSPECIFICITY, *decoys], [*_THETA, *decoys]
+        singles = {*fuzz, *ns, *theta, "su-p1", "su-p2", "su-d"}
+        assert {t for t in singles if _parses(t)} == {
+            *_FUZZINESS, *_NONSPECIFICITY, "su-p1", "su-p2", "su-d"
+        }
+        triples = {f"{f}:{n}:{t}" for f in fuzz for n in ns for t in theta}
+        assert {t for t in triples if _parses(t)} == {c.label for c in all_configs()}
 
     def test_rejects_malformed_ids(self):
         for bad in ("", "r3", "f1@r=2", "su-p1@r=2", "r2@r=3", "r1@r=abc",
@@ -285,3 +326,11 @@ class TestParseMeasure:
             a, NonSpecificityKernel("f2")
         )
         assert measure_value(parse_measure("su-p2"), a) == su_entropy_p2(a)
+
+
+def _parses(text: str) -> bool:
+    try:
+        parse_measure(text)
+    except UnknownMeasureError:
+        return False
+    return True
