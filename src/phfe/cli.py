@@ -8,12 +8,13 @@ flags, and seeds; every number is printed with six significant digits.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from typing import Sequence
 
 from .distance import ALL_PSI, PsiFunction, entropy_distance
-from .elements import PHFE, parse_phfe_list
+from .elements import PHFE, complement, parse_phfe_list
 from .entropy import (
     EntropyConfig,
     Measure,
@@ -62,19 +63,22 @@ def _read_json(path: str):
             raise ParseError("JSON nested too deeply") from None
 
 
+def _print_json(obj) -> None:
+    print(json.dumps(_round6(obj), indent=1, sort_keys=True))
+
+
 def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_round6(rows), indent=1, sort_keys=True))
-        return
-    if fmt == "csv":
-        print(",".join(columns))
+        _print_json(rows)
+    elif fmt == "csv":  # RFC 4180: a field holding a comma, quote or line feed is quoted
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "") for c in columns] for row in rows)
+    else:
+        widths = {c: max([len(c), *(len(str(r.get(c, ""))) for r in rows)]) for c in columns}
+        print("  ".join(c.ljust(widths[c]) for c in columns))
         for row in rows:
-            print(",".join(str(row.get(c, "")) for c in columns))
-        return
-    widths = {c: max([len(c), *(len(str(r.get(c, ""))) for r in rows)]) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns))
-    for row in rows:
-        print("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns))
+            print("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns))
 
 
 def _cmd_entropy(args) -> int:
@@ -82,11 +86,12 @@ def _cmd_entropy(args) -> int:
     ids = [m for chunk in args.measure for m in chunk.split(",") if m]
     if not ids:
         ids = ["r1", "f1", "r1:f1:max"]
-    measures = [(text, parse_measure(text, args.r)) for text in ids]
+    measures = [parse_measure(text, args.r) for text in ids]
     rows = []
     for index, a in enumerate(phfes):
-        for text, measure in measures:
-            row = {"element": repr(a), "index": index, "measure": text}
+        for text, measure in zip(ids, measures):
+            # A kernel or config prints its label, which carries --r (r1@r=2); a baseline has none.
+            row = {"element": repr(a), "index": index, "measure": getattr(measure, "label", text)}
             row.update(_round6(_measure_row(measure, a)))
             rows.append(row)
     columns = ["index", "element", "measure", "value", "fuzziness", "nonspecificity"]
@@ -123,19 +128,16 @@ def _cmd_topsis(args) -> int:
     psi = PsiFunction(args.psi)
     result = run_topsis(matrix, config, psi)
     if args.format == "json":
-        payload = result_to_dict(result, matrix)
-        payload["config"] = config.label
-        payload["psi"] = psi.label
-        print(json.dumps(_round6(payload), indent=1, sort_keys=True))
+        _print_json({**result_to_dict(result, matrix), "config": config.label, "psi": psi.label})
     elif args.format == "csv":
-        print("alternative,d_plus,d_minus,closeness,rank")
-        position = {alt: k + 1 for k, alt in enumerate(result.ranking)}
-        for i, name in enumerate(matrix.alternatives):
-            print(
-                f"{name},{format_number(result.d_plus[i])},"
-                f"{format_number(result.d_minus[i])},"
-                f"{format_number(result.closeness[i])},{position[i]}"
-            )
+        columns = ["alternative", "d_plus", "d_minus", "closeness", "rank"]
+        numbers = zip(result.d_plus, result.d_minus, result.closeness)
+        rank = {alt: k + 1 for k, alt in enumerate(result.ranking)}
+        rows = [
+            dict(zip(columns, (name, *map(format_number, values), rank[i])))
+            for i, (name, values) in enumerate(zip(matrix.alternatives, numbers))
+        ]
+        _emit_rows(rows, columns, "csv")
     else:
         print(f"config: {config.label}  psi: {psi.label}")
         print(format_result_table(result, matrix))
@@ -149,9 +151,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    complement_fn = corrupted_complement if args.mutate == "complement" else None
-    kwargs = {} if complement_fn is None else {"complement_fn": complement_fn}
-    results = run_axiom_suites(args.seed, args.samples, **kwargs)
+    complement_fn = corrupted_complement if args.mutate == "complement" else complement
+    results = run_axiom_suites(args.seed, args.samples, complement_fn)
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -177,9 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
         "probabilistic hesitant fuzzy elements.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by the commands that read an input file, and by the two that take a config.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", required=True, help="JSON elements (topsis: a decision matrix)")
+    common.add_argument("--r", type=float, default=1.0, help="exponent for the r1 kernel")
+    common.add_argument("--format", choices=("json", "table", "csv"), default="table")
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[common])
+    pipeline.add_argument("--config", default="r1:f1:max", help="entropy config id")
+    pipeline.add_argument("--psi", choices=sorted(p.label for p in ALL_PSI), default="id")
 
-    p_entropy = sub.add_parser("entropy", help="evaluate entropy measures on elements")
-    p_entropy.add_argument("--input", required=True, help="JSON file with elements")
+    p_entropy = sub.add_parser(
+        "entropy", parents=[common], help="evaluate entropy measures on elements"
+    )
     p_entropy.add_argument(
         "--measure",
         action="append",
@@ -187,25 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure id (repeatable or comma-separated): r1, r2, f1..f3, "
         "su-p1, su-p2, su-d, or a comprehensive config like r1:f2:max@r=1",
     )
-    p_entropy.add_argument("--r", type=float, default=1.0, help="exponent for the r1 kernel")
-    p_entropy.add_argument("--format", choices=("json", "table", "csv"), default="table")
     p_entropy.set_defaults(fn=_cmd_entropy)
-
-    p_distance = sub.add_parser("distance", help="pairwise entropy-based distances")
-    p_distance.add_argument("--input", required=True, help="JSON file with elements")
-    p_distance.add_argument("--config", default="r1:f1:max", help="entropy config id")
-    p_distance.add_argument("--r", type=float, default=1.0, help="exponent for the r1 kernel")
-    p_distance.add_argument("--psi", choices=sorted(p.label for p in ALL_PSI), default="id")
-    p_distance.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    p_distance.set_defaults(fn=_cmd_distance)
-
-    p_topsis = sub.add_parser("topsis", help="entropy-weighted TOPSIS over a matrix")
-    p_topsis.add_argument("--input", required=True, help="JSON decision matrix")
-    p_topsis.add_argument("--config", default="r1:f1:max", help="entropy config id")
-    p_topsis.add_argument("--r", type=float, default=1.0, help="exponent for the r1 kernel")
-    p_topsis.add_argument("--psi", choices=sorted(p.label for p in ALL_PSI), default="id")
-    p_topsis.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    p_topsis.set_defaults(fn=_cmd_topsis)
+    for name, fn, text in (
+        ("distance", _cmd_distance, "pairwise entropy-based distances"),
+        ("topsis", _cmd_topsis, "entropy-weighted TOPSIS over a matrix"),
+    ):
+        sub.add_parser(name, parents=[pipeline], help=text).set_defaults(fn=fn)
 
     p_repro = sub.add_parser("reproduce", help="recompute the bundled reference tables")
     p_repro.add_argument(

@@ -53,6 +53,8 @@ class DecisionMatrix:
             raise ParseError("matrix needs at least one alternative and one criterion")
         if len({c.name for c in self.criteria}) != n:
             raise ParseError("criterion names must be unique")
+        if len(set(self.alternatives)) != m:
+            raise ParseError("alternative names must be unique")
         if len(self.cells) != m or any(len(row) != n for row in self.cells):
             raise ParseError(f"cell grid must be {m}x{n}")
 
@@ -188,9 +190,15 @@ def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
     """
     if not isinstance(obj, Mapping):
         raise ParseError("decision matrix must be a JSON object")
+
+    def text(value, field: str) -> str:
+        if not isinstance(value, str):
+            raise ParseError(f"{field} must be a string, got {value!r:.40}")
+        return value
+
     try:
         criteria = tuple(
-            CriterionSpec(str(c["name"]), str(c.get("kind", "benefit")))
+            CriterionSpec(text(c["name"], "criterion name"), c.get("kind", "benefit"))
             for c in obj["criteria"]
         )
         names = obj["alternatives"]
@@ -205,7 +213,7 @@ def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
     cells = tuple(
         tuple(parse_phfe(cell, default_tau) for cell in row) for row in rows
     )
-    return DecisionMatrix(tuple(map(str, names)), criteria, cells)
+    return DecisionMatrix(tuple(text(a, "alternative name") for a in names), criteria, cells)
 
 
 def matrix_to_dict(matrix: DecisionMatrix) -> dict:

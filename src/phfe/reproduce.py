@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .elements import parse_phfe
-from .entropy import EntropyConfig, all_configs, measure_value, parse_measure
+from .entropy import all_configs, measure_value, parse_measure
 from .mcdm import DecisionMatrix, format_number, parse_decision_matrix, run_topsis
 
 
 @dataclass(frozen=True)
 class Check:
-    table: int
     label: str
     grade: str  # "accept" | "report"
     ok: bool
@@ -34,6 +33,9 @@ class TableBlock:
     caption: str
     lines: list[str] = field(default_factory=list)
     checks: list[Check] = field(default_factory=list)
+
+    def check(self, label: str, grade: str, ok: bool, detail: str) -> None:
+        self.checks.append(Check(label, grade, ok, detail))
 
 
 def load_table(number: int) -> dict:
@@ -51,7 +53,7 @@ def _order_string(names: list[str], values: list[float]) -> str:
     return "".join(parts)
 
 
-def _cells_check(table: int, label: str, row: dict, names, printed, computed) -> Check:
+def _cells_check(block: TableBlock, label: str, row: dict, names, printed, computed) -> None:
     """Each computed cell within the row's tolerance of its printed value, at its grade."""
     tol = row["tolerance"]
     flags = [abs(c - p) <= tol for c, p in zip(computed, printed)]
@@ -59,7 +61,7 @@ def _cells_check(table: int, label: str, row: dict, names, printed, computed) ->
         f"{name} {format_number(p)}->{format_number(c)} {'ok' if good else 'DIFF'}"
         for name, p, c, good in zip(names, printed, computed, flags)
     )
-    return Check(table, label, row["grade"], all(flags), f"per cell at tol {tol:g}: {cells}")
+    block.check(label, row["grade"], all(flags), f"per cell at tol {tol:g}: {cells}")
 
 
 def _value_rows_block(spec: dict) -> TableBlock:
@@ -78,32 +80,23 @@ def _value_rows_block(spec: dict) -> TableBlock:
             + "".join(f"{format_number(v):>12s}" for v in computed)
             + f"  {order}"
         )
-        printed = row.get("printed")
-        if printed is not None:
-            label = f"{row['measure']} values"
-            block.checks.append(_cells_check(spec["table"], label, row, names, printed, computed))
+        if row.get("printed") is not None:
+            _cells_check(block, f"{row['measure']} values", row, names, row["printed"], computed)
         if row.get("expect_equal"):
-            ok = len(set(computed)) == 1
-            block.checks.append(
-                Check(
-                    spec["table"],
-                    f"{row['measure']} cannot separate the inputs",
-                    "accept",
-                    ok,
-                    "computed [" + ", ".join(format_number(c) for c in computed) + "]",
-                )
+            block.check(
+                f"{row['measure']} cannot separate the inputs",
+                "accept",
+                len(set(computed)) == 1,
+                "computed [" + ", ".join(format_number(c) for c in computed) + "]",
             )
         if row.get("printed_order") is not None:
             # A tie shows as " = " in the computed order, so it never matches.
             printed_order = " > ".join(row["printed_order"])
-            block.checks.append(
-                Check(
-                    spec["table"],
-                    f"{row['measure']} ordering",
-                    row.get("order_grade") or "report",
-                    order == printed_order,
-                    f"printed {printed_order} vs computed {order}",
-                )
+            block.check(
+                f"{row['measure']} ordering",
+                row.get("order_grade") or "report",
+                order == printed_order,
+                f"printed {printed_order} vs computed {order}",
             )
     return block
 
@@ -116,9 +109,7 @@ def _table9_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
     for i, alt in enumerate(matrix.alternatives):
         cells = [repr(matrix.cells[i][j]) for j in range(len(names))]
         block.lines.append(f"{alt:<6s}" + "".join(f"{c:<54s}" for c in cells))
-    block.checks.append(
-        Check(9, "matrix parses and canonicalizes", "accept", True, "3x4 grid, all cells canonical")
-    )
+    block.check("matrix parses and canonicalizes", "accept", True, "3x4 grid, all cells canonical")
     return block
 
 
@@ -136,7 +127,7 @@ def _table10_block(spec: dict, matrix: DecisionMatrix, results: dict) -> TableBl
             + " > ".join(comp["printed_order"])
         )
     for row in spec["rows"]:
-        weights = results[EntropyConfig.from_string(row["config"]).label].weights
+        weights = results[row["config"]].weights
         order = _order_string(names, list(weights.raw))
         block.lines.append(
             f"{row['config']:<14s}"
@@ -144,27 +135,21 @@ def _table10_block(spec: dict, matrix: DecisionMatrix, results: dict) -> TableBl
             + f"         {order}"
         )
         label = f"raw weights [{row['config']}]"
-        block.checks.append(_cells_check(10, label, row, names, row["printed_raw"], weights.raw))
-        argmax_ok = names[weights.argmax] == "c3"
-        block.checks.append(
-            Check(
-                10,
-                f"largest weight lands on c3 [{row['config']}]",
-                row["argmax_grade"],
-                argmax_ok,
-                f"computed argmax {names[weights.argmax]}",
-            )
+        _cells_check(block, label, row, names, row["printed_raw"], weights.raw)
+        argmax = names[weights.argmax]
+        block.check(
+            f"largest weight lands on c3 [{row['config']}]",
+            row["argmax_grade"],
+            argmax == "c3",
+            f"computed argmax {argmax}",
         )
         if row["config"] == "r1:f1:max":
             total = sum(weights.normalized)
-            block.checks.append(
-                Check(
-                    10,
-                    "normalized weights sum to one [r1:f1:max]",
-                    "accept",
-                    abs(total - 1.0) <= 1e-9,
-                    f"sum {total!r}",
-                )
+            block.check(
+                "normalized weights sum to one [r1:f1:max]",
+                "accept",
+                abs(total - 1.0) <= 1e-9,
+                f"sum {total!r}",
             )
     return block
 
@@ -186,15 +171,11 @@ def _table11_block(spec: dict, matrix: DecisionMatrix, results: dict) -> TableBl
         block.lines.append(f"{label:<14s}{scores:<36s}" + " > ".join(ranking))
     for row in spec["rows"]:
         ranking = [matrix.alternatives[i] for i in results[row["config"]].ranking]
-        ok = ranking == row["printed_ranking"]
-        block.checks.append(
-            Check(
-                11,
-                f"ranking [{row['config']}]",
-                row["grade"],
-                ok,
-                f"printed {' > '.join(row['printed_ranking'])} vs computed {' > '.join(ranking)}",
-            )
+        block.check(
+            f"ranking [{row['config']}]",
+            row["grade"],
+            ranking == row["printed_ranking"],
+            f"printed {' > '.join(row['printed_ranking'])} vs computed {' > '.join(ranking)}",
         )
     return block
 

@@ -242,59 +242,47 @@ def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
 # ---------------------------------------------------------------------------
 
 
-def _fuzziness_monotonicity(rng: random.Random, samples: int) -> SuiteResult:
-    col = _Collector("fuzziness monotonicity")
-    kernels = [FuzzinessKernel(v) for v in _FUZZINESS]
+def _shrunk_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
+    # Upper element B sits in [0, 1/2]; A shrinks B's values by a shared
+    # factor and keeps the same probabilities, so every pairwise
+    # probability term coincides and the value premise holds elementwise.
+    ticks = _distinct_ticks(rng, rng.randrange(1, 7), 1, _GRID // 2 + 1)
+    b = _random_simplex_element(rng, [t / _GRID for t in ticks])
+    factor = rng.uniform(0.0, 1.0)
+    a = canonicalize([(v * factor, p) for v, p in b])
+    return (a, b) if len(a) == len(b) else None  # None: shrink collided values
+
+
+def _contracted_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
+    # A contracts B's values toward a centre, so every pairwise gap
+    # shrinks while the probabilities (hence all pi terms) stay equal.
+    b = random_phfe(rng)
+    if len(b) == 1:
+        return None
+    centre = rng.uniform(0.0, 1.0)
+    t = rng.uniform(0.0, 1.0)
+    a_values = [centre + t * (v - centre) for v in b.values]
+    if len(set(a_values)) != len(a_values):
+        return None
+    return canonicalize(zip(a_values, b.probs)), b
+
+
+def _monotonicity(rng: random.Random, samples: int, kernels, measure, draw) -> SuiteResult:
+    """``measure(a, k) <= measure(b, k)`` for every kernel and each drawn pair ``(a, b)``."""
+    name = measure.__name__.removesuffix("_entropy")
+    col = _Collector(f"{name} monotonicity")
     checked = 0
     for _ in range(samples):
-        # Upper element B sits in [0, 1/2]; A shrinks B's values by a
-        # shared factor and keeps the same probabilities, so every
-        # pairwise probability term coincides and the value premise
-        # holds elementwise.
-        b = _random_lower_half_phfe(rng)
-        factor = rng.uniform(0.0, 1.0)
-        a = canonicalize([(v * factor, p) for v, p in b])
-        if len(a) != len(b):
-            continue  # shrink collided values; premise void
+        pair = draw(rng)
+        if pair is None:
+            continue  # premise void
         checked += 1
+        a, b = pair
         for kernel in kernels:
-            ea, eb = fuzziness_entropy(a, kernel), fuzziness_entropy(b, kernel)
+            ea, eb = measure(a, kernel), measure(b, kernel)
             if ea > eb + _EXACT_TOL:
                 col.fail(
-                    f"fuzziness[{kernel.label}] not monotone: {a!r} -> {ea!r} "
-                    f"exceeds {b!r} -> {eb!r}"
-                )
-    return col.result(checked)
-
-
-def _random_lower_half_phfe(rng: random.Random) -> PHFE:
-    length = rng.randrange(1, 7)
-    ticks = _distinct_ticks(rng, length, 1, _GRID // 2 + 1)
-    return _random_simplex_element(rng, [t / _GRID for t in ticks])
-
-
-def _nonspecificity_monotonicity(rng: random.Random, samples: int) -> SuiteResult:
-    col = _Collector("nonspecificity monotonicity")
-    kernels = [NonSpecificityKernel(v) for v in _NONSPECIFICITY]
-    checked = 0
-    for _ in range(samples):
-        # A contracts B's values toward a centre, so every pairwise gap
-        # shrinks while the probabilities (hence all pi terms) stay equal.
-        b = random_phfe(rng)
-        if len(b) == 1:
-            continue
-        centre = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, 1.0)
-        a_values = [centre + t * (v - centre) for v in b.values]
-        if len(set(a_values)) != len(a_values):
-            continue
-        checked += 1
-        a = canonicalize(zip(a_values, b.probs))
-        for kernel in kernels:
-            ea, eb = nonspecificity_entropy(a, kernel), nonspecificity_entropy(b, kernel)
-            if ea > eb + _EXACT_TOL:
-                col.fail(
-                    f"nonspecificity[{kernel.label}] not monotone: {a!r} -> {ea!r} "
+                    f"{name}[{kernel.label}] not monotone: {a!r} -> {ea!r} "
                     f"exceeds {b!r} -> {eb!r}"
                 )
     return col.result(checked)
@@ -449,8 +437,12 @@ def run_axiom_suites(
     rng = [random.Random(f"{seed}:{k}") for k in range(8)]
     results: list[SuiteResult] = []
     results.extend(_corpus_pass(rng[0], samples, complement_fn))
-    results.append(_fuzziness_monotonicity(rng[1], samples))
-    results.append(_nonspecificity_monotonicity(rng[2], samples))
+    fuzziness = [FuzzinessKernel(v) for v in _FUZZINESS]
+    nonspecificity = [NonSpecificityKernel(v) for v in _NONSPECIFICITY]
+    results.append(_monotonicity(rng[1], samples, fuzziness, fuzziness_entropy, _shrunk_pair))
+    results.append(
+        _monotonicity(rng[2], samples, nonspecificity, nonspecificity_entropy, _contracted_pair)
+    )
     results.extend(_distance_pass(rng[3], samples))
     results.append(_pi_suite(rng[4], samples))
     results.append(_theta_suite(rng[5], samples))

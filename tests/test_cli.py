@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import json
+import random
 
 import pytest
 
@@ -28,6 +31,28 @@ def matrix_file(tmp_path):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(load_table(9)["matrix"]))
     return str(path)
+
+
+def _seeded_matrix(seed: int, m: int, n: int) -> dict:
+    """A decision matrix of one- to three-valued cells on a 0.05 grid."""
+    rng = random.Random(seed)
+
+    def cell():
+        k = rng.randrange(1, 4)
+        return {"pairs": [{"v": t / 20, "p": 1 / k} for t in sorted(rng.sample(range(21), k))]}
+
+    return {
+        "criteria": [
+            {"name": f"c{j + 1}", "kind": rng.choice(["benefit", "cost"])} for j in range(n)
+        ],
+        "alternatives": [f"x{i + 1}" for i in range(m)],
+        "cells": [[cell() for _ in range(n)] for _ in range(m)],
+    }
+
+
+def _csv_rows(argv: list, capsys) -> list:
+    assert main(argv) == 0
+    return list(csv.reader(io.StringIO(capsys.readouterr().out)))
 
 
 class TestEntropyCommand:
@@ -178,6 +203,30 @@ class TestEntropyCommand:
         assert lines[0].startswith("index,")
         assert len(lines) == 4
 
+    def test_csv_parses_back(self, elements_file, capsys):
+        # Multi-valued elements print with a comma; r1 rows leave the component cells empty.
+        argv = ["entropy", "--input", elements_file, "--measure", "r1,r1:f1:max"]
+        rows = _csv_rows(argv + ["--format", "csv"], capsys)
+        assert main(argv + ["--format", "json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(expected) + 1
+        assert all(len(row) == len(rows[0]) == 6 for row in rows)
+        assert [row[1] for row in rows[1:]] == [r["element"] for r in expected]
+        assert rows[1][1] == "{0.7|0.2, 0.9|0.8}" and rows[1][4:] == ["", ""]
+
+    @pytest.mark.parametrize(
+        "argv, labels",
+        [
+            (["--measure", "r1,r1:f1:max", "--r", "2"], ["r1@r=2", "r1:f1:max@r=2"]),
+            (["--measure", "r1,su-d,r1:f2:psum"], ["r1", "su-d", "r1:f2:psum"]),
+        ],
+        ids=["r2", "canonical"],
+    )
+    def test_measure_column_names_what_was_computed(self, elements_file, capsys, argv, labels):
+        assert main(["entropy", "--input", elements_file, "--format", "json"] + argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["measure"] for r in rows[: len(labels)]] == labels
+
 
 class TestDistanceCommand:
     def test_pairwise_table(self, elements_file, capsys):
@@ -189,6 +238,12 @@ class TestDistanceCommand:
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"pairs": [{"v": 0.5, "p": 1.0}]}))
         assert main(["distance", "--input", str(path)]) == 2
+
+    def test_csv_parses_back(self, elements_file, capsys):
+        rows = _csv_rows(["distance", "--input", elements_file, "--format", "csv"], capsys)
+        assert rows[0] == ["a", "b", "distance", "hybrid_size"]
+        assert len(rows) == 4 and all(len(row) == 4 for row in rows)
+        assert rows[1][:2] == ["{0.7|0.2, 0.9|0.8}", "{0.6|0.9, 0.9|0.1}"]
 
 
 class TestTopsisCommand:
@@ -232,6 +287,53 @@ class TestTopsisCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "alternatives" in captured.err
+
+    def test_duplicate_alternatives_exit_2(self, tmp_path, capsys):
+        # Otherwise the ranking could not say which "x" is which.
+        path = tmp_path / "bad.json"
+        cells = [[{"pairs": [{"v": 0.9, "p": 1}]}], [{"pairs": [{"v": 0.3, "p": 1}]}]]
+        path.write_text(
+            json.dumps({"criteria": [{"name": "c1"}], "alternatives": ["x", "x"], "cells": cells})
+        )
+        assert main(["topsis", "--input", str(path), "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "alternative names" in captured.err
+
+    @pytest.mark.parametrize(
+        "field, patch",
+        [
+            ("alternative name", {"alternatives": [1, None]}),
+            ("alternative name", {"alternatives": ["x1", ["x2"]]}),
+            ("criterion name", {"criteria": [{"name": 5}]}),
+            ("criterion kind", {"criteria": [{"name": "c1", "kind": None}]}),
+            ("criterion kind", {"criteria": [{"name": "c1", "kind": 1}]}),
+        ],
+        ids=[
+            "alternative-number", "alternative-list", "criterion-number", "kind-null", "kind-number"
+        ],
+    )
+    def test_non_string_names_exit_2(self, tmp_path, capsys, field, patch):
+        cell = {"pairs": [{"v": 0.5, "p": 1}]}
+        document = {"criteria": [{"name": "c1"}], "alternatives": ["x1", "x2"]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**document, "cells": [[cell], [cell]], **patch}))
+        assert main(["topsis", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
+        assert "'None'" not in captured.err  # null is not the string "None"
+        assert "Traceback" not in captured.err and len(captured.err) < 200
+
+    def test_csv_parses_back(self, tmp_path, capsys):
+        document = load_table(9)["matrix"]
+        document["alternatives"] = ["x, y", 'say "z"', "w"]
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(document))
+        rows = _csv_rows(["topsis", "--input", str(path), "--format", "csv"], capsys)
+        assert rows[0] == ["alternative", "d_plus", "d_minus", "closeness", "rank"]
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == document["alternatives"]
 
     @pytest.mark.parametrize("command", ["distance", "topsis"])
     def test_psi_choices_are_the_generator_labels(self, command):
@@ -316,4 +418,69 @@ def test_stdout_digest(capsys, argv, code, digest):
     with a CHANGES.md line that says why.
     """
     assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["entropy", "ELEMENTS", "--measure", "r1,su-d,r1:f2:psum", "--format", "json"],
+            "a0a1c2ec6cc0bd6551dd1477f4fe2475bfb4e3f8acf01a667886e99f8f39dd00",
+        ),
+        (
+            ["entropy", "ELEMENTS", "--measure", "r1,su-d,r1:f2:psum", "--format", "table"],
+            "947395f1095dc03f90134a455def57eabddd66b8a1df6fe117fa8a506acea686",
+        ),
+        (
+            ["distance", "ELEMENTS", "--format", "json"],
+            "01c534677d5265227c45e5533a51cad8a5fcf74a15f1c8f1324c82083ac09e61",
+        ),
+        (
+            ["distance", "ELEMENTS", "--format", "table"],
+            "52824922ae9398787bb81ecdec1523bf53cbf91e70737cf9ff72db3f9ffafff7",
+        ),
+        (
+            ["topsis", "CASE", "--config", "r2:f3:bsum", "--psi", "harm", "--format", "json"],
+            "43e1ecf22c082bdb883c9309ab99dec82e51ad9537e3f2b4fcb31ce9c09e0033",
+        ),
+        (
+            ["topsis", "CASE", "--config", "r2:f3:bsum", "--psi", "harm", "--format", "table"],
+            "ab93dad7fea0e55657eeb793ad3faf66f52de7ac56e7e2b915ff6387f7bce7dc",
+        ),
+        (
+            ["topsis", "CASE", "--config", "r2:f3:bsum", "--psi", "harm", "--format", "csv"],
+            "dfc9a023b6d5becf42245ac2581df8b3780c44264f44704f92c49c877a27299b",
+        ),
+        (
+            ["topsis", "SEEDED", "--format", "json"],
+            "46da9fdab68b9c71740fbf61b52caed7b2d426cd3423e3e168472bc557a855a9",
+        ),
+        (
+            ["topsis", "SEEDED", "--format", "table"],
+            "d7ed23548892c53e9c769ef2efeab5e4d9286ce7a22d866d797ae0d5cc053996",
+        ),
+        (
+            ["topsis", "SEEDED", "--format", "csv"],
+            "d0cf7a58e5a988770692c9825aa29658d8287c2c8113ddf17f4eeea443aaa62f",
+        ),
+    ],
+    ids=[
+        "entropy-json", "entropy-table", "distance-json", "distance-table",
+        "topsis-case-json", "topsis-case-table", "topsis-case-csv",
+        "topsis-seeded-json", "topsis-seeded-table", "topsis-seeded-csv",
+    ],
+)
+def test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, argv, digest):
+    """SHA-256 of stdout pins the entropy, distance and topsis output byte for byte.
+
+    ELEMENTS is the three-element fixture, CASE the case-study matrix and
+    SEEDED a seed-5 100x10 matrix; update a digest only together with a
+    CHANGES.md line that says why.
+    """
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(_seeded_matrix(5, 100, 10)))
+    inputs = {"ELEMENTS": elements_file, "CASE": matrix_file, "SEEDED": str(seeded)}
+    argv = [argv[0], "--input", inputs[argv[1]], *argv[2:]]
+    assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
