@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .elements import PHFE
+from .elements import PHFE, _ltr_sum
 
 _LN2 = math.log(2.0)
 _SQRT_E = math.exp(0.5)
@@ -40,7 +40,7 @@ def su_entropy_p2(a: PHFE) -> float:
 
 def expectation(a: PHFE) -> float:
     """Probability-weighted mean membership degree."""
-    return sum(v * p for v, p in a)
+    return _ltr_sum(v * p for v, p in a)
 
 
 def su_like_distance(a: PHFE, b: PHFE) -> float:

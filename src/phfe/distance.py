@@ -38,12 +38,10 @@ class HybridElementList:
 
 def hybrid(a: PHFE, b: PHFE) -> HybridElementList:
     """Hybrid form of two canonical elements (l_a * l_b entries)."""
-    entries = sorted(
-        ((1.0 - abs(va - vb)) / 2.0, _pi_fast(pa, pb))
-        for va, pa in zip(a.values, a.probs)
-        for vb, pb in zip(b.values, b.probs)
-    )
-    values, weights = zip(*entries)
+    values, weights = zip(*sorted(zip(
+        [(1.0 - abs(va - vb)) / 2.0 for va in a.values for vb in b.values],
+        [_pi_fast(pa, pb) for pa in a.probs for pb in b.probs],
+    )))
     return HybridElementList(values, weights)
 
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 from .errors import (
     EmptyInputError,
@@ -64,9 +67,7 @@ class PHFE:
                 raise OutOfRangeError(f"probability {p!r} outside (0, 1]")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise OutOfRangeError("values must be strictly increasing")
-        total = sum(probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ProbabilitySumError(f"probabilities sum to {total!r}, expected 1")
+        _check_total(_ltr_sum(probs))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -89,26 +90,37 @@ def canonicalize(raw_pairs: Iterable[tuple[float, float]]) -> PHFE:
     pairs = [(float(v), float(p)) for v, p in raw_pairs]
     if not pairs:
         raise EmptyInputError("no pairs given")
+    merged: dict[float, float] = {}
+    total = 0.0  # the _ltr_sum of the input probabilities
     for v, p in pairs:
         if not 0.0 <= v <= 1.0:
             raise OutOfRangeError(f"membership value {v!r} outside [0, 1]")
         if not 0.0 <= p <= 1.0:
             raise OutOfRangeError(f"probability {p!r} outside [0, 1]")
-    if all(p == 0.0 for _, p in pairs):
+        total += p
+        if p != 0.0:
+            merged[v] = merged.get(v, 0.0) + p
+    if not merged:
         raise EmptyInputError("all pairs carry zero probability")
-    total = sum(p for _, p in pairs)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ProbabilitySumError(f"probabilities sum to {total!r}, expected 1")
-
-    merged: dict[float, float] = {}
-    for v, p in pairs:
-        if p == 0.0:
-            continue
-        merged[v] = merged.get(v, 0.0) + p
+    _check_total(total)
 
     values = tuple(sorted(merged))
-    # Summing may overshoot 1 by the declared input tolerance.
-    return PHFE(values, tuple(min(merged[v], 1.0) for v in values))
+    # Summing may overshoot 1 by the declared input tolerance; the clamp can move the total.
+    probs = tuple([min(merged[v], 1.0) for v in values])
+    _check_total(_ltr_sum(probs))
+    a = object.__new__(PHFE)  # canonical by construction: skip __post_init__'s second pass
+    a.__dict__.update(values=values, probs=probs)
+    return a
+
+
+def _ltr_sum(xs: Iterable[float]) -> float:
+    """Float sum added left to right from 0.0, on every Python (3.12's ``sum`` compensates)."""
+    return reduce(add, xs, 0.0)
+
+
+def _check_total(total: float) -> None:
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ProbabilitySumError(f"probabilities sum to {total!r}, expected 1")
 
 
 def complement(a: PHFE) -> PHFE:
@@ -243,10 +255,9 @@ def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
 def parse_phfe_list(obj, default_tau: int | None = None) -> list[PHFE]:
     """Parse a JSON array of elements, or a single element object."""
     if isinstance(obj, Mapping):
-        if "phfes" in obj:
-            obj = obj["phfes"]
-        else:
+        if "phfes" not in obj:
             return [parse_phfe(obj, default_tau)]
+        obj = obj["phfes"]
     if not isinstance(obj, Sequence):
         raise ParseError("expected an element object or an array of them")
     return [parse_phfe(item, default_tau) for item in obj]

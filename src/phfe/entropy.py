@@ -269,7 +269,9 @@ def _pairwise(
     fuzz_total = ns_total = 0.0
     for i in range(l):
         vi, wi = values[i], weights[i]
-        for j in range(i, l):
+        if r_fn is not None:
+            fuzz_total += r_fn(vi, vi, r) * wi  # j == i: pi(w, w) is w; f(v, v) is 0, adds nothing
+        for j in range(i + 1, l):
             vj = values[j]
             w = _pi_fast(wi, weights[j])
             if r_fn is not None:

@@ -9,11 +9,11 @@ and ranked by relative closeness, larger is better.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 from .distance import PSI_IDENTITY, PsiFunction, component_distance, hybrid_components
-from .elements import PHFE, canonicalize, json_number, parse_phfe, phfe_to_dict
+from .elements import PHFE, _ltr_sum, canonicalize, json_number, parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig, entropy_components
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
 
@@ -110,8 +110,8 @@ def entropy_weights(
     m, n = matrix.shape
     fuzz, nonspec = _columns(matrix, config)
     combine = config.theta._fn
-    raw = [1.0 - sum(map(combine, fuzz[j::n], nonspec[j::n])) / m for j in range(n)]
-    denom = sum(raw)
+    raw = [1.0 - _ltr_sum(map(combine, fuzz[j::n], nonspec[j::n])) / m for j in range(n)]
+    denom = _ltr_sum(raw)
     if denom <= 0.0:
         raise DegenerateWeightsError("every cell has entropy 1; weights undefined")
     return WeightVector(tuple(raw), tuple(w / denom for w in raw))
@@ -132,6 +132,7 @@ def ideal_distances(
     m, n = matrix.shape
     full_f, full_n = _columns(matrix, config, FULL_ELEMENT)
     empty_f, empty_n = _columns(matrix, config, EMPTY_ELEMENT)
+    benefit = [c.kind == "benefit" for c in matrix.criteria]
     d_plus, d_minus = [], []
     for i in range(m):
         plus = minus = 0.0
@@ -139,7 +140,7 @@ def ideal_distances(
             k = i * n + j
             full = component_distance(full_f[k], full_n[k], psi, config)
             empty = component_distance(empty_f[k], empty_n[k], psi, config)
-            pos, neg = (full, empty) if matrix.criteria[j].kind == "benefit" else (empty, full)
+            pos, neg = (full, empty) if benefit[j] else (empty, full)
             w = weights.normalized[j]
             plus += w * pos
             minus += w * neg
@@ -194,6 +195,8 @@ def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
     def text(value, field: str) -> str:
         if not isinstance(value, str):
             raise ParseError(f"{field} must be a string, got {value!r:.40}")
+        if any(c < " " or "\x7f" <= c <= "\x9f" for c in value):  # one table or CSV row per name
+            raise ParseError(f"{field} {value!r:.40} holds a control character")
         return value
 
     try:
@@ -261,7 +264,5 @@ def format_result_table(result: TopsisResult, matrix: DecisionMatrix) -> str:
             f"{format_number(result.closeness[i]):>10s} {position[i]:>5d}"
         )
     lines.append("")
-    lines.append(
-        "ranking: " + " > ".join(matrix.alternatives[i] for i in result.ranking)
-    )
+    lines.append("ranking: " + " > ".join(matrix.alternatives[i] for i in result.ranking))
     return "\n".join(lines)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .elements import parse_phfe
+from .elements import _ltr_sum, parse_phfe
 from .entropy import all_configs, measure_value, parse_measure
 from .mcdm import DecisionMatrix, format_number, parse_decision_matrix, run_topsis
 
@@ -144,7 +144,7 @@ def _table10_block(spec: dict, matrix: DecisionMatrix, results: dict) -> TableBl
             f"computed argmax {argmax}",
         )
         if row["config"] == "r1:f1:max":
-            total = sum(weights.normalized)
+            total = _ltr_sum(weights.normalized)
             block.check(
                 "normalized weights sum to one [r1:f1:max]",
                 "accept",

@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import baselines
 from .distance import ALL_PSI, entropy_distance, hybrid
-from .elements import PHFE, canonicalize, complement, pi
+from .elements import PHFE, _ltr_sum, canonicalize, complement, pi
 from .entropy import (
     F1,
     F2,
@@ -42,7 +42,7 @@ from .entropy import (
     _THETA,
 )
 from .errors import DegenerateWeightsError
-from .mcdm import CriterionSpec, DecisionMatrix, run_topsis
+from .mcdm import EMPTY_ELEMENT, FULL_ELEMENT, CriterionSpec, DecisionMatrix, run_topsis
 
 #: Grid resolution for membership values; 1 - k/2**20 is exact for all k.
 _GRID = 1 << 20
@@ -84,7 +84,7 @@ def _distinct_ticks(rng: random.Random, length: int, low: int, high: int) -> lis
 def _random_simplex_element(rng: random.Random, values: list[float]) -> PHFE:
     """Element on ``values``; normalised unit exponentials are uniform on the simplex."""
     draws = [rng.expovariate(1.0) for _ in values]
-    total = sum(draws)
+    total = _ltr_sum(draws)
     # Tiny parts would be dropped as zero-probability; nudge them up.
     probs = [(d / total + 1e-6) / (1.0 + len(values) * 1e-6) for d in draws]
     return canonicalize(list(zip(values, probs)))
@@ -360,8 +360,8 @@ def _weights_suite(rng: random.Random, samples: int) -> SuiteResult:
         w = result.weights
         if any(x < 0.0 for x in w.normalized):
             col.fail(f"negative weight in {w.normalized!r}")
-        elif abs(sum(w.normalized) - 1.0) > 1e-9:
-            col.fail(f"weights sum to {sum(w.normalized)!r}")
+        elif abs((total := _ltr_sum(w.normalized)) - 1.0) > 1e-9:
+            col.fail(f"weights sum to {total!r}")
         if any(not 0.0 <= c <= 1.0 for c in result.closeness):
             col.fail(f"closeness out of range: {result.closeness!r}")
         ordered = [result.closeness[i] for i in result.ranking]
@@ -377,13 +377,11 @@ def _weights_suite(rng: random.Random, samples: int) -> SuiteResult:
 
 def _boundary_suite() -> SuiteResult:
     """Exact values the measures must hit at the distinguished elements."""
-    crisp_low = canonicalize([(0.0, 1.0)])
-    crisp_high = canonicalize([(1.0, 1.0)])
     half = canonicalize([(0.5, 1.0)])
     split = canonicalize([(0.0, 0.5), (1.0, 0.5)])
     checks = [
-        ("fuzziness({0|1})", fuzziness_entropy(crisp_low), 0.0),
-        ("fuzziness({1|1})", fuzziness_entropy(crisp_high), 0.0),
+        ("fuzziness({0|1})", fuzziness_entropy(EMPTY_ELEMENT), 0.0),
+        ("fuzziness({1|1})", fuzziness_entropy(FULL_ELEMENT), 0.0),
         ("fuzziness({0.5|1})", fuzziness_entropy(half), 1.0),
         ("nonspecificity singleton", nonspecificity_entropy(half), 0.0),
         ("nonspecificity({0|.5,1|.5})", nonspecificity_entropy(split), 1.0),

@@ -1,14 +1,19 @@
+import builtins
 import csv
 import hashlib
 import io
 import json
+import math
 import random
 
 import pytest
 
+from phfe.baselines import expectation
 from phfe.cli import build_parser, main
 from phfe.distance import ALL_PSI
+from phfe.mcdm import parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
+from phfe.verify import random_phfe
 
 
 @pytest.fixture()
@@ -325,6 +330,27 @@ class TestTopsisCommand:
         assert "'None'" not in captured.err  # null is not the string "None"
         assert "Traceback" not in captured.err and len(captured.err) < 200
 
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"alternatives": ["a\rb", "x2"]}, "alternative name"),
+            ({"alternatives": ["x1", "tab\there"]}, "alternative name"),
+            ({"alternatives": ["x1", "next\x85line"]}, "alternative name"),
+            ({"criteria": [{"name": "c\n1"}]}, "criterion name"),
+        ],
+        ids=["carriage-return", "tab", "c1-control", "criterion-line-feed"],
+    )
+    def test_control_characters_in_names_exit_2(self, tmp_path, capsys, patch, field):
+        cell = {"pairs": [{"v": 0.5, "p": 1}]}
+        document = {"criteria": [{"name": "c1"}], "alternatives": ["x1", "x2"]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**document, "cells": [[cell], [cell]], **patch}))
+        assert main(["topsis", "--input", str(path), "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ")
+        assert captured.err.rstrip().endswith("holds a control character")
+
     def test_csv_parses_back(self, tmp_path, capsys):
         document = load_table(9)["matrix"]
         document["alternatives"] = ["x, y", 'say "z"', "w"]
@@ -333,6 +359,16 @@ class TestTopsisCommand:
         rows = _csv_rows(["topsis", "--input", str(path), "--format", "csv"], capsys)
         assert rows[0] == ["alternative", "d_plus", "d_minus", "closeness", "rank"]
         assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == document["alternatives"]
+
+    def test_printable_unicode_names_parse_back(self, tmp_path, capsys):
+        # Only control characters are refused: no-break space, dash and joiner pass.
+        document = load_table(9)["matrix"]
+        document["alternatives"] = ["w\u00e9", "a\u2014b", "x\u00a0y\u200d"]
+        document["criteria"][0]["name"] = "c\u00a01"
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(document))
+        rows = _csv_rows(["topsis", "--input", str(path), "--format", "csv"], capsys)
         assert [row[0] for row in rows[1:]] == document["alternatives"]
 
     @pytest.mark.parametrize("command", ["distance", "topsis"])
@@ -484,3 +520,67 @@ def test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, arg
     argv = [argv[0], "--input", inputs[argv[1]], *argv[2:]]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The built-in ``sum`` of Python 3.12 and later: Neumaier-compensated over floats.
+
+    Integer and bool sums keep the plain built-in and their type.
+    """
+    items = list(iterable)
+    if not any(isinstance(x, float) for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def _cases(test):
+    """The parameter sets and ids of a parametrized test, to run them again."""
+    (mark,) = test.pytestmark
+    return pytest.mark.parametrize("case", mark.args[1], ids=mark.kwargs["ids"])
+
+
+@_cases(test_stdout_digest)
+def test_stdout_digest_on_a_compensating_sum(monkeypatch, capsys, case):
+    """Output does not depend on how the interpreter's ``sum`` rounds floats."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert sum([0.1] * 10) == 1.0  # the left-to-right sum gives 0.9999999999999999
+    test_stdout_digest(capsys, *case)
+
+
+@_cases(test_command_stdout_digest)
+def test_command_stdout_digest_on_a_compensating_sum(
+    monkeypatch, tmp_path, elements_file, matrix_file, capsys, case
+):
+    """Output does not depend on how the interpreter's ``sum`` rounds floats."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, *case)
+
+
+def _summed_numbers(seed: int):
+    """Numbers the library builds from float sums: TOPSIS weights and closeness, element
+    expectations, and the probabilities of the axiom harness's random draws."""
+    result = run_topsis(parse_decision_matrix(_seeded_matrix(seed, 12, 10)))
+    rng = random.Random(seed)
+    elements = [random_phfe(rng) for _ in range(200)]
+    numbers = [*result.weights.raw, *result.weights.normalized, *result.closeness]
+    numbers += [expectation(a) for a in elements] + [p for a in elements for p in a.probs]
+    return [x.hex() for x in numbers], result.ranking
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_numbers_on_a_compensating_sum(monkeypatch, seed):
+    """Bit-identical under either ``sum``, also where six-digit output would hide a change."""
+    plain = _summed_numbers(seed)
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert _summed_numbers(seed) == plain

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -15,8 +16,10 @@ from phfe import (
     canonicalize,
     entropy_distance,
     hybrid,
+    pi,
     weighted_comprehensive,
 )
+from phfe.verify import random_phfe
 
 ONE = canonicalize([(1.0, 1.0)])
 ZERO = canonicalize([(0.0, 1.0)])
@@ -55,6 +58,35 @@ class TestHybrid:
         ab = hybrid(A, B)
         ba = hybrid(B, A)
         assert (ab.values, ab.weights) == (ba.values, ba.weights)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (canonicalize([(0.0, 0.5), (1e-17, 0.5)]), ONE),
+            (canonicalize([(0.0, 0.3), (1e-17, 0.7)]), ONE),
+            (canonicalize([(0.0, 0.3), (1e-17, 0.7)]), ZERO),
+            (A, A),
+            (A, B),
+            (B, canonicalize([(0.2, 0.25), (0.8, 0.5), (0.5, 0.25)])),
+        ],
+        ids=["tied-values-and-weights", "tied-values", "near-zero", "self", "cross", "mirror"],
+    )
+    def test_equals_the_sorted_cross_product(self, a, b):
+        h = hybrid(a, b)
+        assert list(zip(h.values, h.weights)) == _sorted_cross_product(a, b)
+
+    def test_random_pairs_equal_the_sorted_cross_product(self):
+        rng = random.Random("hybrid")
+        for _ in range(500):
+            a, b = random_phfe(rng), random_phfe(rng)
+            h = hybrid(a, b)
+            assert list(zip(h.values, h.weights)) == _sorted_cross_product(a, b)
+            assert (h.values, h.weights) == (hybrid(b, a).values, hybrid(b, a).weights)
+
+
+def _sorted_cross_product(a, b):
+    """Reference hybrid: every (value, weight) cross pair, sorted."""
+    return sorted(((1.0 - abs(va - vb)) / 2.0, pi(pa, pb)) for va, pa in a for vb, pb in b)
 
 
 class TestPsiFunctions:

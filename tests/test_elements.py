@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import random
+
 import pytest
 
 from phfe import (
@@ -16,6 +21,7 @@ from phfe import (
     phfe_to_dict,
     pi,
 )
+from phfe.verify import random_phfe
 
 
 class TestCanonicalize:
@@ -211,3 +217,76 @@ def test_probability_multiset_preserved_under_complement():
     c = complement(a)
     assert sorted(c.probs) == sorted(a.probs)
     assert len(c) == len(a)
+
+
+class TestCanonicalFormIsAValidElement:
+    """canonicalize builds its result without PHFE's second validation pass."""
+
+    def test_same_as_validated_construction(self):
+        rng = random.Random("canonical")
+        raws = [
+            [(0.5, 0.0), (0.5, 0.4), (0.66, 0.6)],
+            [(-0.0, 0.5), (0.0, 0.5)],
+            [(0.5, 0.9999999996), (0.5, 8e-10)],  # merged to 1.0000000004, clamped to 1
+            [(1.0, 1.0)],
+        ]
+        raws += [list(random_phfe(rng)) for _ in range(300)]
+        for raw in raws:
+            a = canonicalize(raw)
+            b = PHFE(a.values, a.probs)
+            assert type(a) is PHFE
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            assert vars(a) == vars(b)
+            assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+        assert canonicalize(raws[2]).probs == (1.0,)
+
+    def test_stays_frozen(self):
+        a = canonicalize([(0.2, 0.5), (0.8, 0.5)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.values = (0.1, 0.9)
+
+
+# Type and message of each refusal, as the error line of the CLI prints them.
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: canonicalize([]), EmptyInputError, "no pairs given"),
+        (lambda: canonicalize([(0.2, 0.0), (0.8, 0.0)]), EmptyInputError,
+         "all pairs carry zero probability"),
+        (lambda: canonicalize([(1.2, 1.0)]), OutOfRangeError,
+         "membership value 1.2 outside [0, 1]"),
+        # The first bad pair is reported, before any zero-probability verdict.
+        (lambda: canonicalize([(0.5, 0.0), (0.7, 0.0), (2.0, 0.0)]), OutOfRangeError,
+         "membership value 2.0 outside [0, 1]"),
+        (lambda: canonicalize([(float("nan"), 1.0)]), OutOfRangeError,
+         "membership value nan outside [0, 1]"),
+        (lambda: canonicalize([(0.5, 0.5), (0.7, 0.5), (0.9, 1.5)]), OutOfRangeError,
+         "probability 1.5 outside [0, 1]"),
+        (lambda: canonicalize([(0.5, -0.0), (0.5, -1e-300)]), OutOfRangeError,
+         "probability -1e-300 outside [0, 1]"),
+        (lambda: canonicalize([(0.5, 0.6), (0.5, 0.6)]), ProbabilitySumError,
+         "probabilities sum to 1.2, expected 1"),
+        # Passes on the input order; merging re-adds it to just past the tolerance.
+        (lambda: canonicalize([(0.1, 0.06767298869772648), (0.2, 0.27558523703460824),
+                               (0.1, 0.6567417752676652)]), ProbabilitySumError,
+         "probabilities sum to 1.000000001, expected 1"),
+        (lambda: PHFE((), ()), EmptyInputError, "an element needs at least one pair"),
+        (lambda: PHFE((0.5,), (0.5, 0.5)), OutOfRangeError, "1 values but 2 probabilities"),
+        (lambda: PHFE((1.5,), (1.0,)), OutOfRangeError, "membership value 1.5 outside [0, 1]"),
+        (lambda: PHFE((0.5,), (0.0,)), OutOfRangeError, "probability 0.0 outside (0, 1]"),
+        (lambda: PHFE((0.2, 0.2), (0.5, 0.5)), OutOfRangeError,
+         "values must be strictly increasing"),
+        (lambda: PHFE((0.8,), (0.5,)), ProbabilitySumError,
+         "probabilities sum to 0.5, expected 1"),
+        (lambda: parse_phfe({"pairs": [{"v": "abc", "p": 1}]}), ParseError,
+         '"v" must be a number, got "abc"'),
+        (lambda: parse_phfe([1]), ParseError, "expected an object, got list"),
+        (lambda: parse_phfe({"pairs": [{"v": 0.5}]}), ParseError, "malformed pair list: 'p'"),
+        (lambda: parse_phfe({"terms": [{"t": 7, "p": 1}], "tau": 3}), TermOutOfRangeError,
+         "term index 7 outside 0..6"),
+    ],
+)
+def test_refusal_type_and_message(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert type(caught.value) is error and str(caught.value) == message

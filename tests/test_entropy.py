@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -28,11 +29,13 @@ from phfe import (
     measure_value,
     nonspecificity_entropy,
     parse_measure,
+    pi,
     r_kernel,
     su_entropy_d,
     su_entropy_p2,
 )
-from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA
+from phfe.elements import _pi_fast
+from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA, _pairwise
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
 H2 = canonicalize([(0.6, 0.9), (0.9, 0.1)])
@@ -334,3 +337,64 @@ def _parses(text: str) -> bool:
     except UnknownMeasureError:
         return False
     return True
+
+
+# The pairwise engine adds the diagonal term j == i as r(v, v) * w: exact
+# because pi(w, w) is w and every f kernel is exactly 0 at (v, v).
+
+_EDGE_WEIGHTS = [1.0, 0.5, 1.0 / 3.0, 0.1, 1e-12, 1e-300, 2.2250738585072014e-308, 5e-324, 1e-310]
+
+
+def _full_pairwise(values, weights, fuzz, nonspec):
+    """The i <= j double sum with the diagonal evaluated like every other pair."""
+    l = len(values)
+    fuzz_total = ns_total = 0.0
+    for i in range(l):
+        for j in range(i, l):
+            w = _pi_fast(weights[i], weights[j])
+            if fuzz is not None:
+                fuzz_total += fuzz._fn(values[i], values[j], fuzz.r) * w
+            if nonspec is not None:
+                base = nonspec._fn(values[i], values[j])
+                if base > 0.0:
+                    ns_total += base ** w
+    return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
+
+
+def _weighted_lists(rng: random.Random, tied: bool):
+    """(values, weights) lists like elements and hybrids; ``tied`` repeats entries."""
+    for length in range(1, 9):
+        pool = [0.0, 1.0, 0.5, 0.25, 1e-17] if tied else []
+        values = [rng.choice(pool) if pool and rng.random() < 0.6 else rng.random()
+                  for _ in range(length)]
+        weights = [rng.choice([0.5, 0.25, 0.5 + 1e-13]) if tied else rng.uniform(1e-9, 1.0)
+                   for _ in range(length)]
+        yield sorted(values), weights
+
+
+class TestPairwiseDiagonal:
+    def test_pi_of_equal_weights_is_the_weight(self):
+        rng = random.Random(11)
+        for w in _EDGE_WEIGHTS + [rng.uniform(1e-9, 1.0) for _ in range(2000)]:
+            assert _pi_fast(w, w) == w and _pi_fast(w, w).hex() == w.hex()
+            assert pi(w, w) == w
+
+    @pytest.mark.parametrize("name", sorted(_NONSPECIFICITY))
+    def test_f_kernels_vanish_on_the_diagonal(self, name):
+        rng = random.Random(12)
+        for v in [0.0, 1.0, 0.5, 1e-17, 5e-324, 1.0 - 2**-53] + [rng.random() for _ in range(2000)]:
+            assert _NONSPECIFICITY[name](v, v) == 0.0
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+    @pytest.mark.parametrize("r", [1.0, 1.7])
+    def test_matches_the_full_double_sum(self, r, tied):
+        fuzz_kernels = [None, FuzzinessKernel("r1", r), R2]
+        ns_kernels = [None, F1, F2, F3]
+        rng = random.Random(f"{r}:{tied}")
+        for _ in range(20):
+            for values, weights in _weighted_lists(rng, tied):
+                for fuzz in fuzz_kernels:
+                    for nonspec in ns_kernels:
+                        got = _pairwise(values, weights, fuzz, nonspec)
+                        want = _full_pairwise(values, weights, fuzz, nonspec)
+                        assert [x.hex() for x in got] == [x.hex() for x in want]
