@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from .distance import ALL_PSI, PsiFunction, entropy_distance
-from .elements import PHFE, complement, parse_phfe_list
+from .elements import PHFE, complement, format_number, parse_phfe_list
 from .entropy import (
     EntropyConfig,
     Measure,
@@ -23,13 +23,7 @@ from .entropy import (
     parse_measure,
 )
 from .errors import ParseError, PhfeError
-from .mcdm import (
-    format_number,
-    format_result_table,
-    parse_decision_matrix,
-    result_to_dict,
-    run_topsis,
-)
+from .mcdm import format_result_table, parse_decision_matrix, result_to_dict, run_topsis
 from .reproduce import render_report, reproduce_all
 from .verify import corrupted_complement, run_axiom_suites
 

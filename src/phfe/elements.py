@@ -76,7 +76,7 @@ class PHFE:
         return map(Pair, self.values, self.probs)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{v:g}|{p:g}" for v, p in zip(self.values, self.probs))
+        body = ", ".join(f"{format_number(v)}|{format_number(p)}" for v, p in self)
         return "{" + body + "}"
 
 
@@ -151,6 +151,11 @@ def _pi_fast(p_i: float, p_j: float) -> float:
     if d <= PI_EQ_TOL:
         return (p_i + p_j) / 2.0
     return d
+
+
+def format_number(x: float) -> str:
+    """Six significant digits: the precision of every reported number."""
+    return format(x, ".6g")
 
 
 def _brief(x: object) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
-from .elements import PHFE, _pi_fast
+from .elements import PHFE, _pi_fast, format_number
 from .errors import OutOfRangeError, UnknownMeasureError
 
 # Each family is one table from id to scalar function, the only list of its
@@ -111,7 +111,7 @@ class FuzzinessKernel(_Variant):
     def label(self) -> str:
         if self.r == 1.0:
             return self.variant
-        text = f"{self.r:g}"  # six digits where they round-trip, else repr
+        text = format_number(self.r)  # six digits where they round-trip, else repr
         if float(text) != self.r:
             text = repr(self.r)
         return f"{self.variant}@r={text}"

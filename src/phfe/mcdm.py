@@ -11,9 +11,12 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import mul
 
 from .distance import PSI_IDENTITY, PsiFunction, component_distance, hybrid_components
-from .elements import PHFE, _ltr_sum, canonicalize, json_number, parse_phfe, phfe_to_dict
+from .elements import (
+    PHFE, _ltr_sum, canonicalize, format_number, json_number, parse_phfe, phfe_to_dict
+)
 from .entropy import DEFAULT_CONFIG, EntropyConfig, entropy_components
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
 
@@ -86,7 +89,7 @@ class WeightVector:
 
     @property
     def argmax(self) -> int:
-        return max(range(len(self.normalized)), key=self.normalized.__getitem__)
+        return _ranking(self.normalized)[0]
 
 
 @dataclass(frozen=True)
@@ -129,24 +132,20 @@ def ideal_distances(
     ideal {0|1}; a cost criterion swaps them.  Sums run row-major so the
     result does not depend on evaluation order.
     """
-    m, n = matrix.shape
-    full_f, full_n = _columns(matrix, config, FULL_ELEMENT)
-    empty_f, empty_n = _columns(matrix, config, EMPTY_ELEMENT)
-    benefit = [c.kind == "benefit" for c in matrix.criteria]
-    d_plus, d_minus = [], []
-    for i in range(m):
-        plus = minus = 0.0
-        for j in range(n):
-            k = i * n + j
-            full = component_distance(full_f[k], full_n[k], psi, config)
-            empty = component_distance(empty_f[k], empty_n[k], psi, config)
-            pos, neg = (full, empty) if benefit[j] else (empty, full)
-            w = weights.normalized[j]
-            plus += w * pos
-            minus += w * neg
-        d_plus.append(plus)
-        d_minus.append(minus)
-    return tuple(d_plus), tuple(d_minus)
+    n = len(matrix.criteria)
+    to_full, to_empty = (
+        [component_distance(f, ns, psi, config) for f, ns in zip(*_columns(matrix, config, ideal))]
+        for ideal in (FULL_ELEMENT, EMPTY_ELEMENT)
+    )
+    # Each criterion's column of distances to its positive and its negative ideal.
+    pos, neg = zip(*(
+        (to_full[j::n], to_empty[j::n]) if c.kind == "benefit" else (to_empty[j::n], to_full[j::n])
+        for j, c in enumerate(matrix.criteria)
+    ))
+    w = weights.normalized
+    return tuple(
+        tuple(_ltr_sum(map(mul, w, row)) for row in zip(*columns)) for columns in (pos, neg)
+    )
 
 
 def closeness(d_plus: float, d_minus: float) -> float:
@@ -169,8 +168,12 @@ def run_topsis(
     weights = entropy_weights(matrix, config)
     d_plus, d_minus = ideal_distances(matrix, weights, psi, config)
     scores = tuple(closeness(p, m_) for p, m_ in zip(d_plus, d_minus))
-    ranking = tuple(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
-    return TopsisResult(weights, d_plus, d_minus, scores, ranking)
+    return TopsisResult(weights, d_plus, d_minus, scores, _ranking(scores))
+
+
+def _ranking(values: Sequence[float]) -> tuple[int, ...]:
+    """Indices of ``values`` from largest to smallest; ties keep input order."""
+    return tuple(sorted(range(len(values)), key=lambda i: (-values[i], i)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +242,6 @@ def result_to_dict(result: TopsisResult, matrix: DecisionMatrix) -> dict:
         "closeness": list(result.closeness),
         "ranking": [matrix.alternatives[i] for i in result.ranking],
     }
-
-
-def format_number(x: float) -> str:
-    """Six significant digits: the precision of every reported number."""
-    return format(x, ".6g")
 
 
 def format_result_table(result: TopsisResult, matrix: DecisionMatrix) -> str:

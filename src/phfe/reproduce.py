@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .elements import _ltr_sum, parse_phfe
+from .elements import _ltr_sum, format_number, parse_phfe
 from .entropy import all_configs, measure_value, parse_measure
-from .mcdm import DecisionMatrix, format_number, parse_decision_matrix, run_topsis
+from .mcdm import DecisionMatrix, _ranking, parse_decision_matrix, run_topsis
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def load_table(number: int) -> dict:
 
 
 def _order_string(names: list[str], values: list[float]) -> str:
-    ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    ranked = _ranking(values)
     parts = [names[ranked[0]]]
     for prev, cur in zip(ranked, ranked[1:]):
         sep = " = " if values[prev] == values[cur] else " > "
@@ -61,7 +61,7 @@ def _cells_check(block: TableBlock, label: str, row: dict, names, printed, compu
         f"{name} {format_number(p)}->{format_number(c)} {'ok' if good else 'DIFF'}"
         for name, p, c, good in zip(names, printed, computed, flags)
     )
-    block.check(label, row["grade"], all(flags), f"per cell at tol {tol:g}: {cells}")
+    block.check(label, row["grade"], all(flags), f"per cell at tol {format_number(tol)}: {cells}")
 
 
 def _value_rows_block(spec: dict) -> TableBlock:

@@ -50,28 +50,23 @@ _GRID = 1 << 20
 _EXACT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass
 class SuiteResult:
+    """One suite's verdict: the draws it checked, not those skipped as
+    premise-void, and its first counterexample, if any."""
+
     name: str
-    samples: int
-    passed: bool
+    samples: int = 0
     counterexample: str | None = None
 
-
-class _Collector:
-    """Per-suite verdict: remembers the first counterexample only."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.first: str | None = None
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def fail(self, message: str) -> None:
-        if self.first is None:
-            self.first = message
-
-    def result(self, checked: int) -> SuiteResult:
-        """Verdict over ``checked`` draws: those not skipped as premise-void."""
-        return SuiteResult(self.name, checked, self.first is None, self.first)
+        """Record a counterexample; only the first one is kept."""
+        if self.counterexample is None:
+            self.counterexample = message
 
 
 def _distinct_ticks(rng: random.Random, length: int, low: int, high: int) -> list[int]:
@@ -143,11 +138,11 @@ def _corpus_pass(
     samples: int,
     complement_fn: Callable[[PHFE], PHFE],
 ) -> list[SuiteResult]:
-    roundtrip = _Collector("canonical form roundtrip")
-    involution = _Collector("complement involution")
-    ranges = _Collector("entropy range")
-    symmetry = _Collector("complement symmetry")
-    ordering = _Collector("combiner ordering")
+    roundtrip = SuiteResult("canonical form roundtrip", samples)
+    involution = SuiteResult("complement involution", samples)
+    ranges = SuiteResult("entropy range", samples)
+    symmetry = SuiteResult("complement symmetry", samples)
+    ordering = SuiteResult("combiner ordering", samples)
 
     edges = _edge_elements()
     for index in range(samples):
@@ -205,7 +200,7 @@ def _corpus_pass(
             if abs(x - y) > _EXACT_TOL:
                 symmetry.fail(f"{fn.__name__}: {a!r} -> {x!r} vs complement {y!r}")
 
-    return [r.result(samples) for r in (roundtrip, involution, ranges, symmetry, ordering)]
+    return [roundtrip, involution, ranges, symmetry, ordering]
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +209,8 @@ def _corpus_pass(
 
 
 def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
-    symmetry = _Collector("distance symmetry and range")
-    endpoints = _Collector("psi endpoint agreement")
+    symmetry = SuiteResult("distance symmetry and range", samples)
+    endpoints = SuiteResult("psi endpoint agreement", samples)
 
     for _ in range(samples):
         a, b = random_phfe(rng), random_phfe(rng)
@@ -234,7 +229,7 @@ def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
         if len(flags) != 1:
             endpoints.fail(f"psi variants disagree on zero distance for {a!r}, {b!r}")
 
-    return [symmetry.result(samples), endpoints.result(samples)]
+    return [symmetry, endpoints]
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +265,12 @@ def _contracted_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
 def _monotonicity(rng: random.Random, samples: int, kernels, measure, draw) -> SuiteResult:
     """``measure(a, k) <= measure(b, k)`` for every kernel and each drawn pair ``(a, b)``."""
     name = measure.__name__.removesuffix("_entropy")
-    col = _Collector(f"{name} monotonicity")
-    checked = 0
+    col = SuiteResult(f"{name} monotonicity")
     for _ in range(samples):
         pair = draw(rng)
         if pair is None:
             continue  # premise void
-        checked += 1
+        col.samples += 1
         a, b = pair
         for kernel in kernels:
             ea, eb = measure(a, kernel), measure(b, kernel)
@@ -285,7 +279,7 @@ def _monotonicity(rng: random.Random, samples: int, kernels, measure, draw) -> S
                     f"{name}[{kernel.label}] not monotone: {a!r} -> {ea!r} "
                     f"exceeds {b!r} -> {eb!r}"
                 )
-    return col.result(checked)
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +288,7 @@ def _monotonicity(rng: random.Random, samples: int, kernels, measure, draw) -> S
 
 
 def _pi_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = _Collector("pi symmetry and range")
+    col = SuiteResult("pi symmetry and range", samples)
     for _ in range(samples):
         a = rng.uniform(1e-9, 1.0)
         b = rng.uniform(1e-9, 1.0)
@@ -303,11 +297,11 @@ def _pi_suite(rng: random.Random, samples: int) -> SuiteResult:
             col.fail(f"pi({a!r}, {b!r}) != pi({b!r}, {a!r})")
         elif not 0.0 < left <= 1.0:
             col.fail(f"pi({a!r}, {b!r}) = {left!r} outside (0, 1]")
-    return col.result(samples)
+    return col
 
 
 def _theta_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = _Collector("theta contract")
+    col = SuiteResult("theta contract", samples)
     for _ in range(samples):
         x = rng.uniform(0.0, 1.0)
         y = rng.uniform(0.0, 1.0)
@@ -320,11 +314,11 @@ def _theta_suite(rng: random.Random, samples: int) -> SuiteResult:
                 col.fail(f"theta[{theta}] not commutative at ({x!r}, {y!r})")
             if combine(x, y) > combine(x, z) + _EXACT_TOL:
                 col.fail(f"theta[{theta}] not monotone at ({x!r}, {y!r} -> {z!r})")
-    return col.result(samples)
+    return col
 
 
 def _singleton_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = _Collector("singleton self-distance")
+    col = SuiteResult("singleton self-distance", samples)
     for _ in range(samples):
         g = rng.randrange(0, _GRID + 1) / _GRID
         s = canonicalize([(g, 1.0)])
@@ -332,11 +326,11 @@ def _singleton_suite(rng: random.Random, samples: int) -> SuiteResult:
             d = entropy_distance(s, s, psi)
             if d != 0.0:
                 col.fail(f"distance({s!r}, {s!r}) = {d!r} with psi={psi.label}")
-    return col.result(samples)
+    return col
 
 
 def _weights_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = _Collector("weights and closeness")
+    col = SuiteResult("weights and closeness", samples)
     for _ in range(samples):
         m = rng.randrange(2, 5)
         n = rng.randrange(1, 5)
@@ -367,7 +361,7 @@ def _weights_suite(rng: random.Random, samples: int) -> SuiteResult:
         ordered = [result.closeness[i] for i in result.ranking]
         if any(x < y for x, y in zip(ordered, ordered[1:])):
             col.fail(f"ranking not sorted by closeness: {result.ranking!r}")
-    return col.result(samples)
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +380,7 @@ def _boundary_suite() -> SuiteResult:
         ("nonspecificity singleton", nonspecificity_entropy(half), 0.0),
         ("nonspecificity({0|.5,1|.5})", nonspecificity_entropy(split), 1.0),
     ]
-    col = _Collector("boundary exactness")
+    col = SuiteResult("boundary exactness", 1)
     for label, got, want in checks:
         if got != want:
             col.fail(f"{label} = {got!r}")
@@ -396,19 +390,7 @@ def _boundary_suite() -> SuiteResult:
     expected = r_kernel(R1, 0.0, 1.0) / 6.0
     if not (0.0 < split_fuzz < 1.0) or abs(split_fuzz - expected) > _EXACT_TOL:
         col.fail(f"fuzziness({split!r}) = {split_fuzz!r}")
-    return col.result(1)
-
-
-def demonstrate_reflexivity_failure() -> tuple[PHFE, float]:
-    """A multi-valued element whose self-distance is positive.
-
-    The hybrid of an element with itself contains off-diagonal entries
-    below 1/2, so its comprehensive entropy stays below one and the
-    distance does not vanish.  This is a property of the published
-    construction, demonstrated here on a fixed witness.
-    """
-    a = canonicalize([(0.3, 0.5), (0.7, 0.5)])
-    return a, entropy_distance(a, a)
+    return col
 
 
 def corrupted_complement(a: PHFE) -> PHFE:
@@ -448,9 +430,13 @@ def run_axiom_suites(
     results.append(_weights_suite(rng[7], max(1, samples // 20)))
     results.append(_boundary_suite())
 
-    witness, self_distance = demonstrate_reflexivity_failure()
-    documented = _Collector("multi-valued self-distance stays positive (documented)")
-    if not self_distance > 0.0:
+    # The hybrid of a multi-valued element with itself holds off-diagonal
+    # entries below 1/2, so its comprehensive entropy stays below one and the
+    # self-distance does not vanish: a property of the published construction,
+    # shown on a fixed witness.
+    documented = SuiteResult("multi-valued self-distance stays positive (documented)", 1)
+    witness = canonicalize([(0.3, 0.5), (0.7, 0.5)])
+    if not (self_distance := entropy_distance(witness, witness)) > 0.0:
         documented.fail(f"distance({witness!r}, itself) = {self_distance!r}")
-    results.append(documented.result(1))
+    results.append(documented)
     return results

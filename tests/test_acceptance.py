@@ -173,9 +173,9 @@ def test_criterion_08a_case_study_weights(case_study):
 def test_criterion_08b_case_study_default_ranking(case_study):
     # Faithful to the stated criterion.  The published ranking descends
     # from the non-reproducible non-specificity values; with the
-    # formulas as published the recomputed ranking is x3 > x1 > x2
-    # (see the reproduction report), so this assertion fails by
-    # construction and is left red deliberately.
+    # formulas as published the recomputed ranking is x3, then x1 = x2
+    # at exactly 1/2, kept in input order (see the reproduction report),
+    # so this assertion fails by construction and is left red deliberately.
     def checks():
         result = run_topsis(case_study, EntropyConfig(R1, F1))
         ranking = [case_study.alternatives[i] for i in result.ranking]

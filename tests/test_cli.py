@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,6 +8,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phfe.baselines import expectation
 from phfe.cli import build_parser, main
@@ -378,6 +381,76 @@ class TestTopsisCommand:
         assert list(psi.choices) == sorted(p.label for p in ALL_PSI)
 
 
+_NUMBERS = st.sampled_from([0, 0.5, 1]) | st.integers() | st.floats()
+_KEYS = st.sampled_from(
+    ["pairs", "terms", "v", "p", "t", "tau", "phfes"]
+    + ["criteria", "alternatives", "cells", "name", "kind"]
+)
+#: Arbitrary small JSON documents over the keys the input formats read.
+_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+_PAIRS = {"pairs": [{"v": 0.7, "p": 0.2}, {"v": 0.9, "p": 0.8}]}
+_TERMS = {"terms": [{"t": 1, "p": 0.5}, {"t": 4, "p": 0.5}], "tau": 3}
+#: Valid inputs of entropy and distance (the first two) and of topsis (the last).
+_VALID_DOCUMENTS = [
+    [_PAIRS, _TERMS],
+    {"phfes": [_PAIRS, _TERMS]},
+    {
+        "criteria": [{"name": "c1", "kind": "benefit"}, {"name": "c2", "kind": "cost"}],
+        "alternatives": ["x1", "x2"],
+        "cells": [
+            [_PAIRS, {"terms": [{"t": 2, "p": 1}]}],
+            [_TERMS, {"pairs": [{"v": 0.4, "p": 1}]}],
+        ],
+        "tau": 3,
+    },
+]
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, (*path, key))
+
+
+def _spliced(node, path, value):
+    """A copy of ``node`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = list(node) if isinstance(node, list) else dict(node)
+    copy[path[0]] = _spliced(node[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "document.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_arbitrary_documents_exit_0_or_2(document_path, data):
+    """Whatever JSON arrives, entropy, distance and topsis answer or refuse it cleanly.
+
+    A drawn document replaces one node of a valid input, the root included,
+    so that a malformed part is met at every depth.
+    """
+    base = data.draw(st.sampled_from(_VALID_DOCUMENTS))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    document_path.write_text(json.dumps(_spliced(base, path, data.draw(_DOCUMENTS))))
+    for command in ("entropy", "distance", "topsis"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(document_path)])
+        assert code in (0, 2), (command, code, err.getvalue())
+        assert code == 0 or err.getvalue().startswith("error: ")
+
+
 class TestReproduceCommand:
     def test_default_exit_zero(self, capsys):
         assert main(["reproduce"]) == 0
@@ -500,11 +573,25 @@ def test_stdout_digest(capsys, argv, code, digest):
             ["topsis", "SEEDED", "--format", "csv"],
             "d0cf7a58e5a988770692c9825aa29658d8287c2c8113ddf17f4eeea443aaa62f",
         ),
+        # Element reprs, every kernel label (r1@r=1.0000001 takes the repr
+        # fallback) and the CSV writer, byte for byte.
+        (
+            [
+                "entropy", "ELEMENTS", "--measure",
+                "r1,r2,f1,f2,f3,su-p1,su-p2,r1@r=1.0000001,r2:f3:bsum", "--format", "csv",
+            ],
+            "a0c96e2911436cb155ec6a236e5c8d59c5ae1d021f33d6de415d9056738c496f",
+        ),
+        (
+            ["distance", "ELEMENTS", "--config", "r1:f2:psum@r=2", "--psi", "exp", "--format", "csv"],
+            "28cfac9e8b149968341bcf7ff2c7a8aa9cc22a87d2824648fd6038a771d34f84",
+        ),
     ],
     ids=[
         "entropy-json", "entropy-table", "distance-json", "distance-table",
         "topsis-case-json", "topsis-case-table", "topsis-case-csv",
         "topsis-seeded-json", "topsis-seeded-table", "topsis-seeded-csv",
+        "entropy-kernels-csv", "distance-psum-r2-csv",
     ],
 )
 def test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, argv, digest):

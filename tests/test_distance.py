@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -19,6 +20,7 @@ from phfe import (
     pi,
     weighted_comprehensive,
 )
+from phfe.entropy import F1, F2, F3, _pairwise
 from phfe.verify import random_phfe
 
 ONE = canonicalize([(1.0, 1.0)])
@@ -82,6 +84,20 @@ class TestHybrid:
             h = hybrid(a, b)
             assert list(zip(h.values, h.weights)) == _sorted_cross_product(a, b)
             assert (h.values, h.weights) == (hybrid(b, a).values, hybrid(b, a).weights)
+
+    def test_ideal_hybrids_share_nonspecificity_up_to_rounding(self):
+        # The hybrids of a with {1|1} and with {0|1} carry the values v/2 and
+        # (1 - v)/2 under the same weights, so every pairwise gap, and with it
+        # the non-specificity, is equal in exact arithmetic.  Floats round the
+        # two sums apart; 3000 draws of this stream differ by at most 4 ulps.
+        rng = random.Random(1)
+        for _ in range(3000):
+            a = random_phfe(rng)
+            full, empty = hybrid(a, ONE), hybrid(a, ZERO)
+            for kernel in (F1, F2, F3):
+                x = _pairwise(full.values, full.weights, None, kernel)[1]
+                y = _pairwise(empty.values, empty.weights, None, kernel)[1]
+                assert abs(x - y) <= 8 * math.ulp(max(x, y)), (a, kernel.label, x, y)
 
 
 def _sorted_cross_product(a, b):

@@ -183,6 +183,20 @@ class TestRunTopsis:
         # The first two alternatives tie exactly; original order breaks it.
         assert result.ranking == (2, 0, 1)
 
+    @pytest.mark.parametrize("config", ["r1:f1:max", "r2:f1:max", "r2:f2:max"])
+    def test_case_study_max_combiner_ties(self, case_study, config):
+        # Every cell of x1 and x2 is as far from one ideal as from the other,
+        # so both sit at exactly 1/2 and x1 leads x2 only by input order.
+        result = run_topsis(case_study, EntropyConfig.from_string(config))
+        assert result.closeness[:2] == (0.5, 0.5)
+        assert result.closeness[2] > 0.5
+        assert result.ranking == (2, 0, 1)
+
+    def test_case_study_r1_f2_max_puts_only_x1_at_half(self, case_study):
+        result = run_topsis(case_study, EntropyConfig.from_string("r1:f2:max"))
+        assert result.closeness[0] == 0.5
+        assert result.closeness[1] != 0.5
+
     def test_tie_break_is_stable(self):
         cell = canonicalize([(0.4, 1.0)])
         matrix = DecisionMatrix(
