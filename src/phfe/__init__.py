@@ -11,6 +11,8 @@ from .baselines import (
 )
 from .distance import (
     ALL_PSI,
+    EMPTY_ELEMENT,
+    FULL_ELEMENT,
     PSI_EXP_TILT,
     PSI_HARMONIC,
     PSI_IDENTITY,
@@ -68,8 +70,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .mcdm import (
-    EMPTY_ELEMENT,
-    FULL_ELEMENT,
     CriterionSpec,
     DecisionMatrix,
     TopsisResult,

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import lt
 
-from .elements import PHFE, _pi_fast
+from .elements import PHFE, _pi_fast, canonicalize
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise, _Variant
 
 
@@ -104,6 +105,27 @@ def hybrid_components(a: PHFE, b: PHFE, config: EntropyConfig) -> tuple[float, f
     """(fuzziness, non-specificity) of the hybrid of ``a`` and ``b``."""
     h = hybrid(a, b)
     return _pairwise(h.values, h.weights, config.fuzziness, config.nonspecificity)
+
+
+#: Ideal elements for a benefit criterion; a cost criterion swaps them.
+FULL_ELEMENT = canonicalize([(1.0, 1.0)])
+EMPTY_ELEMENT = canonicalize([(0.0, 1.0)])
+
+
+def ideal_components(a: PHFE, config: EntropyConfig) -> tuple[float, float, float, float]:
+    """hybrid_components of ``a`` with {1|1}, then with {0|1}, bit for bit, built in place.
+
+    Against a one-value ideal the sorted hybrid is ``a``'s own order ({1|1})
+    or its reverse ({0|1}), with the weights pi(p, 1), while the values stay
+    strictly monotone; they do unless 1 - v rounds two values together.
+    """
+    full = [(1.0 - abs(v - 1.0)) / 2.0 for v in a.values]
+    empty = [(1.0 - v) / 2.0 for v in reversed(a.values)]
+    if not (all(map(lt, full, full[1:])) and all(map(lt, empty, empty[1:]))):
+        return hybrid_components(a, FULL_ELEMENT, config) + hybrid_components(a, EMPTY_ELEMENT, config)
+    weights = [_pi_fast(p, 1.0) for p in a.probs]
+    fuzz, nonspec = config.fuzziness, config.nonspecificity
+    return _pairwise(full, weights, fuzz, nonspec) + _pairwise(empty, weights[::-1], fuzz, nonspec)
 
 
 def component_distance(f: float, n: float, psi: PsiFunction, config: EntropyConfig) -> float:

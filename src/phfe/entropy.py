@@ -29,9 +29,11 @@ from .errors import OutOfRangeError, UnknownMeasureError
 
 def _r1(x: float, y: float, r: float) -> float:
     prod = x * y
-    a = 1.0 - (abs(1.0 - 4.0 * prod) / 3.0) ** r
-    b = 1.0 - (abs(4.0 * (x + y - prod) - 3.0) / 3.0) ** r
-    return a * b
+    a = abs(1.0 - 4.0 * prod) / 3.0
+    b = abs(4.0 * (x + y - prod) - 3.0) / 3.0
+    if r != 1.0:  # t ** 1.0 is t exactly; the power is most of the kernel's cost
+        a, b = a**r, b**r
+    return (1.0 - a) * (1.0 - b)
 
 
 def _r2(x: float, y: float, r: float) -> float:

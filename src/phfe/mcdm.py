@@ -13,16 +13,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import mul
 
-from .distance import PSI_IDENTITY, PsiFunction, component_distance, hybrid_components
-from .elements import (
-    PHFE, _ltr_sum, canonicalize, format_number, json_number, parse_phfe, phfe_to_dict
-)
+from .distance import PSI_IDENTITY, PsiFunction, component_distance, ideal_components
+from .elements import PHFE, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig, entropy_components
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
-
-#: Ideal elements for a benefit criterion; a cost criterion swaps them.
-FULL_ELEMENT = canonicalize([(1.0, 1.0)])
-EMPTY_ELEMENT = canonicalize([(0.0, 1.0)])
 
 _KINDS = ("benefit", "cost")
 
@@ -66,13 +60,14 @@ class DecisionMatrix:
         return len(self.alternatives), len(self.criteria)
 
 
-def _columns(matrix: DecisionMatrix, config: EntropyConfig, ideal: PHFE | None = None):
-    """Row-major (fuzziness, non-specificity) arrays of the cells, or of their hybrids with
-    ``ideal``, kept on the matrix per kernel pair (per r too): 18 configs cost 6 passes."""
-    key = (config.fuzziness, config.nonspecificity, ideal)
+def _columns(matrix: DecisionMatrix, config: EntropyConfig, ideals: bool = False):
+    """Row-major arrays of the cells' (fuzziness, non-specificity), or with ``ideals`` the
+    four of their hybrids with {1|1} and then {0|1}, one ideal_components call per cell.
+    Kept on the matrix per kernel pair (per r too): 6 columns per pair, 18 configs cost 6 passes."""
+    key = (config.fuzziness, config.nonspecificity, ideals)
     if key not in matrix._tables:
         sums = [
-            entropy_components(c, config) if ideal is None else hybrid_components(c, ideal, config)
+            ideal_components(c, config) if ideals else entropy_components(c, config)
             for row in matrix.cells
             for c in row
         ]
@@ -133,9 +128,10 @@ def ideal_distances(
     result does not depend on evaluation order.
     """
     n = len(matrix.criteria)
+    sums = _columns(matrix, config, ideals=True)
     to_full, to_empty = (
-        [component_distance(f, ns, psi, config) for f, ns in zip(*_columns(matrix, config, ideal))]
-        for ideal in (FULL_ELEMENT, EMPTY_ELEMENT)
+        [component_distance(f, ns, psi, config) for f, ns in zip(fuzz, nonspec)]
+        for fuzz, nonspec in (sums[:2], sums[2:])
     )
     # Each criterion's column of distances to its positive and its negative ideal.
     pos, neg = zip(*(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import baselines
-from .distance import ALL_PSI, entropy_distance, hybrid
+from .distance import ALL_PSI, EMPTY_ELEMENT, FULL_ELEMENT, entropy_distance, hybrid
 from .elements import PHFE, _ltr_sum, canonicalize, complement, pi
 from .entropy import (
     F1,
@@ -42,7 +42,7 @@ from .entropy import (
     _THETA,
 )
 from .errors import DegenerateWeightsError
-from .mcdm import EMPTY_ELEMENT, FULL_ELEMENT, CriterionSpec, DecisionMatrix, run_topsis
+from .mcdm import CriterionSpec, DecisionMatrix, run_topsis
 
 #: Grid resolution for membership values; 1 - k/2**20 is exact for all k.
 _GRID = 1 << 20

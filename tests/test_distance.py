@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import phfe.distance
 from phfe import (
     ALL_PSI,
     PSI_EXP_TILT,
@@ -20,6 +21,7 @@ from phfe import (
     pi,
     weighted_comprehensive,
 )
+from phfe.distance import hybrid_components, ideal_components
 from phfe.entropy import F1, F2, F3, _pairwise
 from phfe.verify import random_phfe
 
@@ -98,6 +100,52 @@ class TestHybrid:
                 x = _pairwise(full.values, full.weights, None, kernel)[1]
                 y = _pairwise(empty.values, empty.weights, None, kernel)[1]
                 assert abs(x - y) <= 8 * math.ulp(max(x, y)), (a, kernel.label, x, y)
+
+
+def _hex(sums):
+    return [x.hex() for x in sums]
+
+
+#: One config per kernel pair, r1 at r = 1 and r = 2.
+KERNEL_PAIRS = list(
+    {(c.fuzziness, c.nonspecificity): c for r in (1.0, 2.0) for c in all_configs(r)}.values()
+)
+
+
+class TestIdealComponents:
+    """ideal_components builds no hybrid, yet must equal the sorted hybrids' sums bit for bit."""
+
+    def test_random_elements_equal_the_sorted_hybrids(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(phfe.distance, "hybrid", lambda a, b: built.append(b) or hybrid(a, b))
+        rng = random.Random("ideal")
+        for _ in range(300):
+            a = random_phfe(rng)
+            for config in KERNEL_PAIRS:
+                expected = hybrid_components(a, ONE, config) + hybrid_components(a, ZERO, config)
+                del built[:]
+                assert _hex(ideal_components(a, config)) == _hex(expected), (a, config.label)
+                assert built == []  # grid values never collide under 1 - v: the in-place path
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            canonicalize([(1e-17, 0.5), (2e-17, 0.5)]),
+            canonicalize([(1e-17, 0.3), (2e-17, 0.7)]),
+            canonicalize([(0.0, 0.2), (1e-17, 0.3), (2e-17, 0.1), (0.4, 0.4)]),
+        ],
+        ids=["equal-weights", "unequal-weights", "with-zero"],
+    )
+    def test_values_colliding_under_one_minus_v_take_the_general_path(self, a, monkeypatch):
+        assert 1.0 - 1e-17 == 1.0 - 2e-17 == 1.0
+        built = []
+        monkeypatch.setattr(phfe.distance, "hybrid", lambda a, b: built.append(b) or hybrid(a, b))
+        for config in KERNEL_PAIRS:
+            del built[:]
+            got = ideal_components(a, config)
+            assert built == [ONE, ZERO]
+            expected = hybrid_components(a, ONE, config) + hybrid_components(a, ZERO, config)
+            assert _hex(got) == _hex(expected), config.label
 
 
 def _sorted_cross_product(a, b):

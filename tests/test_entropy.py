@@ -62,6 +62,24 @@ class TestKernels:
         x = r_kernel(k, 0.7, 0.9)
         assert x == pytest.approx((1 - (1.52 / 3) ** 2) * (1 - (0.88 / 3) ** 2), abs=1e-12)
 
+    def test_r1_equals_its_power_form_bit_for_bit(self):
+        # r1 skips the power at r = 1, where t ** 1.0 is t exactly; any other r keeps it.
+        def power_form(x, y, r):
+            prod = x * y
+            t1 = abs(1.0 - 4.0 * prod) / 3.0
+            t2 = abs(4.0 * (x + y - prod) - 3.0) / 3.0
+            return (1.0 - t1**r) * (1.0 - t2**r)
+
+        rng = random.Random("r1")
+        points = [(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)]
+        points += [(rng.random(), rng.random()) for _ in range(5000)]
+        r1 = _FUZZINESS["r1"]
+        for r in (1.0, 2.0, 1.0000001):
+            assert [r1(x, y, r).hex() for x, y in points] == [
+                power_form(x, y, r).hex() for x, y in points
+            ], r
+        assert any(r1(x, y, 1.0000001) != r1(x, y, 1.0) for x, y in points)
+
     def test_r1_requires_r_at_least_one(self):
         with pytest.raises(OutOfRangeError):
             FuzzinessKernel("r1", 0.5)

@@ -309,6 +309,15 @@ class TestComponentTable:
         run_topsis(matrix, EntropyConfig.from_string("r1:f1:bsum@r=2"))
         assert len(passes) == 7 * 3 * m * n
 
+    def test_ideal_columns_build_no_hybrid(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError(f"hybrid({a}, {b}) built")
+
+        monkeypatch.setattr(phfe.distance, "hybrid", refuse)
+        matrix = _seeded_matrix(seed=12, m=100, kinds=("benefit", "cost") * 5)
+        for config in all_configs() + all_configs(2.0):
+            run_topsis(matrix, config)
+
     def test_cache_leaves_equality_and_hash_alone(self):
         used, fresh = _case_study_matrix(), _case_study_matrix()
         run_topsis(used)
