@@ -22,15 +22,15 @@ print("b =", repr(b))
 # Step 1: cross every value of a with every value of b.  Each cross pair
 # contributes (1 - |va - vb|) / 2, weighted by the pairwise probability
 # functional.  Identical values land on 0.5, remote values near 0.
-h = hybrid(a, b)
+values, weights = hybrid(a, b)
 print("\nhybrid form (value | weight, one entry per cross pair):")
-for value, weight in zip(h.values, h.weights):
+for value, weight in zip(values, weights):
     print(f"  {value:.4f} | {weight:.4f}")
-print("weights sum to", f"{sum(h.weights):.4f}", "(no renormalisation happens)")
+print("weights sum to", f"{sum(weights):.4f}", "(no renormalisation happens)")
 
 # Step 2: the comprehensive entropy of that weighted list is 1 exactly
 # when the hybrid collapses to {0.5|1}, i.e. when the elements agree.
-ec = weighted_comprehensive(h.values, h.weights)
+ec = weighted_comprehensive(values, weights)
 print(f"\ncomprehensive entropy of the hybrid: {ec:.4f}")
 
 # Step 3: push through a strictly increasing generator and renormalise.

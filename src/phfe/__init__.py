@@ -17,7 +17,6 @@ from .distance import (
     PSI_HARMONIC,
     PSI_IDENTITY,
     PSI_SQUARE,
-    HybridElementList,
     PsiFunction,
     entropy_distance,
     hybrid,

@@ -20,30 +20,17 @@ from .elements import PHFE, _pi_fast, canonicalize
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise, _Variant
 
 
-@dataclass(frozen=True)
-class HybridElementList:
-    """All cross pairs of two elements as parallel ``values`` and ``weights``.
+def hybrid(a: PHFE, b: PHFE) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Hybrid form of two canonical elements as ``(values, weights)``, l_a * l_b entries.
 
-    Entries are sorted by (value, weight).  Entries equal in both cannot be
-    told apart by any later sum, so the order is symmetric in the two input
-    elements, which makes every downstream sum bit-identical under
-    argument swap.
+    Sorted by (value, weight): entries equal in both cannot be told apart by
+    any later sum, so the order, and with it every downstream sum, is
+    bit-identical under argument swap.
     """
-
-    values: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def hybrid(a: PHFE, b: PHFE) -> HybridElementList:
-    """Hybrid form of two canonical elements (l_a * l_b entries)."""
-    values, weights = zip(*sorted(zip(
+    return tuple(zip(*sorted(zip(
         [(1.0 - abs(va - vb)) / 2.0 for va in a.values for vb in b.values],
         [_pi_fast(pa, pb) for pa in a.probs for pb in b.probs],
-    )))
-    return HybridElementList(values, weights)
+    ))))
 
 
 def _psi_id(z: float) -> float:
@@ -103,8 +90,7 @@ def entropy_distance(
 
 def hybrid_components(a: PHFE, b: PHFE, config: EntropyConfig) -> tuple[float, float]:
     """(fuzziness, non-specificity) of the hybrid of ``a`` and ``b``."""
-    h = hybrid(a, b)
-    return _pairwise(h.values, h.weights, config.fuzziness, config.nonspecificity)
+    return _pairwise(*hybrid(a, b), config.fuzziness, config.nonspecificity)
 
 
 #: Ideal elements for a benefit criterion; a cost criterion swaps them.

@@ -15,7 +15,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import NamedTuple
 
 from .errors import (
     EmptyInputError,
@@ -30,13 +29,6 @@ PROB_SUM_TOL = 1e-9
 
 #: Tolerance for the equality branch of the pairwise probability functional.
 PI_EQ_TOL = 1e-12
-
-
-class Pair(NamedTuple):
-    """One (value, prob) entry of an element, as iteration yields it."""
-
-    value: float
-    prob: float
 
 
 @dataclass(frozen=True)
@@ -72,8 +64,8 @@ class PHFE:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __iter__(self) -> Iterator[Pair]:
-        return map(Pair, self.values, self.probs)
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self.values, self.probs)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{format_number(v)}|{format_number(p)}" for v, p in self)

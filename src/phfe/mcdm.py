@@ -40,7 +40,7 @@ class DecisionMatrix:
     alternatives: tuple[str, ...]
     criteria: tuple[CriterionSpec, ...]
     cells: tuple[tuple[PHFE, ...], ...]
-    #: Component columns by kernel pair and ideal (see _columns); not compared.
+    #: Component columns by kernel pair and sums function (see _columns); not compared.
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -60,18 +60,14 @@ class DecisionMatrix:
         return len(self.alternatives), len(self.criteria)
 
 
-def _columns(matrix: DecisionMatrix, config: EntropyConfig, ideals: bool = False):
-    """Row-major arrays of the cells' (fuzziness, non-specificity), or with ``ideals`` the
-    four of their hybrids with {1|1} and then {0|1}, one ideal_components call per cell.
-    Kept on the matrix per kernel pair (per r too): 6 columns per pair, 18 configs cost 6 passes."""
-    key = (config.fuzziness, config.nonspecificity, ideals)
+def _columns(matrix: DecisionMatrix, config: EntropyConfig, sums):
+    """Row-major arrays of ``sums(cell, config)``: entropy_components gives 2 columns,
+    ideal_components 4 (the hybrids with {1|1}, then {0|1}).  Kept on the matrix per kernel
+    pair (per r too) and ``sums``: 6 columns per pair, so 18 configs cost 6 passes."""
+    key = (config.fuzziness, config.nonspecificity, sums)
     if key not in matrix._tables:
-        sums = [
-            ideal_components(c, config) if ideals else entropy_components(c, config)
-            for row in matrix.cells
-            for c in row
-        ]
-        matrix._tables[key] = tuple(array("d", column) for column in zip(*sums))
+        table = [sums(c, config) for row in matrix.cells for c in row]
+        matrix._tables[key] = tuple(array("d", column) for column in zip(*table))
     return matrix._tables[key]
 
 
@@ -106,7 +102,7 @@ def entropy_weights(
     every cell has entropy one.
     """
     m, n = matrix.shape
-    fuzz, nonspec = _columns(matrix, config)
+    fuzz, nonspec = _columns(matrix, config, entropy_components)
     combine = config.theta._fn
     raw = [1.0 - _ltr_sum(map(combine, fuzz[j::n], nonspec[j::n])) / m for j in range(n)]
     denom = _ltr_sum(raw)
@@ -128,7 +124,7 @@ def ideal_distances(
     result does not depend on evaluation order.
     """
     n = len(matrix.criteria)
-    sums = _columns(matrix, config, ideals=True)
+    sums = _columns(matrix, config, ideal_components)
     to_full, to_empty = (
         [component_distance(f, ns, psi, config) for f, ns in zip(fuzz, nonspec)]
         for fuzz, nonspec in (sums[:2], sums[2:])

@@ -109,7 +109,12 @@ def _table9_block(spec: dict, matrix: DecisionMatrix) -> TableBlock:
     for i, alt in enumerate(matrix.alternatives):
         cells = [repr(matrix.cells[i][j]) for j in range(len(names))]
         block.lines.append(f"{alt:<6s}" + "".join(f"{c:<54s}" for c in cells))
-    block.check("matrix parses and canonicalizes", "accept", True, "3x4 grid, all cells canonical")
+    # Each cell holds exactly the distinct t / (2 tau) of its raw positive-probability terms.
+    tau = spec["matrix"]["tau"]
+    raw = [[sorted({t["t"] / (2 * tau) for t in c["terms"] if t["p"] > 0}) for c in row]
+           for row in spec["matrix"]["cells"]]
+    ok = matrix.shape == (3, 4) and raw == [[list(c.values) for c in row] for row in matrix.cells]
+    block.check("matrix parses and canonicalizes", "accept", ok, "3x4 grid, all cells canonical")
     return block
 
 

@@ -216,8 +216,7 @@ def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
         a, b = random_phfe(rng), random_phfe(rng)
         psi = rng.choice(ALL_PSI)
         # d_ab is entropy_distance by its definition; ec also feeds the psi check.
-        h = hybrid(a, b)
-        ec = weighted_comprehensive(h.values, h.weights)
+        ec = weighted_comprehensive(*hybrid(a, b))
         d_ab = 1.0 - psi(ec)
         d_ba = entropy_distance(b, a, psi)
         if d_ab != d_ba:

@@ -16,6 +16,20 @@ def pi_op(p, q):
     return abs(p - q)
 
 
+def hybrid(a_pairs, b_pairs):
+    """Hybrid form of two (value, prob) pair lists as (values, weights).
+
+    Every cross pair contributes (1 - |va - vb|) / 2 with weight
+    pi_op(pa, pb); entries are sorted by (value, weight).
+    """
+    entries = sorted(
+        ((1.0 - abs(va - vb)) / 2.0, pi_op(pa, pb)) for va, pa in a_pairs for vb, pb in b_pairs
+    )
+    values = tuple(v for v, _ in entries)
+    weights = tuple(w for _, w in entries)
+    return values, weights
+
+
 def r1(x, y, r=1.0):
     a = 1.0 - (abs(1.0 - 4.0 * x * y) / 3.0) ** r
     b = 1.0 - (abs(4.0 * (x + y - x * y) - 3.0) / 3.0) ** r

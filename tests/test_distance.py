@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracle
 import phfe.distance
 from phfe import (
     ALL_PSI,
@@ -18,7 +19,6 @@ from phfe import (
     canonicalize,
     entropy_distance,
     hybrid,
-    pi,
     weighted_comprehensive,
 )
 from phfe.distance import hybrid_components, ideal_components
@@ -33,35 +33,33 @@ B = canonicalize([(0.2, 0.25), (0.5, 0.5), (0.9, 0.25)])
 
 class TestHybrid:
     def test_identical_full_elements(self):
-        h = hybrid(ONE, ONE)
-        assert h.values == (0.5,)
-        assert h.weights == (1.0,)
+        values, weights = hybrid(ONE, ONE)
+        assert values == (0.5,)
+        assert weights == (1.0,)
 
     def test_maximal_separation(self):
-        h = hybrid(ZERO, ONE)
-        assert h.values == (0.0,)
-        assert h.weights == (1.0,)
+        values, weights = hybrid(ZERO, ONE)
+        assert values == (0.0,)
+        assert weights == (1.0,)
 
     def test_self_hybrid_multiset(self):
-        h = hybrid(A, A)
-        assert sorted(h.values) == pytest.approx([0.3, 0.3, 0.5, 0.5], abs=1e-15)
-        assert h.weights == (0.5, 0.5, 0.5, 0.5)
+        values, weights = hybrid(A, A)
+        assert sorted(values) == pytest.approx([0.3, 0.3, 0.5, 0.5], abs=1e-15)
+        assert weights == (0.5, 0.5, 0.5, 0.5)
 
     def test_cross_size_and_sorting(self):
-        h = hybrid(A, B)
-        assert len(h) == 6
-        assert list(h.values) == sorted(h.values)
-        assert all(0.0 <= v <= 0.5 for v in h.values)
-        assert all(0.0 < w <= 1.0 for w in h.weights)
+        values, weights = hybrid(A, B)
+        assert len(values) == 6
+        assert list(values) == sorted(values)
+        assert all(0.0 <= v <= 0.5 for v in values)
+        assert all(0.0 < w <= 1.0 for w in weights)
 
     def test_weights_not_renormalized(self):
-        h = hybrid(A, B)
-        assert sum(h.weights) != pytest.approx(1.0, abs=1e-6)
+        _, weights = hybrid(A, B)
+        assert sum(weights) != pytest.approx(1.0, abs=1e-6)
 
     def test_sorted_with_symmetric_tie_order(self):
-        ab = hybrid(A, B)
-        ba = hybrid(B, A)
-        assert (ab.values, ab.weights) == (ba.values, ba.weights)
+        assert hybrid(A, B) == hybrid(B, A)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -76,16 +74,14 @@ class TestHybrid:
         ids=["tied-values-and-weights", "tied-values", "near-zero", "self", "cross", "mirror"],
     )
     def test_equals_the_sorted_cross_product(self, a, b):
-        h = hybrid(a, b)
-        assert list(zip(h.values, h.weights)) == _sorted_cross_product(a, b)
+        assert hybrid(a, b) == oracle.hybrid(list(a), list(b))
 
     def test_random_pairs_equal_the_sorted_cross_product(self):
         rng = random.Random("hybrid")
         for _ in range(500):
             a, b = random_phfe(rng), random_phfe(rng)
-            h = hybrid(a, b)
-            assert list(zip(h.values, h.weights)) == _sorted_cross_product(a, b)
-            assert (h.values, h.weights) == (hybrid(b, a).values, hybrid(b, a).weights)
+            assert hybrid(a, b) == oracle.hybrid(list(a), list(b))
+            assert hybrid(a, b) == hybrid(b, a)
 
     def test_ideal_hybrids_share_nonspecificity_up_to_rounding(self):
         # The hybrids of a with {1|1} and with {0|1} carry the values v/2 and
@@ -97,8 +93,8 @@ class TestHybrid:
             a = random_phfe(rng)
             full, empty = hybrid(a, ONE), hybrid(a, ZERO)
             for kernel in (F1, F2, F3):
-                x = _pairwise(full.values, full.weights, None, kernel)[1]
-                y = _pairwise(empty.values, empty.weights, None, kernel)[1]
+                x = _pairwise(*full, None, kernel)[1]
+                y = _pairwise(*empty, None, kernel)[1]
                 assert abs(x - y) <= 8 * math.ulp(max(x, y)), (a, kernel.label, x, y)
 
 
@@ -146,11 +142,6 @@ class TestIdealComponents:
             assert built == [ONE, ZERO]
             expected = hybrid_components(a, ONE, config) + hybrid_components(a, ZERO, config)
             assert _hex(got) == _hex(expected), config.label
-
-
-def _sorted_cross_product(a, b):
-    """Reference hybrid: every (value, weight) cross pair, sorted."""
-    return sorted(((1.0 - abs(va - vb)) / 2.0, pi(pa, pb)) for va, pa in a for vb, pb in b)
 
 
 class TestPsiFunctions:
@@ -202,8 +193,7 @@ class TestEntropyDistance:
             assert entropy_distance(ZERO, ONE, psi) == 1.0
 
     def test_identity_psi_is_one_minus_entropy(self):
-        h = hybrid(A, B)
-        expected = 1.0 - weighted_comprehensive(h.values, h.weights)
+        expected = 1.0 - weighted_comprehensive(*hybrid(A, B))
         assert entropy_distance(A, B) == pytest.approx(expected, abs=1e-15)
 
     def test_symmetry_is_bit_exact(self):

@@ -115,9 +115,9 @@ def test_comprehensive_matches_oracle_for_all_configs():
             assert got == config.theta.combine(*components), f"{config.label} on {a!r}"
             # The distance is one minus psi of its hybrid's entropy, exactly:
             # the axiom harness takes one side of its symmetry check from it.
-            h = hybrid(a, b)
+            values, weights = hybrid(a, b)
             for psi in ALL_PSI:
-                by_definition = 1.0 - psi(weighted_comprehensive(h.values, h.weights, config))
+                by_definition = 1.0 - psi(weighted_comprehensive(values, weights, config))
                 assert entropy_distance(a, b, psi, config) == by_definition, (
                     f"{config.label}, {psi.label} on {a!r}, {b!r}"
                 )

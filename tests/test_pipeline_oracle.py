@@ -21,18 +21,8 @@ def _comp_entropy(values, weights):
     )
 
 
-def _hybrid(a, b):
-    values, weights = [], []
-    for va, pa in a:
-        for vb, pb in b:
-            values.append((1.0 - abs(va - vb)) / 2.0)
-            weights.append(oracle.pi_op(pa, pb))
-    order = sorted(range(len(values)), key=lambda k: (values[k], weights[k]))
-    return [values[k] for k in order], [weights[k] for k in order]
-
-
 def _distance(a, b):
-    values, weights = _hybrid(a, b)
+    values, weights = oracle.hybrid(a, b)
     return 1.0 - _comp_entropy(values, weights)
 
 
@@ -64,7 +54,7 @@ def _reference_pipeline(cells):
 def test_case_study_pipeline_matches_reference():
     matrix = parse_decision_matrix(load_table(9)["matrix"])
     cells = [
-        [[(p.value, p.prob) for p in matrix.cells[i][j]] for j in range(4)]
+        [[(v, p) for v, p in matrix.cells[i][j]] for j in range(4)]
         for i in range(3)
     ]
     raw, weights, d_plus, d_minus, scores = _reference_pipeline(cells)
@@ -96,7 +86,7 @@ def test_two_by_two_pipeline_matches_reference():
     }
     matrix = parse_decision_matrix(payload)
     cells = [
-        [[(p.value, p.prob) for p in matrix.cells[i][j]] for j in range(2)]
+        [[(v, p) for v, p in matrix.cells[i][j]] for j in range(2)]
         for i in range(2)
     ]
     raw, weights, _, _, _ = _reference_pipeline(cells)
