@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .distance import ALL_PSI, PsiFunction, entropy_distance
 from .elements import PHFE, complement, format_number, parse_phfe_list
@@ -24,8 +24,7 @@ from .entropy import (
 )
 from .errors import ParseError, PhfeError
 from .mcdm import format_result_table, parse_decision_matrix, result_to_dict, run_topsis
-from .reproduce import render_report, reproduce_all
-from .verify import corrupted_complement, run_axiom_suites
+
 
 def _round6(obj):
     """Recursively shorten floats to six significant digits for reports."""
@@ -139,12 +138,16 @@ def _cmd_topsis(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import render_report, reproduce_all  # on use: other commands skip it
+
     text, code = render_report(reproduce_all(), strict=args.strict)
     print(text)
     return code
 
 
 def _cmd_axioms(args) -> int:
+    from .verify import corrupted_complement, run_axiom_suites  # on use: other commands skip it
+
     complement_fn = corrupted_complement if args.mutate == "complement" else complement
     results = run_axiom_suites(args.seed, args.samples, complement_fn)
     failures = [r for r in results if not r.passed]

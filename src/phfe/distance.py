@@ -13,7 +13,6 @@ values are not merged, so it is generally not a valid element itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import lt
 
 from .elements import PHFE, _pi_fast, canonicalize
@@ -52,7 +51,6 @@ def _psi_exp(z: float) -> float:
 _PSI = {"id": _psi_id, "sq": _psi_sq, "harm": _psi_harm, "exp": _psi_exp}
 
 
-@dataclass(frozen=True)
 class PsiFunction(_Variant):
     """Strictly increasing generator on [0, 1] used to shape the distance.
 

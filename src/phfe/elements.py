@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -31,8 +30,50 @@ PROB_SUM_TOL = 1e-9
 PI_EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PHFE:
+class Frozen:
+    """Immutable value: equal to, and hashed by, its ``_fields`` within one class.
+
+    Behaves as a frozen dataclass does: the fields are the ``__init__``
+    parameters, the repr is ``Name(field=value, ...)``, and assignment or
+    deletion raises ``dataclasses.FrozenInstanceError``.  A subclass's
+    ``__init__`` validates its arguments, then fills ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1 : init.co_argcount]
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str) -> None:
+    from dataclasses import FrozenInstanceError  # on the error path only; loads inspect
+
+    raise FrozenInstanceError(message)
+
+
+class PHFE(Frozen):
     """Canonical probabilistic hesitant fuzzy element.
 
     Two parallel tuples: membership ``values`` strictly ascending in
@@ -42,11 +83,7 @@ class PHFE:
     validates that the given tuples already are canonical.
     """
 
-    values: tuple[float, ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values, probs = self.values, self.probs
+    def __init__(self, values: tuple[float, ...], probs: tuple[float, ...]) -> None:
         if not values:
             raise EmptyInputError("an element needs at least one pair")
         if len(probs) != len(values):
@@ -60,6 +97,7 @@ class PHFE:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise OutOfRangeError("values must be strictly increasing")
         _check_total(_ltr_sum(probs))
+        self.__dict__.update(values=values, probs=probs)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -100,7 +138,7 @@ def canonicalize(raw_pairs: Iterable[tuple[float, float]]) -> PHFE:
     # Summing may overshoot 1 by the declared input tolerance; the clamp can move the total.
     probs = tuple([min(merged[v], 1.0) for v in values])
     _check_total(_ltr_sum(probs))
-    a = object.__new__(PHFE)  # canonical by construction: skip __post_init__'s second pass
+    a = object.__new__(PHFE)  # canonical by construction: skip __init__'s second pass
     a.__dict__.update(values=values, probs=probs)
     return a
 
@@ -159,15 +197,13 @@ def _brief(x: object) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
-class LinguisticScale:
+class LinguisticScale(Frozen):
     """Totally ordered term set s_0 .. s_{2*tau}."""
 
-    tau: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.tau, int) or self.tau < 1:
-            raise OutOfRangeError(f"tau must be a positive integer, got {_brief(self.tau)}")
+    def __init__(self, tau: int) -> None:
+        if type(tau) is bool or not isinstance(tau, int) or tau < 1:
+            raise OutOfRangeError(f"tau must be a positive integer, got {_brief(tau)}")
+        self.__dict__["tau"] = tau
 
     @property
     def top_term(self) -> int:

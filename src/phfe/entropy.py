@@ -16,11 +16,10 @@ hybrid form of two elements, whose weights do not sum to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from collections.abc import Callable, Sequence
 
 from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
-from .elements import PHFE, _pi_fast, format_number
+from .elements import PHFE, Frozen, _pi_fast, format_number
 from .errors import OutOfRangeError, UnknownMeasureError
 
 # Each family is one table from id to scalar function, the only list of its
@@ -78,36 +77,31 @@ _NONSPECIFICITY = {"f1": _f1, "f2": _f2, "f3": _f3}
 _THETA = {"max": max, "psum": _psum, "bsum": _bsum}
 
 
-@dataclass(frozen=True)
-class _Variant:
+class _Variant(Frozen):
     """One member of a function family; ``_fn`` is its function, looked up once."""
 
-    variant: str
-    _fn: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.variant not in self._table:
-            raise UnknownMeasureError(f"unknown {self._kind} {self.variant!r}")
-        object.__setattr__(self, "_fn", self._table[self.variant])
+    def __init__(self, variant: str) -> None:
+        if variant not in self._table:
+            raise UnknownMeasureError(f"unknown {self._kind} {variant!r}")
+        self.__dict__.update(variant=variant, _fn=self._table[variant])
 
     @property
     def label(self) -> str:
         return self.variant
 
 
-@dataclass(frozen=True)
 class FuzzinessKernel(_Variant):
     """Pairwise fuzziness kernel: r1 with exponent ``r >= 1``, or r2, which takes none."""
 
-    r: float = 1.0
     _table, _kind = _FUZZINESS, "fuzziness kernel"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.variant == "r1" and not self.r >= 1.0:
-            raise OutOfRangeError(f"r1 exponent must be >= 1, got {self.r!r}")
-        if self.variant != "r1" and self.r != 1.0:
-            raise OutOfRangeError(f"only r1 takes an exponent, got {self.variant}@r={self.r!r}")
+    def __init__(self, variant: str, r: float = 1.0) -> None:
+        super().__init__(variant)
+        if variant == "r1" and not r >= 1.0:
+            raise OutOfRangeError(f"r1 exponent must be >= 1, got {r!r}")
+        if variant != "r1" and r != 1.0:
+            raise OutOfRangeError(f"only r1 takes an exponent, got {variant}@r={r!r}")
+        self.__dict__["r"] = r
 
     @property
     def label(self) -> str:
@@ -119,14 +113,12 @@ class FuzzinessKernel(_Variant):
         return f"{self.variant}@r={text}"
 
 
-@dataclass(frozen=True)
 class NonSpecificityKernel(_Variant):
     """Pairwise non-specificity kernel, one of f1, f2, f3."""
 
     _table, _kind = _NONSPECIFICITY, "non-specificity kernel"
 
 
-@dataclass(frozen=True)
 class ThetaCombiner(_Variant):
     """Combiner for (fuzziness, non-specificity): max, probabilistic or bounded sum."""
 
@@ -158,13 +150,16 @@ def _checked(fn: Callable, x: float, y: float, *args: float) -> float:
     return fn(x, y, *args)
 
 
-@dataclass(frozen=True)
-class EntropyConfig:
+class EntropyConfig(Frozen):
     """Selection of fuzziness kernel, non-specificity kernel, and combiner."""
 
-    fuzziness: FuzzinessKernel = R1
-    nonspecificity: NonSpecificityKernel = F1
-    theta: ThetaCombiner = THETA_MAX
+    def __init__(
+        self,
+        fuzziness: FuzzinessKernel = R1,
+        nonspecificity: NonSpecificityKernel = F1,
+        theta: ThetaCombiner = THETA_MAX,
+    ) -> None:
+        self.__dict__.update(fuzziness=fuzziness, nonspecificity=nonspecificity, theta=theta)
 
     @classmethod
     def from_string(cls, text: str, r: float = 1.0) -> "EntropyConfig":
@@ -200,9 +195,7 @@ def all_configs(r: float = 1.0) -> list[EntropyConfig]:
 
 _BASELINES = {"su-p1": su_entropy_p1, "su-p2": su_entropy_p2, "su-d": su_entropy_d}
 
-Measure = Union[
-    Callable[[PHFE], float], FuzzinessKernel, NonSpecificityKernel, EntropyConfig
-]
+Measure = Callable[[PHFE], float] | FuzzinessKernel | NonSpecificityKernel | EntropyConfig
 
 
 def parse_measure(text: str, r: float = 1.0) -> Measure:

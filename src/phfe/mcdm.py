@@ -10,50 +10,46 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from operator import mul
 
 from .distance import PSI_IDENTITY, PsiFunction, component_distance, ideal_components
-from .elements import PHFE, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
+from .elements import PHFE, Frozen, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig, entropy_components
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
 
 _KINDS = ("benefit", "cost")
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(Frozen):
     """A named criterion with its polarity."""
 
-    name: str
-    kind: str = "benefit"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ParseError(f"criterion kind must be benefit or cost, got {self.kind!r}")
+    def __init__(self, name: str, kind: str = "benefit") -> None:
+        if kind not in _KINDS:
+            raise ParseError(f"criterion kind must be benefit or cost, got {kind!r}")
+        self.__dict__.update(name=name, kind=kind)
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
+class DecisionMatrix(Frozen):
     """m alternatives assessed against n criteria, one element per cell."""
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[CriterionSpec, ...]
-    cells: tuple[tuple[PHFE, ...], ...]
-    #: Component columns by kernel pair and sums function (see _columns); not compared.
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))  # keeps _tables valid
-        m, n = len(self.alternatives), len(self.criteria)
+    def __init__(
+        self,
+        alternatives: tuple[str, ...],
+        criteria: tuple[CriterionSpec, ...],
+        cells: tuple[tuple[PHFE, ...], ...],
+    ) -> None:
+        cells = tuple(map(tuple, cells))  # keeps _tables valid
+        m, n = len(alternatives), len(criteria)
         if m < 1 or n < 1:
             raise ParseError("matrix needs at least one alternative and one criterion")
-        if len({c.name for c in self.criteria}) != n:
+        if len({c.name for c in criteria}) != n:
             raise ParseError("criterion names must be unique")
-        if len(set(self.alternatives)) != m:
+        if len(set(alternatives)) != m:
             raise ParseError("alternative names must be unique")
-        if len(self.cells) != m or any(len(row) != n for row in self.cells):
+        if len(cells) != m or any(len(row) != n for row in cells):
             raise ParseError(f"cell grid must be {m}x{n}")
+        # _tables (see _columns) is no __init__ parameter, so it is neither compared nor shown.
+        self.__dict__.update(alternatives=alternatives, criteria=criteria, cells=cells, _tables={})
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,25 +67,29 @@ def _columns(matrix: DecisionMatrix, config: EntropyConfig, sums):
     return matrix._tables[key]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """Criterion weights before and after normalisation."""
 
-    raw: tuple[float, ...]
-    normalized: tuple[float, ...]
+    def __init__(self, raw: tuple[float, ...], normalized: tuple[float, ...]) -> None:
+        self.__dict__.update(raw=raw, normalized=normalized)
 
     @property
     def argmax(self) -> int:
         return _ranking(self.normalized)[0]
 
 
-@dataclass(frozen=True)
-class TopsisResult:
-    weights: WeightVector
-    d_plus: tuple[float, ...]
-    d_minus: tuple[float, ...]
-    closeness: tuple[float, ...]
-    ranking: tuple[int, ...]
+class TopsisResult(Frozen):
+    def __init__(
+        self,
+        weights: WeightVector,
+        d_plus: tuple[float, ...],
+        d_minus: tuple[float, ...],
+        closeness: tuple[float, ...],
+        ranking: tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(
+            weights=weights, d_plus=d_plus, d_minus=d_minus, closeness=closeness, ranking=ranking
+        )
 
 
 def entropy_weights(

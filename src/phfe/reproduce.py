@@ -11,28 +11,24 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 
-from .elements import _ltr_sum, format_number, parse_phfe
+from .elements import Frozen, _ltr_sum, format_number, parse_phfe
 from .entropy import all_configs, measure_value, parse_measure
 from .mcdm import DecisionMatrix, _ranking, parse_decision_matrix, run_topsis
 
 
-@dataclass(frozen=True)
-class Check:
-    label: str
-    grade: str  # "accept" | "report"
-    ok: bool
-    detail: str
+class Check(Frozen):
+    def __init__(self, label: str, grade: str, ok: bool, detail: str) -> None:
+        # grade is "accept" or "report"
+        self.__dict__.update(label=label, grade=grade, ok=ok, detail=detail)
 
 
-@dataclass
 class TableBlock:
-    table: int
-    caption: str
-    lines: list[str] = field(default_factory=list)
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, table: int, caption: str) -> None:
+        self.table, self.caption = table, caption
+        self.lines: list[str] = []
+        self.checks: list[Check] = []
 
     def check(self, label: str, grade: str, ok: bool, detail: str) -> None:
         self.checks.append(Check(label, grade, ok, detail))

@@ -16,8 +16,7 @@ base entropies of each element computed once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import baselines
 from .distance import ALL_PSI, EMPTY_ELEMENT, FULL_ELEMENT, entropy_distance, hybrid
@@ -50,14 +49,12 @@ _GRID = 1 << 20
 _EXACT_TOL = 1e-12
 
 
-@dataclass
 class SuiteResult:
     """One suite's verdict: the draws it checked, not those skipped as
     premise-void, and its first counterexample, if any."""
 
-    name: str
-    samples: int = 0
-    counterexample: str | None = None
+    def __init__(self, name: str, samples: int = 0, counterexample: str | None = None) -> None:
+        self.name, self.samples, self.counterexample = name, samples, counterexample
 
     @property
     def passed(self) -> bool:

@@ -90,3 +90,18 @@ def ideal_components(values, probs, r_name, f_name, r=1):
             hybrid_weights = [pi_op(Decimal(p), _ONE) for p in probs]
         sums += components(hybrid_values, hybrid_weights, r_name, f_name, r)
     return tuple(sums)
+
+
+def hybrid_components(a_values, a_probs, b_values, b_probs, r_name, f_name, r=1):
+    """components of the hybrid of two elements, built exactly from their floats.
+
+    Each cross pair (v_a, p_a), (v_b, p_b) gives the value (1 - |v_a - v_b|) / 2
+    under the weight pi(p_a, p_b).  The sums do not depend on the order.
+    """
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        values = [
+            (_ONE - abs(Decimal(va) - Decimal(vb))) / _TWO for va in a_values for vb in b_values
+        ]
+        weights = [pi_op(Decimal(pa), Decimal(pb)) for pa in a_probs for pb in b_probs]
+    return components(values, weights, r_name, f_name, r)

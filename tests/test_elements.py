@@ -284,6 +284,8 @@ class TestCanonicalFormIsAValidElement:
         (lambda: parse_phfe({"pairs": [{"v": 0.5}]}), ParseError, "malformed pair list: 'p'"),
         (lambda: parse_phfe({"terms": [{"t": 7, "p": 1}], "tau": 3}), TermOutOfRangeError,
          "term index 7 outside 0..6"),
+        # bool is an int subclass; True would make a scale with top term 2.
+        (lambda: LinguisticScale(True), OutOfRangeError, "tau must be a positive integer, got True"),
     ],
 )
 def test_refusal_type_and_message(make, error, message):

@@ -41,3 +41,21 @@ def test_command_runs_on_the_standard_library_alone(command, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_only_what_topsis_entropy_and_distance_run():
+    # reproduce and axioms import their modules when they run; the
+    # value classes are plain classes, so dataclasses, inspect and
+    # typing stay unloaded too.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, phfe.cli; print(*sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "phfe.mcdm" in loaded
+    unwanted = {"dataclasses", "inspect", "typing", "phfe.reproduce", "phfe.verify"}
+    assert not unwanted & loaded
