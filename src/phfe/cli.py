@@ -14,7 +14,7 @@ import sys
 from collections.abc import Sequence
 
 from .distance import ALL_PSI, PsiFunction, entropy_distance
-from .elements import PHFE, complement, format_number, parse_phfe_list
+from .elements import PHFE, format_number, parse_phfe_list
 from .entropy import (
     EntropyConfig,
     Measure,
@@ -146,10 +146,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    from .verify import corrupted_complement, run_axiom_suites  # on use: other commands skip it
+    from .verify import run_axiom_suites  # on use: other commands skip it
 
-    complement_fn = corrupted_complement if args.mutate == "complement" else complement
-    results = run_axiom_suites(args.seed, args.samples, complement_fn)
+    results = run_axiom_suites(args.seed, args.samples)
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -212,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_axioms = sub.add_parser("axioms", help="randomized axiom verification")
     p_axioms.add_argument("--seed", type=int, default=42)
     p_axioms.add_argument("--samples", type=_positive_int, default=10000)
-    p_axioms.add_argument(
-        "--mutate",
-        choices=("complement",),
-        help="corrupt an operation to sanity-check the harness",
-    )
     p_axioms.set_defaults(fn=_cmd_axioms)
     return parser
 

@@ -285,15 +285,15 @@ def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
     raise ParseError('element object needs "pairs" or "terms"')
 
 
-def parse_phfe_list(obj, default_tau: int | None = None) -> list[PHFE]:
+def parse_phfe_list(obj) -> list[PHFE]:
     """Parse a JSON array of elements, or a single element object."""
     if isinstance(obj, Mapping):
         if "phfes" not in obj:
-            return [parse_phfe(obj, default_tau)]
+            return [parse_phfe(obj)]
         obj = obj["phfes"]
     if not isinstance(obj, Sequence):
         raise ParseError("expected an element object or an array of them")
-    return [parse_phfe(item, default_tau) for item in obj]
+    return [parse_phfe(item) for item in obj]
 
 
 def phfe_to_dict(a: PHFE) -> dict:

@@ -38,7 +38,9 @@ class DecisionMatrix(Frozen):
         criteria: tuple[CriterionSpec, ...],
         cells: tuple[tuple[PHFE, ...], ...],
     ) -> None:
-        cells = tuple(map(tuple, cells))  # keeps _tables valid
+        # Tuples throughout: the matrix hashes, and _tables stays valid.
+        alternatives, criteria = tuple(alternatives), tuple(criteria)
+        cells = tuple(map(tuple, cells))
         m, n = len(alternatives), len(criteria)
         if m < 1 or n < 1:
             raise ParseError("matrix needs at least one alternative and one criterion")

@@ -16,7 +16,6 @@ base entropies of each element computed once.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 
 from . import baselines
 from .distance import ALL_PSI, EMPTY_ELEMENT, FULL_ELEMENT, entropy_distance, hybrid
@@ -28,8 +27,6 @@ from .entropy import (
     R1,
     R2,
     EntropyConfig,
-    FuzzinessKernel,
-    NonSpecificityKernel,
     comprehensive_entropy,
     entropy_components,
     fuzziness_entropy,
@@ -53,8 +50,8 @@ class SuiteResult:
     """One suite's verdict: the draws it checked, not those skipped as
     premise-void, and its first counterexample, if any."""
 
-    def __init__(self, name: str, samples: int = 0, counterexample: str | None = None) -> None:
-        self.name, self.samples, self.counterexample = name, samples, counterexample
+    def __init__(self, name: str, samples: int = 0) -> None:
+        self.name, self.samples, self.counterexample = name, samples, None
 
     @property
     def passed(self) -> bool:
@@ -130,11 +127,7 @@ def _edge_elements() -> list[PHFE]:
     ]
 
 
-def _corpus_pass(
-    rng: random.Random,
-    samples: int,
-    complement_fn: Callable[[PHFE], PHFE],
-) -> list[SuiteResult]:
+def _corpus_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
     roundtrip = SuiteResult("canonical form roundtrip", samples)
     involution = SuiteResult("complement involution", samples)
     ranges = SuiteResult("entropy range", samples)
@@ -152,11 +145,13 @@ def _corpus_pass(
         if canonicalize(perm) != a:
             roundtrip.fail(f"canonicalize depends on input order for {a!r}")
 
-        c = complement_fn(a)
+        c = complement(a)
         if sorted(c.probs) != sorted(a.probs) or len(c) != len(a):
             involution.fail(f"complement changed the probability multiset of {a!r}")
-        elif complement_fn(c) != a:
+        elif complement(c) != a:
             involution.fail(f"complement not involutive on {a!r}")
+        elif sorted(c) != sorted((1.0 - v, p) for v, p in a):
+            involution.fail(f"complement does not reflect the values of {a!r} about 1/2")
 
         base_a = _bases(a)
         base_c = _bases(c)
@@ -389,35 +384,20 @@ def _boundary_suite() -> SuiteResult:
     return col
 
 
-def corrupted_complement(a: PHFE) -> PHFE:
-    """Deliberately wrong complement used by the mutation-test mode."""
-    shifted = [(min(1.0, 1.0 - v * 0.9), p) for v, p in a]
-    values = sorted(v for v, _ in shifted)
-    if len(set(values)) != len(values):
-        shifted = [(v * 0.5 + i * 1e-3, p) for i, (v, p) in enumerate(shifted)]
-    return canonicalize(shifted)
-
-
-def run_axiom_suites(
-    seed: int,
-    samples: int,
-    complement_fn: Callable[[PHFE], PHFE] = complement,
-) -> list[SuiteResult]:
+def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
     """Run every suite; pass ``k`` draws from ``random.Random(f"{seed}:{k}")``.
 
     Each result counts the draws its suite checked, fewer than ``samples``
-    where a draw voids the suite's premise.  ``complement_fn`` exists for
-    mutation testing: passing a corrupted complement must make the
-    involution and symmetry suites fail.
+    where a draw voids the suite's premise.  The suites call ``complement``
+    by this module's name, so a test can patch ``phfe.verify.complement``
+    with a wrong one and check that the suites catch it.
     """
     rng = [random.Random(f"{seed}:{k}") for k in range(8)]
     results: list[SuiteResult] = []
-    results.extend(_corpus_pass(rng[0], samples, complement_fn))
-    fuzziness = [FuzzinessKernel(v) for v in _FUZZINESS]
-    nonspecificity = [NonSpecificityKernel(v) for v in _NONSPECIFICITY]
-    results.append(_monotonicity(rng[1], samples, fuzziness, fuzziness_entropy, _shrunk_pair))
+    results.extend(_corpus_pass(rng[0], samples))
+    results.append(_monotonicity(rng[1], samples, (R1, R2), fuzziness_entropy, _shrunk_pair))
     results.append(
-        _monotonicity(rng[2], samples, nonspecificity, nonspecificity_entropy, _contracted_pair)
+        _monotonicity(rng[2], samples, (F1, F2, F3), nonspecificity_entropy, _contracted_pair)
     )
     results.extend(_distance_pass(rng[3], samples))
     results.append(_pi_suite(rng[4], samples))

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phfe.verify
 from phfe.baselines import expectation
 from phfe.cli import build_parser, main
 from phfe.distance import ALL_PSI
+from phfe.elements import canonicalize
 from phfe.mcdm import parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
 from phfe.verify import random_phfe
@@ -470,16 +472,24 @@ class TestReproduceCommand:
         assert first == second
 
 
+def corrupted_complement(a):
+    """Deliberately wrong complement, patched into ``phfe.verify.complement``."""
+    shifted = [(min(1.0, 1.0 - v * 0.9), p) for v, p in a]
+    values = sorted(v for v, _ in shifted)
+    if len(set(values)) != len(values):
+        shifted = [(v * 0.5 + i * 1e-3, p) for i, (v, p) in enumerate(shifted)]
+    return canonicalize(shifted)
+
+
 class TestAxiomsCommand:
     def test_small_run_passes(self, capsys):
         assert main(["axioms", "--seed", "7", "--samples", "60"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_mutation_mode_fails(self, capsys):
-        assert main(
-            ["axioms", "--seed", "7", "--samples", "60", "--mutate", "complement"]
-        ) == 1
+    def test_mutation_mode_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(phfe.verify, "complement", corrupted_complement)
+        assert main(["axioms", "--seed", "7", "--samples", "60"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] complement involution" in out
         assert "counterexample:" in out
@@ -498,34 +508,45 @@ class TestAxiomsCommand:
 
 
 @pytest.mark.parametrize(
-    "argv, code, digest",
+    "argv, mutant, code, digest",
     [
-        (["reproduce"], 0, "360748d3c6c862c9e19afaedf0e43c9a4047afdcb9d364083eefee7ee1012514"),
+        (
+            ["reproduce"],
+            None,
+            0,
+            "360748d3c6c862c9e19afaedf0e43c9a4047afdcb9d364083eefee7ee1012514",
+        ),
         (
             ["reproduce", "--strict"],
+            None,
             1,
             "5b32749df82176d2d7f85cf6b33a0ffd27955d0a81d7a7860a7a3f680a9f24ac",
         ),
         (
             ["axioms", "--seed", "42", "--samples", "300"],
+            None,
             0,
             "e03bda014a76ba4e85074423d7835429ae2f00fc896c9c27ad8d5a9e3bbd837e",
         ),
         # Prints counterexamples, so it also pins message text and check order.
         (
-            ["axioms", "--seed", "7", "--samples", "60", "--mutate", "complement"],
+            ["axioms", "--seed", "7", "--samples", "60"],
+            corrupted_complement,
             1,
             "62cb731089484c55cdeb1b4ce4d912c0701c82f39324d750d4aff7ac43623847",
         ),
     ],
     ids=["reproduce", "reproduce-strict", "axioms", "axioms-mutate-complement"],
 )
-def test_stdout_digest(capsys, argv, code, digest):
+def test_stdout_digest(monkeypatch, capsys, argv, mutant, code, digest):
     """SHA-256 of stdout pins the report and the axiom output byte for byte.
 
-    A changed digest means the output changed; update one only together
-    with a CHANGES.md line that says why.
+    A ``mutant`` replaces ``phfe.verify.complement`` for the run.  A changed
+    digest means the output changed; update one only together with a
+    CHANGES.md line that says why.
     """
+    if mutant is not None:
+        monkeypatch.setattr(phfe.verify, "complement", mutant)
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -642,7 +663,7 @@ def test_stdout_digest_on_a_compensating_sum(monkeypatch, capsys, case):
     """Output does not depend on how the interpreter's ``sum`` rounds floats."""
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert sum([0.1] * 10) == 1.0  # the left-to-right sum gives 0.9999999999999999
-    test_stdout_digest(capsys, *case)
+    test_stdout_digest(monkeypatch, capsys, *case)
 
 
 @_cases(test_command_stdout_digest)

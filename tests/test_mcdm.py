@@ -333,3 +333,14 @@ class TestComponentTable:
         rows[0][0] = rows[1][1]  # the caller's lists no longer reach the matrix
         assert run_topsis(matrix) == before == run_topsis(case)
         assert matrix == case and hash(matrix) == hash(case)
+
+    def test_names_and_criteria_are_frozen(self):
+        case = _case_study_matrix()
+        alternatives, criteria = list(case.alternatives), list(case.criteria)
+        matrix = DecisionMatrix(alternatives, criteria, case.cells)
+        assert matrix == case and hash(matrix) == hash(case)
+        before = run_topsis(matrix)
+        alternatives.append("x4")  # the caller's lists no longer reach the matrix
+        criteria.append(CriterionSpec("c5"))
+        assert matrix.shape == (3, 4)
+        assert run_topsis(matrix) == before == run_topsis(case)

@@ -2,15 +2,20 @@
 
 An expression line whose trailing comment is a whole Python literal, such
 as ``list(a)  # [(0.7, 0.2), (0.9, 0.8)]``, must also print as that
-literal, so the documented shapes cannot drift from the code.
+literal, so the documented shapes cannot drift from the code.  Every
+``phfe`` command line of the shell blocks parses, optional parts included.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
+from phfe.cli import build_parser
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
+COMMANDS = re.findall(r"^phfe (.*)$", README, re.MULTILINE)
 
 
 def _documented_literal(line):
@@ -39,3 +44,11 @@ def test_readme_python_examples_run():
                 assert repr(value) == repr(expected), line
                 checked += 1
     assert checked == 2
+
+
+def test_readme_command_lines_parse():
+    assert len(COMMANDS) == 5
+    parser = build_parser()
+    for line in COMMANDS:
+        # "[--strict]" marks an optional part: parse the line with it present.
+        parser.parse_args(shlex.split(line.replace("[", "").replace("]", "")))

@@ -22,3 +22,11 @@ def test_suite_with_skips_reports_checked_draws():
     checked = results["nonspecificity monotonicity"].samples
     assert 0 < checked < 200
     assert results["entropy range"].samples == 200
+
+
+def test_identity_complement_fails_involution(monkeypatch):
+    # The identity keeps the probability multiset, is its own inverse and
+    # leaves every entropy unchanged; only the reflected values expose it.
+    monkeypatch.setattr(verify, "complement", lambda a: a)
+    failed = [r.name for r in verify.run_axiom_suites(7, 60) if not r.passed]
+    assert failed == ["complement involution"]
