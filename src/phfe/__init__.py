@@ -49,12 +49,10 @@ from .entropy import (
     all_configs,
     comprehensive_entropy,
     entropy_components,
-    f_kernel,
     fuzziness_entropy,
     measure_value,
     nonspecificity_entropy,
     parse_measure,
-    r_kernel,
     weighted_comprehensive,
 )
 from .errors import (

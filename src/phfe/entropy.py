@@ -133,23 +133,6 @@ F1, F2, F3 = map(NonSpecificityKernel, _NONSPECIFICITY)
 THETA_MAX, THETA_PSUM, THETA_BSUM = map(ThetaCombiner, _THETA)
 
 
-def r_kernel(kernel: FuzzinessKernel, x: float, y: float) -> float:
-    """Evaluate a fuzziness kernel at a pair of membership values."""
-    return _checked(kernel._fn, x, y, kernel.r)
-
-
-def f_kernel(kernel: NonSpecificityKernel, x: float, y: float) -> float:
-    """Evaluate a non-specificity kernel at a pair of membership values."""
-    return _checked(kernel._fn, x, y)
-
-
-def _checked(fn: Callable, x: float, y: float, *args: float) -> float:
-    for v in (x, y):
-        if not 0.0 <= v <= 1.0:
-            raise OutOfRangeError(f"kernel argument {v!r} outside [0, 1]")
-    return fn(x, y, *args)
-
-
 class EntropyConfig(Frozen):
     """Selection of fuzziness kernel, non-specificity kernel, and combiner."""
 

@@ -1,16 +1,18 @@
 """Randomized verification of the entropy and distance axioms.
 
-Every documented invariant runs as a seeded randomized suite over
-generated elements.  Membership values are drawn on a dyadic grid
-(multiples of 2**-20) so that the complement map round-trips exactly in
-binary floating point; probabilities come from random simplexes.
+Each check is a named, pure predicate such as ``complement_involution`` or
+``pi_symmetry``: it takes drawn elements, plus values already computed for
+them, and returns ``None`` or a counterexample message.  The seeded suites
+of :func:`run_axiom_suites` and the hypothesis tests call the same
+predicates, so each axiom is stated once.
 
-The suites are pure functions from a seed to a report: a fixed seed
-always reproduces the same verdicts and counterexamples.  Draws come from
-the standard library's ``random.Random`` with a string seed, through
-``random()`` and ``getrandbits`` only.  Suites that
-share inputs are evaluated in one pass over a common corpus, with the
-base entropies of each element computed once.
+Membership values are drawn on a dyadic grid (multiples of 2**-20) so that
+the complement map round-trips exactly in binary floating point;
+probabilities come from random simplexes.  A fixed seed always reproduces
+the same verdicts and counterexamples.  Draws come from the standard
+library's ``random.Random`` with a string seed, through ``random()`` and
+``getrandbits`` only.  Suites that share inputs are checked in one pass
+over a common corpus, with the base entropies of each element computed once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import random
 
 from . import baselines
-from .distance import ALL_PSI, EMPTY_ELEMENT, FULL_ELEMENT, entropy_distance, hybrid
+from .distance import ALL_PSI, EMPTY_ELEMENT, FULL_ELEMENT, PsiFunction, entropy_distance, hybrid
 from .elements import PHFE, _ltr_sum, canonicalize, complement, pi
 from .entropy import (
     F1,
@@ -31,11 +33,11 @@ from .entropy import (
     entropy_components,
     fuzziness_entropy,
     nonspecificity_entropy,
-    r_kernel,
     weighted_comprehensive,
     _FUZZINESS,
     _NONSPECIFICITY,
     _THETA,
+    _r1,
 )
 from .errors import DegenerateWeightsError
 from .mcdm import CriterionSpec, DecisionMatrix, run_topsis
@@ -50,17 +52,217 @@ class SuiteResult:
     """One suite's verdict: the draws it checked, not those skipped as
     premise-void, and its first counterexample, if any."""
 
-    def __init__(self, name: str, samples: int = 0) -> None:
-        self.name, self.samples, self.counterexample = name, samples, None
+    def __init__(self, name: str) -> None:
+        self.name, self.samples, self.counterexample = name, 0, None
 
     @property
     def passed(self) -> bool:
         return self.counterexample is None
 
-    def fail(self, message: str) -> None:
-        """Record a counterexample; only the first one is kept."""
-        if self.counterexample is None:
-            self.counterexample = message
+
+_R1_F1 = EntropyConfig(R1, F1)
+_R2_F2 = EntropyConfig(R2, F2)
+
+
+def base_entropies(a: PHFE) -> dict[str, float]:
+    """Base entropies of one element by kernel id, each computed exactly once, in three passes."""
+    r1, f1 = entropy_components(a, _R1_F1)
+    r2, f2 = entropy_components(a, _R2_F2)
+    return {"r1": r1, "r2": r2, "f1": f1, "f2": f2, "f3": nonspecificity_entropy(a, F3)}
+
+
+# ---------------------------------------------------------------------------
+# Predicates.  Arguments named ``c`` are complements of ``a``, and ``base``
+# dicts come from base_entropies.
+# ---------------------------------------------------------------------------
+
+
+def canonical_roundtrip(a: PHFE, perm: list) -> str | None:
+    """``canonicalize`` is idempotent on ``a`` and ignores the order ``perm`` of its pairs."""
+    if canonicalize(a) != a:
+        return f"canonicalize not idempotent on {a!r}"
+    if canonicalize(perm) != a:
+        return f"canonicalize depends on input order for {a!r}"
+
+
+def complement_involution(a: PHFE, c: PHFE) -> str | None:
+    """``c = complement(a)`` keeps the probabilities, inverts itself and mirrors the values."""
+    if sorted(c.probs) != sorted(a.probs) or len(c) != len(a):
+        return f"complement changed the probability multiset of {a!r}"
+    if complement(c) != a:
+        return f"complement not involutive on {a!r}"
+    if sorted(c) != sorted((1.0 - v, p) for v, p in a):
+        return f"complement does not reflect the values of {a!r} about 1/2"
+
+
+def entropy_range(a: PHFE, base: dict[str, float]) -> str | None:
+    """Each base entropy, and each theta of a fuzziness and a non-specificity one, is in [0, 1]."""
+    for key, value in base.items():
+        if not 0.0 <= value <= 1.0:
+            return f"{key} entropy of {a!r} = {value!r}"
+    for fuzz in _FUZZINESS:
+        for ns in _NONSPECIFICITY:
+            x, y = base[fuzz], base[ns]
+            for theta, combine in _THETA.items():
+                if not 0.0 <= (e := combine(x, y)) <= 1.0:
+                    return f"comprehensive[{fuzz}:{ns}:{theta}]({a!r}) = {e!r}"
+
+
+def combiner_ordering(a: PHFE, base: dict[str, float]) -> str | None:
+    """max <= probabilistic sum <= bounded sum for every pair of base entropies."""
+    theta_max, theta_psum, theta_bsum = _THETA.values()
+    for fuzz in _FUZZINESS:
+        for ns in _NONSPECIFICITY:
+            x, y = base[fuzz], base[ns]
+            e_max, e_psum, e_bsum = theta_max(x, y), theta_psum(x, y), theta_bsum(x, y)
+            if not e_max <= e_psum <= e_bsum:
+                return (
+                    f"combiner ordering broken on {a!r} [{fuzz}:{ns}]: "
+                    f"{e_max!r}, {e_psum!r}, {e_bsum!r}"
+                )
+
+
+def complement_symmetry(
+    a: PHFE, c: PHFE, base_a: dict[str, float], base_c: dict[str, float]
+) -> str | None:
+    """An element and its complement ``c`` agree within 1e-12 on every measure.
+
+    The r2 kernel as published is not reflection symmetric, so this covers
+    the r1 family, all non-specificity kernels, their combinations, and the
+    baselines (see the documented-deviations section of the report).
+    """
+    for key in ("r1", *_NONSPECIFICITY):
+        if abs(base_a[key] - base_c[key]) > _EXACT_TOL:
+            return f"{key} entropy: {a!r} -> {base_a[key]!r} vs complement {base_c[key]!r}"
+    for ns in _NONSPECIFICITY:
+        for theta, combine in _THETA.items():
+            x, y = combine(base_a["r1"], base_a[ns]), combine(base_c["r1"], base_c[ns])
+            if abs(x - y) > _EXACT_TOL:
+                return f"comprehensive[r1:{ns}:{theta}]: {x!r} vs {y!r} on {a!r}"
+    for fn in (baselines.su_entropy_p1, baselines.su_entropy_p2, baselines.su_entropy_d):
+        if abs((x := fn(a)) - (y := fn(c))) > _EXACT_TOL:
+            return f"{fn.__name__}: {a!r} -> {x!r} vs complement {y!r}"
+
+
+def _monotone(name: str, measure, kernels, a: PHFE, b: PHFE) -> str | None:
+    for kernel in kernels:
+        ea, eb = measure(a, kernel), measure(b, kernel)
+        if ea > eb + _EXACT_TOL:
+            return f"{name}[{kernel.label}] not monotone: {a!r} -> {ea!r} exceeds {b!r} -> {eb!r}"
+
+
+def fuzziness_monotonicity(a: PHFE, b: PHFE) -> str | None:
+    """Fuzziness under r1 and r2 grows from ``a`` to ``b``, whose values sit in
+    [0, 1/2], each at or above ``a``'s, with the same probabilities."""
+    return _monotone("fuzziness", fuzziness_entropy, (R1, R2), a, b)
+
+
+def nonspecificity_monotonicity(a: PHFE, b: PHFE) -> str | None:
+    """Non-specificity under f1, f2 and f3 grows from ``a`` to ``b``, whose pairwise
+    value gaps are each at least ``a``'s, with the same probabilities."""
+    return _monotone("nonspecificity", nonspecificity_entropy, (F1, F2, F3), a, b)
+
+
+def distance_symmetry(a: PHFE, b: PHFE, psi: PsiFunction, ec: float) -> str | None:
+    """``entropy_distance`` is bit-for-bit symmetric and in [0, 1]; ``ec``: the hybrid's entropy."""
+    d_ab = 1.0 - psi(ec)  # entropy_distance(a, b, psi) by its definition
+    d_ba = entropy_distance(b, a, psi)
+    if d_ab != d_ba:
+        return f"distance asymmetric on {a!r}, {b!r}: {d_ab!r} vs {d_ba!r}"
+    if not 0.0 <= d_ab <= 1.0:
+        return f"distance out of range on {a!r}, {b!r}: {d_ab!r}"
+
+
+def psi_endpoint_agreement(a: PHFE, b: PHFE, ec: float) -> str | None:
+    """Every psi variant gives distance zero on the hybrid entropy ``ec``, or none does."""
+    if len({1.0 - p(ec) == 0.0 for p in ALL_PSI}) != 1:
+        return f"psi variants disagree on zero distance for {a!r}, {b!r}"
+
+
+def pi_symmetry(p: float, q: float) -> str | None:
+    """``pi`` is symmetric bit for bit and lies in (0, 1]."""
+    if (left := pi(p, q)) != pi(q, p):
+        return f"pi({p!r}, {q!r}) != pi({q!r}, {p!r})"
+    if not 0.0 < left <= 1.0:
+        return f"pi({p!r}, {q!r}) = {left!r} outside (0, 1]"
+
+
+def theta_contract(x: float, y: float, z: float) -> str | None:
+    """Each combiner fixes 0 and 1 against 0, commutes, and is monotone from ``y`` to ``z >= y``."""
+    for theta, combine in _THETA.items():
+        for edge in (0.0, 1.0):
+            if combine(edge, 0.0) != edge:
+                return f"theta[{theta}]({edge}, 0) != {edge}"
+        if combine(x, y) != combine(y, x):
+            return f"theta[{theta}] not commutative at ({x!r}, {y!r})"
+        if combine(x, y) > combine(x, z) + _EXACT_TOL:
+            return f"theta[{theta}] not monotone at ({x!r}, {y!r} -> {z!r})"
+
+
+def singleton_self_distance(s: PHFE) -> str | None:
+    """A singleton is at distance exactly zero from itself under every psi."""
+    for psi in ALL_PSI:
+        if (d := entropy_distance(s, s, psi)) != 0.0:
+            return f"distance({s!r}, {s!r}) = {d!r} with psi={psi.label}"
+
+
+def weights_and_closeness(matrix: DecisionMatrix) -> str | None:
+    """Weights are non-negative and sum to one, closeness lies in [0, 1], and the
+    ranking sorts it; the weights may be refused only if every cell has entropy one."""
+    try:
+        result = run_topsis(matrix)
+    except DegenerateWeightsError:
+        if any(comprehensive_entropy(c) != 1.0 for row in matrix.cells for c in row):
+            return f"weights refused although some cell has entropy below 1: {matrix.cells!r}"
+        return None
+    w = result.weights.normalized
+    if any(x < 0.0 for x in w):
+        return f"negative weight in {w!r}"
+    if abs((total := _ltr_sum(w)) - 1.0) > 1e-9:
+        return f"weights sum to {total!r}"
+    if any(not 0.0 <= c <= 1.0 for c in result.closeness):
+        return f"closeness out of range: {result.closeness!r}"
+    ordered = [result.closeness[i] for i in result.ranking]
+    if any(x < y for x, y in zip(ordered, ordered[1:])):
+        return f"ranking not sorted by closeness: {result.ranking!r}"
+
+
+def boundary_exactness() -> str | None:
+    """Exact values the measures must hit at the distinguished elements."""
+    half = canonicalize([(0.5, 1.0)])
+    split = canonicalize([(0.0, 0.5), (1.0, 0.5)])
+    checks = [
+        ("fuzziness({0|1})", fuzziness_entropy(EMPTY_ELEMENT), 0.0),
+        ("fuzziness({1|1})", fuzziness_entropy(FULL_ELEMENT), 0.0),
+        ("fuzziness({0.5|1})", fuzziness_entropy(half), 1.0),
+        ("nonspecificity singleton", nonspecificity_entropy(half), 0.0),
+        ("nonspecificity({0|.5,1|.5})", nonspecificity_entropy(split), 1.0),
+    ]
+    for label, got, want in checks:
+        if got != want:
+            return f"{label} = {got!r}"
+    # The split element must sit strictly between the crisp extremes in
+    # fuzziness; its exact value is the 0-1 kernel value over six.
+    split_fuzz = fuzziness_entropy(split)
+    if not 0.0 < split_fuzz < 1.0 or abs(split_fuzz - _r1(0.0, 1.0, 1.0) / 6.0) > _EXACT_TOL:
+        return f"fuzziness({split!r}) = {split_fuzz!r}"
+
+
+def multi_valued_self_distance(a: PHFE) -> str | None:
+    """A multi-valued element stays at a positive distance from itself.
+
+    Its hybrid with itself holds off-diagonal entries below 1/2, so the
+    comprehensive entropy stays below one: a property of the published
+    construction, documented rather than patched.
+    """
+    if not (d := entropy_distance(a, a)) > 0.0:
+        return f"distance({a!r}, itself) = {d!r}"
+
+
+# ---------------------------------------------------------------------------
+# Seeded draws.  A draw for one predicate returns its arguments, or None
+# where it voids the premise; passes over shared inputs return whole rows.
+# ---------------------------------------------------------------------------
 
 
 def _distinct_ticks(rng: random.Random, length: int, low: int, high: int) -> list[int]:
@@ -94,23 +296,6 @@ def random_phfe(rng: random.Random, max_len: int = 6) -> PHFE:
     return _random_simplex_element(rng, [t / _GRID for t in sorted(ticks)])
 
 
-_R1_F1 = EntropyConfig(R1, F1)
-_R2_F2 = EntropyConfig(R2, F2)
-
-
-def _bases(a: PHFE) -> dict[str, float]:
-    """Base entropies of one element, each computed exactly once, in three passes."""
-    r1, f1 = entropy_components(a, _R1_F1)
-    r2, f2 = entropy_components(a, _R2_F2)
-    return {"r1": r1, "r2": r2, "f1": f1, "f2": f2, "f3": nonspecificity_entropy(a, F3)}
-
-
-# ---------------------------------------------------------------------------
-# Pass over the shared element corpus: canonical-form, complement, range,
-# symmetry, and combiner suites all consume the same elements.
-# ---------------------------------------------------------------------------
-
-
 #: Hand-picked elements sitting on the boundary of the entropy ranges;
 #: the corpus pass always checks these before the random stream.
 def _edge_elements() -> list[PHFE]:
@@ -127,105 +312,29 @@ def _edge_elements() -> list[PHFE]:
     ]
 
 
-def _corpus_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
-    roundtrip = SuiteResult("canonical form roundtrip", samples)
-    involution = SuiteResult("complement involution", samples)
-    ranges = SuiteResult("entropy range", samples)
-    symmetry = SuiteResult("complement symmetry", samples)
-    ordering = SuiteResult("combiner ordering", samples)
-
+def _corpus(rng: random.Random, samples: int):
+    """Rows of the five suites over one corpus, sharing each element's complement and entropies."""
     edges = _edge_elements()
     for index in range(samples):
         a = edges[index] if index < len(edges) else random_phfe(rng)
-
-        if canonicalize(a) != a:
-            roundtrip.fail(f"canonicalize not idempotent on {a!r}")
         perm = list(a)
         rng.shuffle(perm)
-        if canonicalize(perm) != a:
-            roundtrip.fail(f"canonicalize depends on input order for {a!r}")
-
         c = complement(a)
-        if sorted(c.probs) != sorted(a.probs) or len(c) != len(a):
-            involution.fail(f"complement changed the probability multiset of {a!r}")
-        elif complement(c) != a:
-            involution.fail(f"complement not involutive on {a!r}")
-        elif sorted(c) != sorted((1.0 - v, p) for v, p in a):
-            involution.fail(f"complement does not reflect the values of {a!r} about 1/2")
-
-        base_a = _bases(a)
-        base_c = _bases(c)
-
-        for key, value in base_a.items():
-            if not 0.0 <= value <= 1.0:
-                ranges.fail(f"{key} entropy of {a!r} = {value!r}")
-        for fuzz in _FUZZINESS:
-            for ns in _NONSPECIFICITY:
-                combined = [theta(base_a[fuzz], base_a[ns]) for theta in _THETA.values()]
-                for theta, e in zip(_THETA, combined):
-                    if not 0.0 <= e <= 1.0:
-                        ranges.fail(f"comprehensive[{fuzz}:{ns}:{theta}]({a!r}) = {e!r}")
-                e_max, e_psum, e_bsum = combined
-                if not e_max <= e_psum <= e_bsum:
-                    ordering.fail(
-                        f"combiner ordering broken on {a!r} [{fuzz}:{ns}]: "
-                        f"{e_max!r}, {e_psum!r}, {e_bsum!r}"
-                    )
-
-        # The r2 kernel as published is not reflection symmetric, so the
-        # exactness suite covers the r1 family, all non-specificity
-        # kernels, their combinations, and the baselines (see the
-        # documented-deviations section of the report).
-        for key in ("r1", *_NONSPECIFICITY):
-            if abs(base_a[key] - base_c[key]) > _EXACT_TOL:
-                symmetry.fail(
-                    f"{key} entropy: {a!r} -> {base_a[key]!r} vs complement {base_c[key]!r}"
-                )
-        for ns in _NONSPECIFICITY:
-            for theta, combine in _THETA.items():
-                x = combine(base_a["r1"], base_a[ns])
-                y = combine(base_c["r1"], base_c[ns])
-                if abs(x - y) > _EXACT_TOL:
-                    symmetry.fail(f"comprehensive[r1:{ns}:{theta}]: {x!r} vs {y!r} on {a!r}")
-        for fn in (baselines.su_entropy_p1, baselines.su_entropy_p2, baselines.su_entropy_d):
-            x, y = fn(a), fn(c)
-            if abs(x - y) > _EXACT_TOL:
-                symmetry.fail(f"{fn.__name__}: {a!r} -> {x!r} vs complement {y!r}")
-
-    return [roundtrip, involution, ranges, symmetry, ordering]
+        base_a, base_c = base_entropies(a), base_entropies(c)
+        yield (
+            canonical_roundtrip(a, perm),
+            complement_involution(a, c),
+            entropy_range(a, base_a),
+            complement_symmetry(a, c, base_a, base_c),
+            combiner_ordering(a, base_a),
+        )
 
 
-# ---------------------------------------------------------------------------
-# Pass over random element pairs: distance suites.
-# ---------------------------------------------------------------------------
-
-
-def _distance_pass(rng: random.Random, samples: int) -> list[SuiteResult]:
-    symmetry = SuiteResult("distance symmetry and range", samples)
-    endpoints = SuiteResult("psi endpoint agreement", samples)
-
-    for _ in range(samples):
-        a, b = random_phfe(rng), random_phfe(rng)
-        psi = rng.choice(ALL_PSI)
-        # d_ab is entropy_distance by its definition; ec also feeds the psi check.
-        ec = weighted_comprehensive(*hybrid(a, b))
-        d_ab = 1.0 - psi(ec)
-        d_ba = entropy_distance(b, a, psi)
-        if d_ab != d_ba:
-            symmetry.fail(f"distance asymmetric on {a!r}, {b!r}: {d_ab!r} vs {d_ba!r}")
-        if not 0.0 <= d_ab <= 1.0:
-            symmetry.fail(f"distance out of range on {a!r}, {b!r}: {d_ab!r}")
-
-        flags = {1.0 - p(ec) == 0.0 for p in ALL_PSI}
-        if len(flags) != 1:
-            endpoints.fail(f"psi variants disagree on zero distance for {a!r}, {b!r}")
-
-    return [symmetry, endpoints]
-
-
-# ---------------------------------------------------------------------------
-# Constructed-pair monotonicity suites.
-# ---------------------------------------------------------------------------
+def _distance_row(rng: random.Random) -> tuple:
+    """Row of the two distance suites for one random pair."""
+    a, b, psi = random_phfe(rng), random_phfe(rng), rng.choice(ALL_PSI)
+    ec = weighted_comprehensive(*hybrid(a, b))  # the hybrid entropy, once per pair
+    return distance_symmetry(a, b, psi, ec), psi_endpoint_agreement(a, b, ec)
 
 
 def _shrunk_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
@@ -253,166 +362,75 @@ def _contracted_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
     return canonicalize(zip(a_values, b.probs)), b
 
 
-def _monotonicity(rng: random.Random, samples: int, kernels, measure, draw) -> SuiteResult:
-    """``measure(a, k) <= measure(b, k)`` for every kernel and each drawn pair ``(a, b)``."""
-    name = measure.__name__.removesuffix("_entropy")
-    col = SuiteResult(f"{name} monotonicity")
-    for _ in range(samples):
-        pair = draw(rng)
-        if pair is None:
-            continue  # premise void
-        col.samples += 1
-        a, b = pair
-        for kernel in kernels:
-            ea, eb = measure(a, kernel), measure(b, kernel)
-            if ea > eb + _EXACT_TOL:
-                col.fail(
-                    f"{name}[{kernel.label}] not monotone: {a!r} -> {ea!r} "
-                    f"exceeds {b!r} -> {eb!r}"
-                )
-    return col
+def _probabilities(rng: random.Random) -> tuple[float, float]:
+    return rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0)
 
 
-# ---------------------------------------------------------------------------
-# Small scalar suites.
-# ---------------------------------------------------------------------------
+def _theta_triple(rng: random.Random) -> tuple[float, float, float]:
+    x, y = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+    return x, y, rng.uniform(y, 1.0)
 
 
-def _pi_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = SuiteResult("pi symmetry and range", samples)
-    for _ in range(samples):
-        a = rng.uniform(1e-9, 1.0)
-        b = rng.uniform(1e-9, 1.0)
-        left, right = pi(a, b), pi(b, a)
-        if left != right:
-            col.fail(f"pi({a!r}, {b!r}) != pi({b!r}, {a!r})")
-        elif not 0.0 < left <= 1.0:
-            col.fail(f"pi({a!r}, {b!r}) = {left!r} outside (0, 1]")
-    return col
+def _singleton(rng: random.Random) -> tuple[PHFE]:
+    return (canonicalize([(rng.randrange(0, _GRID + 1) / _GRID, 1.0)]),)
 
 
-def _theta_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = SuiteResult("theta contract", samples)
-    for _ in range(samples):
-        x = rng.uniform(0.0, 1.0)
-        y = rng.uniform(0.0, 1.0)
-        z = rng.uniform(y, 1.0)
-        for theta, combine in _THETA.items():
-            for edge in (0.0, 1.0):
-                if combine(edge, 0.0) != edge:
-                    col.fail(f"theta[{theta}]({edge}, 0) != {edge}")
-            if combine(x, y) != combine(y, x):
-                col.fail(f"theta[{theta}] not commutative at ({x!r}, {y!r})")
-            if combine(x, y) > combine(x, z) + _EXACT_TOL:
-                col.fail(f"theta[{theta}] not monotone at ({x!r}, {y!r} -> {z!r})")
-    return col
+def _matrix(rng: random.Random) -> tuple[DecisionMatrix]:
+    m = rng.randrange(2, 5)
+    n = rng.randrange(1, 5)
+    cells = tuple(tuple(random_phfe(rng, max_len=4) for _ in range(n)) for _ in range(m))
+    kinds = ["benefit" if rng.random() < 0.7 else "cost" for _ in range(n)]
+    criteria = tuple(CriterionSpec(f"c{j + 1}", kind) for j, kind in enumerate(kinds))
+    return (DecisionMatrix(tuple(f"x{i + 1}" for i in range(m)), criteria, cells),)
 
 
-def _singleton_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = SuiteResult("singleton self-distance", samples)
-    for _ in range(samples):
-        g = rng.randrange(0, _GRID + 1) / _GRID
-        s = canonicalize([(g, 1.0)])
-        for psi in ALL_PSI:
-            d = entropy_distance(s, s, psi)
-            if d != 0.0:
-                col.fail(f"distance({s!r}, {s!r}) = {d!r} with psi={psi.label}")
-    return col
-
-
-def _weights_suite(rng: random.Random, samples: int) -> SuiteResult:
-    col = SuiteResult("weights and closeness", samples)
-    for _ in range(samples):
-        m = rng.randrange(2, 5)
-        n = rng.randrange(1, 5)
-        cells = tuple(
-            tuple(random_phfe(rng, max_len=4) for _ in range(n)) for _ in range(m)
-        )
-        kinds = ["benefit" if rng.random() < 0.7 else "cost" for _ in range(n)]
-        matrix = DecisionMatrix(
-            tuple(f"x{i + 1}" for i in range(m)),
-            tuple(CriterionSpec(f"c{j + 1}", kinds[j]) for j in range(n)),
-            cells,
-        )
-        try:
-            result = run_topsis(matrix)
-        except DegenerateWeightsError:
-            # The refusal is correct only when every cell has entropy one;
-            # either way the draw counts as checked.
-            if any(comprehensive_entropy(c) != 1.0 for row in cells for c in row):
-                col.fail(f"weights refused although some cell has entropy below 1: {cells!r}")
-            continue
-        w = result.weights
-        if any(x < 0.0 for x in w.normalized):
-            col.fail(f"negative weight in {w.normalized!r}")
-        elif abs((total := _ltr_sum(w.normalized)) - 1.0) > 1e-9:
-            col.fail(f"weights sum to {total!r}")
-        if any(not 0.0 <= c <= 1.0 for c in result.closeness):
-            col.fail(f"closeness out of range: {result.closeness!r}")
-        ordered = [result.closeness[i] for i in result.ranking]
-        if any(x < y for x, y in zip(ordered, ordered[1:])):
-            col.fail(f"ranking not sorted by closeness: {result.ranking!r}")
-    return col
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point checks.
-# ---------------------------------------------------------------------------
-
-
-def _boundary_suite() -> SuiteResult:
-    """Exact values the measures must hit at the distinguished elements."""
-    half = canonicalize([(0.5, 1.0)])
-    split = canonicalize([(0.0, 0.5), (1.0, 0.5)])
-    checks = [
-        ("fuzziness({0|1})", fuzziness_entropy(EMPTY_ELEMENT), 0.0),
-        ("fuzziness({1|1})", fuzziness_entropy(FULL_ELEMENT), 0.0),
-        ("fuzziness({0.5|1})", fuzziness_entropy(half), 1.0),
-        ("nonspecificity singleton", nonspecificity_entropy(half), 0.0),
-        ("nonspecificity({0|.5,1|.5})", nonspecificity_entropy(split), 1.0),
-    ]
-    col = SuiteResult("boundary exactness", 1)
-    for label, got, want in checks:
-        if got != want:
-            col.fail(f"{label} = {got!r}")
-    # The split element must sit strictly between the crisp extremes in
-    # fuzziness; its exact value is the 0-1 kernel value over six.
-    split_fuzz = fuzziness_entropy(split)
-    expected = r_kernel(R1, 0.0, 1.0) / 6.0
-    if not (0.0 < split_fuzz < 1.0) or abs(split_fuzz - expected) > _EXACT_TOL:
-        col.fail(f"fuzziness({split!r}) = {split_fuzz!r}")
-    return col
+def _each(predicate, draw, rng: random.Random, count: int):
+    """Rows of one suite: ``(predicate(*args),)`` per draw ``args = draw(rng)`` that is not None."""
+    return ((predicate(*args),) for args in (draw(rng) for _ in range(count)) if args is not None)
 
 
 def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
     """Run every suite; pass ``k`` draws from ``random.Random(f"{seed}:{k}")``.
 
     Each result counts the draws its suite checked, fewer than ``samples``
-    where a draw voids the suite's premise.  The suites call ``complement``
-    by this module's name, so a test can patch ``phfe.verify.complement``
-    with a wrong one and check that the suites catch it.
+    where a draw voids the suite's premise.  The predicates call these
+    operations by their ``phfe.verify`` names, so a test can patch one with
+    a wrong version and check that the suites catch it: ``canonicalize``,
+    ``complement``, ``pi``, ``entropy_distance``, ``fuzziness_entropy``,
+    ``nonspecificity_entropy``, ``comprehensive_entropy``, ``run_topsis``,
+    ``ALL_PSI`` and ``_THETA``.
     """
     rng = [random.Random(f"{seed}:{k}") for k in range(8)]
+    passes = {  # suite names: one row of messages per checked draw
+        (
+            "canonical form roundtrip", "complement involution", "entropy range",
+            "complement symmetry", "combiner ordering",
+        ): _corpus(rng[0], samples),
+        ("fuzziness monotonicity",): _each(fuzziness_monotonicity, _shrunk_pair, rng[1], samples),
+        ("nonspecificity monotonicity",): _each(
+            nonspecificity_monotonicity, _contracted_pair, rng[2], samples
+        ),
+        ("distance symmetry and range", "psi endpoint agreement"): (
+            _distance_row(rng[3]) for _ in range(samples)
+        ),
+        ("pi symmetry and range",): _each(pi_symmetry, _probabilities, rng[4], samples),
+        ("theta contract",): _each(theta_contract, _theta_triple, rng[5], samples),
+        ("singleton self-distance",): _each(singleton_self_distance, _singleton, rng[6], samples),
+        ("weights and closeness",): _each(
+            weights_and_closeness, _matrix, rng[7], max(1, samples // 20)
+        ),
+        ("boundary exactness",): [(boundary_exactness(),)],
+        ("multi-valued self-distance stays positive (documented)",): [
+            (multi_valued_self_distance(canonicalize([(0.3, 0.5), (0.7, 0.5)])),)
+        ],
+    }
     results: list[SuiteResult] = []
-    results.extend(_corpus_pass(rng[0], samples))
-    results.append(_monotonicity(rng[1], samples, (R1, R2), fuzziness_entropy, _shrunk_pair))
-    results.append(
-        _monotonicity(rng[2], samples, (F1, F2, F3), nonspecificity_entropy, _contracted_pair)
-    )
-    results.extend(_distance_pass(rng[3], samples))
-    results.append(_pi_suite(rng[4], samples))
-    results.append(_theta_suite(rng[5], samples))
-    results.append(_singleton_suite(rng[6], samples))
-    results.append(_weights_suite(rng[7], max(1, samples // 20)))
-    results.append(_boundary_suite())
-
-    # The hybrid of a multi-valued element with itself holds off-diagonal
-    # entries below 1/2, so its comprehensive entropy stays below one and the
-    # self-distance does not vanish: a property of the published construction,
-    # shown on a fixed witness.
-    documented = SuiteResult("multi-valued self-distance stays positive (documented)", 1)
-    witness = canonicalize([(0.3, 0.5), (0.7, 0.5)])
-    if not (self_distance := entropy_distance(witness, witness)) > 0.0:
-        documented.fail(f"distance({witness!r}, itself) = {self_distance!r}")
-    results.append(documented)
+    for names, rows in passes.items():
+        suites = [SuiteResult(name) for name in names]
+        for row in rows:
+            for suite, message in zip(suites, row):
+                suite.samples += 1
+                if suite.counterexample is None:
+                    suite.counterexample = message
+        results += suites
     return results

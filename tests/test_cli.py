@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import phfe.verify
 from phfe.baselines import expectation
 from phfe.cli import build_parser, main
-from phfe.distance import ALL_PSI
-from phfe.elements import canonicalize
+from phfe.distance import ALL_PSI, entropy_distance
+from phfe.elements import canonicalize, pi
 from phfe.mcdm import parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
 from phfe.verify import random_phfe
@@ -481,6 +481,16 @@ def corrupted_complement(a):
     return canonicalize(shifted)
 
 
+def asymmetric_pi(a, b):
+    """``pi`` raised by 1e-15 where ``a > b``, patched into ``phfe.verify.pi``."""
+    return pi(a, b) + 1e-15 if a > b else pi(a, b)
+
+
+def offset_distance(a, b, *args):
+    """``entropy_distance`` plus 2**-52, patched into ``phfe.verify.entropy_distance``."""
+    return entropy_distance(a, b, *args) + 2**-52
+
+
 class TestAxiomsCommand:
     def test_small_run_passes(self, capsys):
         assert main(["axioms", "--seed", "7", "--samples", "60"]) == 0
@@ -528,25 +538,44 @@ class TestAxiomsCommand:
             0,
             "e03bda014a76ba4e85074423d7835429ae2f00fc896c9c27ad8d5a9e3bbd837e",
         ),
-        # Prints counterexamples, so it also pins message text and check order.
+        # Mutants print counterexamples, so they also pin message text and check order.
         (
             ["axioms", "--seed", "7", "--samples", "60"],
-            corrupted_complement,
+            ("complement", corrupted_complement),
             1,
             "62cb731089484c55cdeb1b4ce4d912c0701c82f39324d750d4aff7ac43623847",
         ),
+        (
+            ["axioms", "--seed", "7", "--samples", "60"],
+            ("pi", asymmetric_pi),
+            1,
+            "2c5bb44200eeff85b7d8c4ac1cf604dad19df65614796efef7eea71309be0f24",
+        ),
+        (
+            ["axioms", "--seed", "7", "--samples", "60"],
+            ("entropy_distance", offset_distance),
+            1,
+            "9b053fa70a128fa107c4a2f1a9d7a778e228eeba818491c7df9f0443d16ab2ab",
+        ),
     ],
-    ids=["reproduce", "reproduce-strict", "axioms", "axioms-mutate-complement"],
+    ids=[
+        "reproduce",
+        "reproduce-strict",
+        "axioms",
+        "axioms-mutate-complement",
+        "axioms-mutate-pi",
+        "axioms-mutate-distance",
+    ],
 )
 def test_stdout_digest(monkeypatch, capsys, argv, mutant, code, digest):
     """SHA-256 of stdout pins the report and the axiom output byte for byte.
 
-    A ``mutant`` replaces ``phfe.verify.complement`` for the run.  A changed
-    digest means the output changed; update one only together with a
-    CHANGES.md line that says why.
+    A ``mutant`` ``(name, function)`` replaces ``phfe.verify.<name>`` for the
+    run.  A changed digest means the output changed; update one only
+    together with a CHANGES.md line that says why.
     """
     if mutant is not None:
-        monkeypatch.setattr(phfe.verify, "complement", mutant)
+        monkeypatch.setattr(phfe.verify, *mutant)
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

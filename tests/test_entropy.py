@@ -24,13 +24,11 @@ from phfe import (
     canonicalize,
     complement,
     comprehensive_entropy,
-    f_kernel,
     fuzziness_entropy,
     measure_value,
     nonspecificity_entropy,
     parse_measure,
     pi,
-    r_kernel,
     su_entropy_d,
     su_entropy_p2,
 )
@@ -46,20 +44,19 @@ H5 = canonicalize([(0.2, 0.5), (0.8, 0.5)])
 
 class TestKernels:
     def test_r1_peak_only_at_half(self):
-        assert r_kernel(R1, 0.5, 0.5) == 1.0
-        assert r_kernel(R1, 0.0, 0.0) == 0.0
-        assert r_kernel(R1, 1.0, 1.0) == 0.0
+        assert _FUZZINESS["r1"](0.5, 0.5, 1.0) == 1.0
+        assert _FUZZINESS["r1"](0.0, 0.0, 1.0) == 0.0
+        assert _FUZZINESS["r1"](1.0, 1.0, 1.0) == 0.0
 
     def test_r1_point_value(self):
         # First factor 1 - 1.52/3, second 1 - 0.88/3.
-        assert r_kernel(R1, 0.7, 0.9) == pytest.approx(0.348622222222, abs=1e-12)
+        assert _FUZZINESS["r1"](0.7, 0.9, 1.0) == pytest.approx(0.348622222222, abs=1e-12)
 
     def test_r1_zero_one(self):
-        assert r_kernel(R1, 0.0, 1.0) == pytest.approx(4.0 / 9.0, abs=1e-12)
+        assert _FUZZINESS["r1"](0.0, 1.0, 1.0) == pytest.approx(4.0 / 9.0, abs=1e-12)
 
     def test_r1_exponent(self):
-        k = FuzzinessKernel("r1", 2.0)
-        x = r_kernel(k, 0.7, 0.9)
+        x = _FUZZINESS["r1"](0.7, 0.9, 2.0)
         assert x == pytest.approx((1 - (1.52 / 3) ** 2) * (1 - (0.88 / 3) ** 2), abs=1e-12)
 
     def test_r1_equals_its_power_form_bit_for_bit(self):
@@ -88,39 +85,35 @@ class TestKernels:
         # The two published kernels coincide wherever the value product
         # is at least 1/3; every pair in the first reference table
         # satisfies that, which is why both rows order identically.
+        r1, r2 = _FUZZINESS["r1"], _FUZZINESS["r2"]
         for x, y in [(0.7, 0.9), (0.6, 0.9), (0.9, 0.9), (0.5, 0.7)]:
-            assert r_kernel(R2, x, y) == pytest.approx(r_kernel(R1, x, y), abs=1e-12)
+            assert r2(x, y, 1.0) == pytest.approx(r1(x, y, 1.0), abs=1e-12)
 
     def test_r2_differs_inside_window(self):
-        assert r_kernel(R2, 0.5, 0.58) != pytest.approx(r_kernel(R1, 0.5, 0.58), abs=1e-6)
+        r1, r2 = _FUZZINESS["r1"], _FUZZINESS["r2"]
+        assert r2(0.5, 0.58, 1.0) != pytest.approx(r1(0.5, 0.58, 1.0), abs=1e-6)
 
     def test_r2_published_form_peaks_below_one(self):
         # Documented deviation: the published r2 evaluates to 5/6 at the
         # midpoint, so it cannot satisfy the peak axiom.
-        assert r_kernel(R2, 0.5, 0.5) == pytest.approx(5.0 / 6.0, abs=1e-12)
+        assert _FUZZINESS["r2"](0.5, 0.5, 1.0) == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_r2_published_form_not_reflection_symmetric(self):
         # Documented deviation: R(x, y) != R(1-y, 1-x) on part of the square.
-        assert r_kernel(R2, 0.5, 0.4) == pytest.approx(0.746666666667, abs=1e-9)
-        assert r_kernel(R2, 0.6, 0.5) == pytest.approx(0.808888888889, abs=1e-9)
+        assert _FUZZINESS["r2"](0.5, 0.4, 1.0) == pytest.approx(0.746666666667, abs=1e-9)
+        assert _FUZZINESS["r2"](0.6, 0.5, 1.0) == pytest.approx(0.808888888889, abs=1e-9)
 
     def test_f_kernels_zero_iff_equal(self):
-        for kernel in (F1, F2, F3):
-            assert f_kernel(kernel, 0.37, 0.37) == 0.0
-            assert f_kernel(kernel, 0.2, 0.3) > 0.0
+        for kernel in _NONSPECIFICITY.values():
+            assert kernel(0.37, 0.37) == 0.0
+            assert kernel(0.2, 0.3) > 0.0
 
     def test_f_kernels_boundary_one(self):
-        for kernel in (F1, F2, F3):
-            assert f_kernel(kernel, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        for kernel in _NONSPECIFICITY.values():
+            assert kernel(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_f1_point_value(self):
-        assert f_kernel(F1, 0.4, 0.6) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_kernel_domain_checks(self):
-        with pytest.raises(OutOfRangeError):
-            r_kernel(R1, -0.1, 0.5)
-        with pytest.raises(OutOfRangeError):
-            f_kernel(F1, 0.5, 1.1)
+        assert _NONSPECIFICITY["f1"](0.4, 0.6) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_unknown_variants(self):
         with pytest.raises(UnknownMeasureError):
@@ -157,13 +150,13 @@ class TestFuzzinessEntropy:
     def test_split_element_sits_strictly_between(self):
         split = canonicalize([(0.0, 0.5), (1.0, 0.5)])
         value = fuzziness_entropy(split)
-        assert value == pytest.approx(r_kernel(R1, 0.0, 1.0) / 6.0, abs=1e-15)
+        assert value == pytest.approx(_FUZZINESS["r1"](0.0, 1.0, 1.0) / 6.0, abs=1e-15)
         assert 0.0 < value < 1.0
 
     def test_diagonal_terms_contribute(self):
         # A singleton reduces to the kernel value itself.
         a = canonicalize([(0.3, 1.0)])
-        assert fuzziness_entropy(a) == pytest.approx(r_kernel(R1, 0.3, 0.3), abs=1e-15)
+        assert fuzziness_entropy(a) == pytest.approx(_FUZZINESS["r1"](0.3, 0.3, 1.0), abs=1e-15)
 
     def test_permutation_invariance(self):
         a = canonicalize([(0.2, 0.3), (0.7, 0.45), (0.4, 0.25)])
