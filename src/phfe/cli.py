@@ -13,9 +13,10 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .distance import ALL_PSI, PsiFunction, entropy_distance
+from .distance import ALL_PSI, PSI_IDENTITY, PsiFunction, entropy_distance
 from .elements import PHFE, format_number, parse_phfe_list
 from .entropy import (
+    DEFAULT_CONFIG,
     EntropyConfig,
     Measure,
     entropy_components,
@@ -76,14 +77,14 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
 
 def _cmd_entropy(args) -> int:
     phfes = parse_phfe_list(_read_json(args.input))
-    ids = [m for chunk in args.measure for m in chunk.split(",") if m]
-    if not ids:
-        ids = ["r1", "f1", "r1:f1:max"]
-    measures = [parse_measure(text, args.r) for text in ids]
+    ids = [m for chunk in args.measure for m in chunk.split(",") if m] or [
+        DEFAULT_CONFIG.fuzziness.label, DEFAULT_CONFIG.nonspecificity.label, DEFAULT_CONFIG.label
+    ]
+    measures = [parse_measure(text) for text in ids]
     rows = []
     for index, a in enumerate(phfes):
         for text, measure in zip(ids, measures):
-            # A kernel or config prints its label, which carries --r (r1@r=2); a baseline has none.
+            # A kernel or config prints its label, exponent included (r1@r=2); a baseline has none.
             row = {"element": repr(a), "index": index, "measure": getattr(measure, "label", text)}
             row.update(_round6(_measure_row(measure, a)))
             rows.append(row)
@@ -98,7 +99,7 @@ def _cmd_distance(args) -> int:
     phfes = parse_phfe_list(_read_json(args.input))
     if len(phfes) < 2:
         raise PhfeError("distance needs at least two elements in the input")
-    config = EntropyConfig.from_string(args.config, args.r)
+    config = EntropyConfig.from_string(args.config)
     psi = PsiFunction(args.psi)
     rows = []
     for i, a in enumerate(phfes):
@@ -117,7 +118,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_topsis(args) -> int:
     matrix = parse_decision_matrix(_read_json(args.input))
-    config = EntropyConfig.from_string(args.config, args.r)
+    config = EntropyConfig.from_string(args.config)
     psi = PsiFunction(args.psi)
     result = run_topsis(matrix, config, psi)
     if args.format == "json":
@@ -177,11 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by the commands that read an input file, and by the two that take a config.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="JSON elements (topsis: a decision matrix)")
-    common.add_argument("--r", type=float, default=1.0, help="exponent for the r1 kernel")
     common.add_argument("--format", choices=("json", "table", "csv"), default="table")
     pipeline = argparse.ArgumentParser(add_help=False, parents=[common])
-    pipeline.add_argument("--config", default="r1:f1:max", help="entropy config id")
-    pipeline.add_argument("--psi", choices=sorted(p.label for p in ALL_PSI), default="id")
+    pipeline.add_argument("--config", default=DEFAULT_CONFIG.label, help="entropy config id")
+    psi_labels = sorted(p.label for p in ALL_PSI)
+    pipeline.add_argument("--psi", choices=psi_labels, default=PSI_IDENTITY.label)
 
     p_entropy = sub.add_parser(
         "entropy", parents=[common], help="evaluate entropy measures on elements"
@@ -190,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--measure",
         action="append",
         default=[],
-        help="measure id (repeatable or comma-separated): r1, r2, f1..f3, "
-        "su-p1, su-p2, su-d, or a comprehensive config like r1:f2:max@r=1",
+        help="measure id (repeatable or comma-separated): r1, r2, f1..f3, su-p1, su-p2, "
+        "su-d, or a comprehensive config like r1:f2:max; r1@r=2 sets the r1 exponent",
     )
     p_entropy.set_defaults(fn=_cmd_entropy)
     for name, fn, text in (

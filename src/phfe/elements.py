@@ -246,7 +246,7 @@ def json_number(obj: Mapping, key: str, integral: bool = False) -> int | float:
     value = obj[key]
     # json.load yields exactly these two types for numbers; bool is refused.
     if type(value) not in (float, int):
-        raise ParseError(f'"{key}" must be a number, got {json.dumps(value, default=repr)}')
+        raise ParseError(f'"{key}" must be a number, got {json.dumps(value, default=repr):.40}')
     if type(value) is int and abs(value) > sys.float_info.max:
         raise ParseError(f'"{key}" is an integer beyond the float range')
     if not integral:

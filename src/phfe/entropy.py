@@ -145,9 +145,9 @@ class EntropyConfig(Frozen):
         self.__dict__.update(fuzziness=fuzziness, nonspecificity=nonspecificity, theta=theta)
 
     @classmethod
-    def from_string(cls, text: str, r: float = 1.0) -> "EntropyConfig":
-        """Parse a config id like ``r1:f2:max`` or ``r1:f1:bsum@r=2``; ``r`` as in parse_measure."""
-        config = parse_measure(text, r)
+    def from_string(cls, text: str) -> "EntropyConfig":
+        """Parse a config id like ``r1:f2:max`` or ``r1:f1:bsum@r=2``."""
+        config = parse_measure(text)
         if not isinstance(config, cls):
             raise UnknownMeasureError(f"bad entropy config {text!r}")
         return config
@@ -162,9 +162,10 @@ DEFAULT_CONFIG = EntropyConfig()
 
 
 def all_configs(r: float = 1.0) -> list[EntropyConfig]:
-    """All 18 kernel/combiner combinations, in a fixed documented order."""
+    """All 18 kernel/combiner combinations, r1 at exponent ``r``, in a fixed documented order."""
     return [
-        parse_measure(f"{fuzz}:{ns}:{theta}", r)
+        EntropyConfig(FuzzinessKernel(fuzz, r if fuzz == "r1" else 1.0),
+                      NonSpecificityKernel(ns), ThetaCombiner(theta))
         for theta in _THETA
         for fuzz in _FUZZINESS
         for ns in _NONSPECIFICITY
@@ -181,7 +182,7 @@ _BASELINES = {"su-p1": su_entropy_p1, "su-p2": su_entropy_p2, "su-d": su_entropy
 Measure = Callable[[PHFE], float] | FuzzinessKernel | NonSpecificityKernel | EntropyConfig
 
 
-def parse_measure(text: str, r: float = 1.0) -> Measure:
+def parse_measure(text: str) -> Measure:
     """Parse a measure id into the object that evaluates it.
 
     ::
@@ -191,26 +192,24 @@ def parse_measure(text: str, r: float = 1.0) -> Measure:
         f1 | f2 | f3                             NonSpecificityKernel
         <r1|r2>:<f1|f2|f3>:<max|psum|bsum>[@r=x] EntropyConfig
 
-    ``r`` is the r1 exponent of an id without ``@r=``; an explicit suffix
-    beats it.  ``x`` is read by ``float`` and must be at least 1, and only
-    ids with the r1 kernel take the suffix.
+    An id without ``@r=`` means r = 1.  ``x`` is read by ``float`` and
+    must be at least 1, and only ids with the r1 kernel take the suffix.
     """
     if text in _BASELINES:
         return _BASELINES[text]
     base, suffix, r_text = text.partition("@r=")
     parts = base.split(":")
-    if suffix:
-        if parts[0] != "r1":
-            raise UnknownMeasureError(f"@r= applies only to the r1 kernel, in {text!r}")
-        try:
-            r = float(r_text)
-        except ValueError:
-            raise UnknownMeasureError(f"bad r1 exponent {r_text!r} in {text!r}") from None
+    if suffix and parts[0] != "r1":
+        raise UnknownMeasureError(f"@r= applies only to the r1 kernel, in {text!r}")
+    try:
+        r = float(r_text) if suffix else 1.0
+    except ValueError:
+        raise UnknownMeasureError(f"bad r1 exponent {r_text!r} in {text!r}") from None
     if base in _NONSPECIFICITY:
         return NonSpecificityKernel(base)
     if len(parts) not in (1, 3) or parts[0] not in _FUZZINESS:
         raise UnknownMeasureError(f"unknown measure id {text!r}")
-    fuzz = FuzzinessKernel(parts[0], r if parts[0] == "r1" else 1.0)
+    fuzz = FuzzinessKernel(parts[0], r)
     if len(parts) == 1:
         return fuzz
     return EntropyConfig(fuzz, NonSpecificityKernel(parts[1]), ThetaCombiner(parts[2]))

@@ -25,7 +25,7 @@ class CriterionSpec(Frozen):
 
     def __init__(self, name: str, kind: str = "benefit") -> None:
         if kind not in _KINDS:
-            raise ParseError(f"criterion kind must be benefit or cost, got {kind!r}")
+            raise ParseError(f"criterion kind must be benefit or cost, got {kind!r:.40}")
         self.__dict__.update(name=name, kind=kind)
 
 

@@ -1,4 +1,4 @@
-"""Independent direct-summation reference for the entropy measures.
+"""Independent direct-summation reference for the entropy measures and TOPSIS.
 
 Every function here is transcribed straight from the defining formulas,
 with plain loops and no imports from the package under test.  The test
@@ -93,3 +93,43 @@ def theta_bsum(a, b):
 def comprehensive(values, probs, r_fn, f_fn, theta_fn):
     return theta_fn(fuzziness(values, probs, r_fn),
                     nonspecificity(values, probs, f_fn))
+
+
+def topsis(cells, kinds, r_fn, f_fn, theta_fn):
+    """Entropy-weighted TOPSIS over rows of (value, prob) pair lists.
+
+    Returns (raw weights, normalised weights, d_plus, d_minus, closeness).
+    The ideals are {1|1} and {0|1}; a criterion of kind "cost" swaps them.
+    Every sum runs left to right in an explicit loop: the built-in ``sum``
+    compensates rounding from Python 3.12 on.
+    """
+
+    def entropy(values, probs):
+        return comprehensive(values, probs, r_fn, f_fn, theta_fn)
+
+    def distance(a_pairs, b_pairs):
+        return 1.0 - entropy(*hybrid(a_pairs, b_pairs))
+
+    m, n = len(cells), len(kinds)
+    raw = []
+    for j in range(n):
+        total = 0.0
+        for i in range(m):
+            total += entropy([v for v, _ in cells[i][j]], [p for _, p in cells[i][j]])
+        raw.append(1.0 - total / m)
+    total = 0.0
+    for x in raw:
+        total += x
+    weights = [x / total for x in raw]
+    full, empty = [(1.0, 1.0)], [(0.0, 1.0)]
+    d_plus, d_minus, scores = [], [], []
+    for row in cells:
+        p = q = 0.0
+        for w, cell, kind in zip(weights, row, kinds):
+            pis, nis = (full, empty) if kind == "benefit" else (empty, full)
+            p += w * distance(cell, pis)
+            q += w * distance(cell, nis)
+        d_plus.append(p)
+        d_minus.append(q)
+        scores.append(q / (p + q))
+    return raw, weights, d_plus, d_minus, scores

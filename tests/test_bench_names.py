@@ -1,20 +1,49 @@
-"""The traced benchmark run wraps phfe functions by name.
+"""The benchmark calls phfe by name, and tier-1 keeps those calls working.
 
 ``perfbench/spans.py`` names each traced (module, function) pair and keys
 its counting hooks by function name.  A function renamed in phfe breaks
 the traced run, and a hook keyed by a stale name stops counting without
 any error, so these checks keep the names in step with the package.
+
+``perfbench/worker.py`` calls phfe in the forms the benchmark times
+(``EntropyConfig.from_string``, ``all_configs()``, ``cli.main``); every op
+of one cycle of each workload, on a tiny input, must pass the benchmark's
+own output check.
 """
 
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
 
-_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-spans = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(spans)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    """``perfbench/<name>.py`` as module ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+spans, workloads, worker, run = map(_load, ("spans", "workloads", "worker", "run"))
+
+#: The tiny sizes of perfbench/test_perfbench.py.
+TINY = workloads.Shape(
+    rows=4,
+    cols=3,
+    cli_files=2,
+    distance_ops=4,
+    min_long_values=2,
+    max_long_values=4,
+    axiom_samples=20,
+    axiom_trace_cycle=1,
+)
 
 
 def test_every_traced_name_is_a_phfe_function():
@@ -26,3 +55,14 @@ def test_every_traced_name_is_a_phfe_function():
 def test_every_hook_names_a_traced_function():
     traced = {fname for _modname, fname, _layer in spans.TRACED}
     assert set(spans.HOOKS) <= traced
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_worker_ops_pass_the_benchmark_check(tmp_path, name):
+    spec = workloads.generate(name, 7, tmp_path, TINY)
+    w = worker.WORKLOADS[name](spec, False)
+    check = run._checker(spec)
+    for k in range(w.cycle):
+        # check_outputs sees each op as the JSON text of its description.
+        value = json.loads(json.dumps(w.describe(w.op(k))))
+        assert check(str(w.slot(k)), value), (name, w.slot(k))

@@ -95,18 +95,17 @@ class TestEntropyCommand:
 
     def test_r_flag_reaches_config_strings(self, elements_file, capsys):
         assert main(
-            ["entropy", "--input", elements_file, "--measure", "r1:f1:max",
-             "--r", "2", "--format", "json"]
+            ["entropy", "--input", elements_file, "--measure", "r1:f1:max@r=2", "--format", "json"]
         ) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["fuzziness"] == pytest.approx(0.298897, abs=1e-5)
-        # An explicit suffix wins over the flag.
-        assert main(
-            ["entropy", "--input", elements_file, "--measure", "r1:f1:max@r=1",
-             "--r", "2", "--format", "json"]
-        ) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows[0]["fuzziness"] == pytest.approx(0.151324, abs=1e-5)
+
+    def test_no_exponent_flag(self, elements_file):
+        # The id carries the exponent.  argparse matches flag prefixes, so a later flag
+        # such as --rounds would quietly take --r; this pins the refusal.
+        with pytest.raises(SystemExit) as caught:
+            main(["entropy", "--input", elements_file, "--measure", "r1", "--r", "2"])
+        assert caught.value.code == 2
 
     def test_unknown_measure_exits_2(self, elements_file, capsys):
         assert main(["entropy", "--input", elements_file, "--measure", "bogus"]) == 2
@@ -227,7 +226,7 @@ class TestEntropyCommand:
     @pytest.mark.parametrize(
         "argv, labels",
         [
-            (["--measure", "r1,r1:f1:max", "--r", "2"], ["r1@r=2", "r1:f1:max@r=2"]),
+            (["--measure", "r1@r=2,r1:f1:max@r=2"], ["r1@r=2", "r1:f1:max@r=2"]),
             (["--measure", "r1,su-d,r1:f2:psum"], ["r1", "su-d", "r1:f2:psum"]),
         ],
         ids=["r2", "canonical"],
@@ -318,9 +317,11 @@ class TestTopsisCommand:
             ("criterion name", {"criteria": [{"name": 5}]}),
             ("criterion kind", {"criteria": [{"name": "c1", "kind": None}]}),
             ("criterion kind", {"criteria": [{"name": "c1", "kind": 1}]}),
+            ("criterion kind", {"criteria": [{"name": "c1", "kind": "k" * 5000}]}),
         ],
         ids=[
-            "alternative-number", "alternative-list", "criterion-number", "kind-null", "kind-number"
+            "alternative-number", "alternative-list", "criterion-number", "kind-null",
+            "kind-number", "kind-long",
         ],
     )
     def test_non_string_names_exit_2(self, tmp_path, capsys, field, patch):
@@ -636,12 +637,16 @@ def test_stdout_digest(monkeypatch, capsys, argv, mutant, code, digest):
             ["distance", "ELEMENTS", "--config", "r1:f2:psum@r=2", "--psi", "exp", "--format", "csv"],
             "28cfac9e8b149968341bcf7ff2c7a8aa9cc22a87d2824648fd6038a771d34f84",
         ),
+        (
+            ["entropy", "ELEMENTS", "--format", "table"],
+            "ba976cbef2e97f634b8194274257120c5d097bec9f074eef33e8834deac5b7c4",
+        ),
     ],
     ids=[
         "entropy-json", "entropy-table", "distance-json", "distance-table",
         "topsis-case-json", "topsis-case-table", "topsis-case-csv",
         "topsis-seeded-json", "topsis-seeded-table", "topsis-seeded-csv",
-        "entropy-kernels-csv", "distance-psum-r2-csv",
+        "entropy-kernels-csv", "distance-psum-r2-csv", "entropy-default-measures-table",
     ],
 )
 def test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, argv, digest):

@@ -280,6 +280,11 @@ class TestCanonicalFormIsAValidElement:
          "probabilities sum to 0.5, expected 1"),
         (lambda: parse_phfe({"pairs": [{"v": "abc", "p": 1}]}), ParseError,
          '"v" must be a number, got "abc"'),
+        # A long value is echoed to 40 characters, as names are.
+        (lambda: parse_phfe({"pairs": [{"v": list(range(3000)), "p": 1}]}), ParseError,
+         '"v" must be a number, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1'),
+        (lambda: parse_phfe({"terms": [{"t": 1, "p": 1}], "tau": "x" * 4000}), ParseError,
+         '"tau" must be a number, got "' + "x" * 39),
         (lambda: parse_phfe([1]), ParseError, "expected an object, got list"),
         (lambda: parse_phfe({"pairs": [{"v": 0.5}]}), ParseError, "malformed pair list: 'p'"),
         (lambda: parse_phfe({"terms": [{"t": 7, "p": 1}], "tau": 3}), TermOutOfRangeError,

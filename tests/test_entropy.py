@@ -303,14 +303,6 @@ class TestParseMeasure:
         assert parse_measure("f3") == NonSpecificityKernel("f3")
         assert parse_measure("r1:f2:psum@r=3") == EntropyConfig.from_string("r1:f2:psum@r=3")
 
-    def test_explicit_exponent_beats_default(self):
-        assert parse_measure("r1", 2.0).r == 2.0
-        assert parse_measure("r1@r=3", 2.0).r == 3.0
-        assert parse_measure("r1:f1:max", 2.0).fuzziness.r == 2.0
-        assert parse_measure("r1:f1:max@r=1", 2.0).fuzziness.r == 1.0
-        # r2 has no exponent, so the default does not reach it.
-        assert parse_measure("r2:f1:max", 2.0) == EntropyConfig.from_string("r2:f1:max")
-
     def test_accepts_exactly_the_table_ids(self):
         decoys = ["r0", "r3", "f0", "f4", "min", "sum", "su-p3", "R1", "F1"]
         fuzz, ns, theta = [*_FUZZINESS, *decoys], [*_NONSPECIFICITY, *decoys], [*_THETA, *decoys]
