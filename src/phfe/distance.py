@@ -16,7 +16,8 @@ import math
 from operator import lt
 
 from .elements import PHFE, _pi_fast, canonicalize
-from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise, _Variant
+from .entropy import (DEFAULT_CONFIG, EntropyConfig, _pairwise, _pairwise3, _Variant,
+                      entropy_components)
 
 
 def hybrid(a: PHFE, b: PHFE) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -96,8 +97,9 @@ FULL_ELEMENT = canonicalize([(1.0, 1.0)])
 EMPTY_ELEMENT = canonicalize([(0.0, 1.0)])
 
 
-def ideal_components(a: PHFE, config: EntropyConfig) -> tuple[float, float, float, float]:
-    """hybrid_components of ``a`` with {1|1}, then with {0|1}, bit for bit, built in place.
+def topsis_components(a: PHFE, config: EntropyConfig) -> tuple[float, ...]:
+    """Six sums of one TOPSIS cell, bit for bit: entropy_components of ``a``, then
+    hybrid_components of ``a`` with {1|1}, then with {0|1}, all in one loop.
 
     Against a one-value ideal the sorted hybrid is ``a``'s own order ({1|1})
     or its reverse ({0|1}), with the weights pi(p, 1), while the values stay
@@ -106,10 +108,11 @@ def ideal_components(a: PHFE, config: EntropyConfig) -> tuple[float, float, floa
     full = [(1.0 - abs(v - 1.0)) / 2.0 for v in a.values]
     empty = [(1.0 - v) / 2.0 for v in reversed(a.values)]
     if not (all(map(lt, full, full[1:])) and all(map(lt, empty, empty[1:]))):
-        return hybrid_components(a, FULL_ELEMENT, config) + hybrid_components(a, EMPTY_ELEMENT, config)
+        return (entropy_components(a, config) + hybrid_components(a, FULL_ELEMENT, config)
+                + hybrid_components(a, EMPTY_ELEMENT, config))
     weights = [_pi_fast(p, 1.0) for p in a.probs]
-    fuzz, nonspec = config.fuzziness, config.nonspecificity
-    return _pairwise(full, weights, fuzz, nonspec) + _pairwise(empty, weights[::-1], fuzz, nonspec)
+    lanes = ((a.values, a.probs), (full, weights), (empty, weights[::-1]))
+    return _pairwise3(lanes, config.fuzziness, config.nonspecificity)
 
 
 def component_distance(f: float, n: float, psi: PsiFunction, config: EntropyConfig) -> float:

@@ -8,9 +8,9 @@ commutative, monotone combiner.
 
 All three measures are pairwise double sums over the element, weighted by
 the probability functional :func:`phfe.elements.pi`.  One private pass
-computes both sums; :func:`weighted_comprehensive` runs it over an
-arbitrary (value, weight) list, which the distance module feeds the
-hybrid form of two elements, whose weights do not sum to one.
+computes both sums (a twin runs three lists of one length in one loop);
+:func:`weighted_comprehensive` runs it over an arbitrary (value, weight)
+list, such as the hybrid form of two elements, whose weights need not sum to one.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class _Variant(Frozen):
 
     def __init__(self, variant: str) -> None:
         if variant not in self._table:
-            raise UnknownMeasureError(f"unknown {self._kind} {variant!r}")
+            raise UnknownMeasureError(f"unknown {self._kind} {variant!r:.40}")
         self.__dict__.update(variant=variant, _fn=self._table[variant])
 
     @property
@@ -91,14 +91,14 @@ class _Variant(Frozen):
 
 
 class FuzzinessKernel(_Variant):
-    """Pairwise fuzziness kernel: r1 with exponent ``r >= 1``, or r2, which takes none."""
+    """Pairwise fuzziness kernel: r1 with a finite exponent ``r >= 1``, or r2, which takes none."""
 
     _table, _kind = _FUZZINESS, "fuzziness kernel"
 
     def __init__(self, variant: str, r: float = 1.0) -> None:
         super().__init__(variant)
-        if variant == "r1" and not r >= 1.0:
-            raise OutOfRangeError(f"r1 exponent must be >= 1, got {r!r}")
+        if variant == "r1" and not 1.0 <= r < math.inf:  # nan fails both
+            raise OutOfRangeError(f"r1 exponent must be finite and >= 1, got {r!r}")
         if variant != "r1" and r != 1.0:
             raise OutOfRangeError(f"only r1 takes an exponent, got {variant}@r={r!r}")
         self.__dict__["r"] = r
@@ -149,7 +149,7 @@ class EntropyConfig(Frozen):
         """Parse a config id like ``r1:f2:max`` or ``r1:f1:bsum@r=2``."""
         config = parse_measure(text)
         if not isinstance(config, cls):
-            raise UnknownMeasureError(f"bad entropy config {text!r}")
+            raise UnknownMeasureError(f"bad entropy config {text!r:.40}")
         return config
 
     @property
@@ -193,22 +193,23 @@ def parse_measure(text: str) -> Measure:
         <r1|r2>:<f1|f2|f3>:<max|psum|bsum>[@r=x] EntropyConfig
 
     An id without ``@r=`` means r = 1.  ``x`` is read by ``float`` and
-    must be at least 1, and only ids with the r1 kernel take the suffix.
+    must be finite and at least 1, and only ids with the r1 kernel take
+    the suffix.  Error messages quote at most 40 characters of an id.
     """
     if text in _BASELINES:
         return _BASELINES[text]
     base, suffix, r_text = text.partition("@r=")
     parts = base.split(":")
     if suffix and parts[0] != "r1":
-        raise UnknownMeasureError(f"@r= applies only to the r1 kernel, in {text!r}")
+        raise UnknownMeasureError(f"@r= applies only to the r1 kernel, in {text!r:.40}")
     try:
         r = float(r_text) if suffix else 1.0
     except ValueError:
-        raise UnknownMeasureError(f"bad r1 exponent {r_text!r} in {text!r}") from None
+        raise UnknownMeasureError(f"bad r1 exponent {r_text!r:.40} in {text!r:.40}") from None
     if base in _NONSPECIFICITY:
         return NonSpecificityKernel(base)
     if len(parts) not in (1, 3) or parts[0] not in _FUZZINESS:
-        raise UnknownMeasureError(f"unknown measure id {text!r}")
+        raise UnknownMeasureError(f"unknown measure id {text!r:.40}")
     fuzz = FuzzinessKernel(parts[0], r)
     if len(parts) == 1:
         return fuzz
@@ -259,6 +260,38 @@ def _pairwise(
                     ns_total += base ** w
                 # base == 0 contributes 0: zero to a positive power.
     return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
+
+
+def _pairwise3(lanes, fuzz: FuzzinessKernel, nonspec: NonSpecificityKernel) -> tuple[float, ...]:
+    """_pairwise of three (values, weights) lanes of one length in one loop, bit for bit: each
+    lane adds its terms in _pairwise's order, and the six sums come back lane by lane."""
+    r_fn, r, f_fn = fuzz._fn, fuzz.r, nonspec._fn
+    (v0, w0), (v1, w1), (v2, w2) = lanes
+    l = len(v0)
+    f0 = f1 = f2 = n0 = n1 = n2 = 0.0
+    for i in range(l):
+        x0, x1, x2, p0, p1, p2 = v0[i], v1[i], v2[i], w0[i], w1[i], w2[i]
+        f0 += r_fn(x0, x0, r) * p0
+        f1 += r_fn(x1, x1, r) * p1
+        f2 += r_fn(x2, x2, r) * p2
+        for j in range(i + 1, l):
+            y, w = v0[j], _pi_fast(p0, w0[j])
+            f0 += r_fn(x0, y, r) * w
+            base = f_fn(x0, y)
+            if base > 0.0:
+                n0 += base ** w
+            y, w = v1[j], _pi_fast(p1, w1[j])
+            f1 += r_fn(x1, y, r) * w
+            base = f_fn(x1, y)
+            if base > 0.0:
+                n1 += base ** w
+            y, w = v2[j], _pi_fast(p2, w2[j])
+            f2 += r_fn(x2, y, r) * w
+            base = f_fn(x2, y)
+            if base > 0.0:
+                n2 += base ** w
+    fd, nd = l * (l + 1), max(2, l * (l - 1))
+    return 2.0 * f0 / fd, 2.0 * n0 / nd, 2.0 * f1 / fd, 2.0 * n1 / nd, 2.0 * f2 / fd, 2.0 * n2 / nd
 
 
 def weighted_comprehensive(

@@ -12,9 +12,9 @@ from array import array
 from collections.abc import Mapping, Sequence
 from operator import mul
 
-from .distance import PSI_IDENTITY, PsiFunction, component_distance, ideal_components
+from .distance import PSI_IDENTITY, PsiFunction, component_distance, topsis_components
 from .elements import PHFE, Frozen, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
-from .entropy import DEFAULT_CONFIG, EntropyConfig, entropy_components
+from .entropy import DEFAULT_CONFIG, EntropyConfig
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
 
 _KINDS = ("benefit", "cost")
@@ -58,13 +58,13 @@ class DecisionMatrix(Frozen):
         return len(self.alternatives), len(self.criteria)
 
 
-def _columns(matrix: DecisionMatrix, config: EntropyConfig, sums):
-    """Row-major arrays of ``sums(cell, config)``: entropy_components gives 2 columns,
-    ideal_components 4 (the hybrids with {1|1}, then {0|1}).  Kept on the matrix per kernel
-    pair (per r too) and ``sums``: 6 columns per pair, so 18 configs cost 6 passes."""
-    key = (config.fuzziness, config.nonspecificity, sums)
+def _columns(matrix: DecisionMatrix, config: EntropyConfig):
+    """Row-major arrays of ``topsis_components(cell, config)``: the cell's 2 sums, then its
+    hybrids' with {1|1} and {0|1}.  Kept on the matrix per kernel pair (per r too), so 18
+    configs cost 6 passes; the first call, weights alone included, fills all 6 columns."""
+    key = (config.fuzziness, config.nonspecificity)
     if key not in matrix._tables:
-        table = [sums(c, config) for row in matrix.cells for c in row]
+        table = [topsis_components(c, config) for row in matrix.cells for c in row]
         matrix._tables[key] = tuple(array("d", column) for column in zip(*table))
     return matrix._tables[key]
 
@@ -104,7 +104,7 @@ def entropy_weights(
     every cell has entropy one.
     """
     m, n = matrix.shape
-    fuzz, nonspec = _columns(matrix, config, entropy_components)
+    fuzz, nonspec = _columns(matrix, config)[:2]
     combine = config.theta._fn
     raw = [1.0 - _ltr_sum(map(combine, fuzz[j::n], nonspec[j::n])) / m for j in range(n)]
     denom = _ltr_sum(raw)
@@ -126,7 +126,7 @@ def ideal_distances(
     result does not depend on evaluation order.
     """
     n = len(matrix.criteria)
-    sums = _columns(matrix, config, ideal_components)
+    sums = _columns(matrix, config)[2:]
     to_full, to_empty = (
         [component_distance(f, ns, psi, config) for f, ns in zip(fuzz, nonspec)]
         for fuzz, nonspec in (sums[:2], sums[2:])

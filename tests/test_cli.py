@@ -123,6 +123,15 @@ class TestEntropyCommand:
             # Only the r1 kernel has an exponent.
             ["entropy", "--measure", "r2@r=3"],
             ["entropy", "--measure", "r2:f1:max@r=3"],
+            # The exponent must be finite.
+            ["entropy", "--measure", "r1@r=1e999"],
+            ["distance", "--config", "r1:f1:max@r=1e999"],
+            # A long id is quoted in part only.
+            ["entropy", "--measure", "x" * 5000],
+            ["entropy", "--measure", "r1@r=" + "x" * 5000],
+            ["entropy", "--measure", "r2@r=" + "x" * 5000],
+            ["distance", "--config", "r1@r=1." + "0" * 5000],
+            ["distance", "--config", "r1:" + "x" * 5000 + ":max"],
         ],
     )
     def test_bad_measure_id_exits_2(self, elements_file, capsys, argv):
@@ -130,6 +139,7 @@ class TestEntropyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert len(captured.err.encode()) < 200
 
     @pytest.mark.parametrize(
         "command, document",

@@ -21,8 +21,8 @@ from phfe import (
     hybrid,
     weighted_comprehensive,
 )
-from phfe.distance import hybrid_components, ideal_components
-from phfe.entropy import F1, F2, F3, _pairwise
+from phfe.distance import hybrid_components, topsis_components
+from phfe.entropy import F1, F2, F3, _pairwise, entropy_components
 from phfe.verify import random_phfe
 
 ONE = canonicalize([(1.0, 1.0)])
@@ -108,19 +108,38 @@ KERNEL_PAIRS = list(
 )
 
 
+def _expected_topsis_components(a, config):
+    """The six sums of a TOPSIS cell by their definitions: three separate passes."""
+    return (entropy_components(a, config) + hybrid_components(a, ONE, config)
+            + hybrid_components(a, ZERO, config))
+
+
+def _near_equal_weights(rng):
+    """Elements of 1..8 values, probabilities within 1e-12 of each other: pi's equality branch."""
+    for length in range(1, 9):
+        values = sorted(rng.sample(range(1, 1000), length))
+        yield canonicalize(
+            [(v / 1000, 1.0 / length - rng.choice([0.0, 1e-13, 4e-13])) for v in values]
+        )
+
+
 class TestIdealComponents:
-    """ideal_components builds no hybrid, yet must equal the sorted hybrids' sums bit for bit."""
+    """topsis_components builds no hybrid, yet must equal the cell's own sums and the
+    sorted hybrids' sums bit for bit."""
 
     def test_random_elements_equal_the_sorted_hybrids(self, monkeypatch):
         built = []
         monkeypatch.setattr(phfe.distance, "hybrid", lambda a, b: built.append(b) or hybrid(a, b))
         rng = random.Random("ideal")
-        for _ in range(300):
-            a = random_phfe(rng)
+        elements = [random_phfe(rng) for _ in range(300)]
+        elements += [random_phfe(rng, 8) for _ in range(40)]
+        elements += [a for _ in range(5) for a in _near_equal_weights(rng)]
+        assert {len(a) for a in elements} == set(range(1, 9))
+        for a in elements:
             for config in KERNEL_PAIRS:
-                expected = hybrid_components(a, ONE, config) + hybrid_components(a, ZERO, config)
+                expected = _expected_topsis_components(a, config)
                 del built[:]
-                assert _hex(ideal_components(a, config)) == _hex(expected), (a, config.label)
+                assert _hex(topsis_components(a, config)) == _hex(expected), (a, config.label)
                 assert built == []  # grid values never collide under 1 - v: the in-place path
 
     @pytest.mark.parametrize(
@@ -129,8 +148,10 @@ class TestIdealComponents:
             canonicalize([(1e-17, 0.5), (2e-17, 0.5)]),
             canonicalize([(1e-17, 0.3), (2e-17, 0.7)]),
             canonicalize([(0.0, 0.2), (1e-17, 0.3), (2e-17, 0.1), (0.4, 0.4)]),
+            canonicalize([(1e-17, 0.5 + 4e-13), (2e-17, 0.5 - 4e-13)]),
+            canonicalize([(v, 0.125) for v in (0.0, 1e-17, 2e-17, 0.25, 0.5, 0.75, 0.9, 1.0)]),
         ],
-        ids=["equal-weights", "unequal-weights", "with-zero"],
+        ids=["equal-weights", "unequal-weights", "with-zero", "near-equal-weights", "eight-values"],
     )
     def test_values_colliding_under_one_minus_v_take_the_general_path(self, a, monkeypatch):
         assert 1.0 - 1e-17 == 1.0 - 2e-17 == 1.0
@@ -138,10 +159,9 @@ class TestIdealComponents:
         monkeypatch.setattr(phfe.distance, "hybrid", lambda a, b: built.append(b) or hybrid(a, b))
         for config in KERNEL_PAIRS:
             del built[:]
-            got = ideal_components(a, config)
+            got = topsis_components(a, config)
             assert built == [ONE, ZERO]
-            expected = hybrid_components(a, ONE, config) + hybrid_components(a, ZERO, config)
-            assert _hex(got) == _hex(expected), config.label
+            assert _hex(got) == _hex(_expected_topsis_components(a, config)), config.label
 
 
 class TestPsiFunctions:

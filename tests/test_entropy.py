@@ -33,7 +33,7 @@ from phfe import (
     su_entropy_p2,
 )
 from phfe.elements import _pi_fast
-from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA, _pairwise
+from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA, _pairwise, _pairwise3
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
 H2 = canonicalize([(0.6, 0.9), (0.9, 0.1)])
@@ -78,8 +78,9 @@ class TestKernels:
         assert any(r1(x, y, 1.0000001) != r1(x, y, 1.0) for x, y in points)
 
     def test_r1_requires_r_at_least_one(self):
-        with pytest.raises(OutOfRangeError):
-            FuzzinessKernel("r1", 0.5)
+        for r in (0.5, float("inf"), float("nan"), 1e999):  # at least one, and finite
+            with pytest.raises(OutOfRangeError):
+                FuzzinessKernel("r1", r)
 
     def test_r2_matches_r1_for_large_products(self):
         # The two published kernels coincide wherever the value product
@@ -318,8 +319,9 @@ class TestParseMeasure:
                     "r1:f1:max@r=1.2.3", "r1:f1", "r1:f1:max:max", "r1:f4:max"):
             with pytest.raises(UnknownMeasureError):
                 parse_measure(bad)
-        with pytest.raises(OutOfRangeError):
-            parse_measure("r1@r=0.5")
+        for bad in ("r1@r=0.5", "r1@r=1e999", "r1:f1:max@r=1e999", "r1@r=inf", "r1@r=nan"):
+            with pytest.raises(OutOfRangeError):
+                parse_measure(bad)
 
     def test_measure_value_matches_the_measures(self):
         a = canonicalize([(0.3, 0.25), (0.45, 0.5), (0.7, 0.25)])
@@ -389,7 +391,7 @@ class TestPairwiseDiagonal:
             assert _NONSPECIFICITY[name](v, v) == 0.0
 
     @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
-    @pytest.mark.parametrize("r", [1.0, 1.7])
+    @pytest.mark.parametrize("r", [1.0, 1.7, 2.0])
     def test_matches_the_full_double_sum(self, r, tied):
         fuzz_kernels = [None, FuzzinessKernel("r1", r), R2]
         ns_kernels = [None, F1, F2, F3]
@@ -400,4 +402,12 @@ class TestPairwiseDiagonal:
                     for nonspec in ns_kernels:
                         got = _pairwise(values, weights, fuzz, nonspec)
                         want = _full_pairwise(values, weights, fuzz, nonspec)
+                        assert [x.hex() for x in got] == [x.hex() for x in want]
+        # The three-lane loop equals three _pairwise calls on unrelated lanes of one length.
+        for _ in range(10):
+            for lanes in zip(*(_weighted_lists(rng, tied) for _ in range(3))):
+                for fuzz in fuzz_kernels[1:]:
+                    for nonspec in ns_kernels[1:]:
+                        got = _pairwise3(lanes, fuzz, nonspec)
+                        want = sum((_pairwise(*lane, fuzz, nonspec) for lane in lanes), ())
                         assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -285,29 +285,35 @@ class TestComponentTable:
                 assert run_topsis(matrix, config, psi) == run_topsis(build(), config, psi)
 
     def test_one_pass_per_cell_input_and_kernel_pair(self, monkeypatch):
+        # One three-lane loop per cell and kernel pair sums the cell and both its
+        # ideal hybrids; the in-place path never enters _pairwise.
         passes = []
-        original = phfe.entropy._pairwise
+        original = phfe.distance._pairwise3
 
         def counting(*args):
-            passes.append(args[2:])
+            passes.append(args[1:])
             return original(*args)
 
-        monkeypatch.setattr(phfe.entropy, "_pairwise", counting)
-        monkeypatch.setattr(phfe.distance, "_pairwise", counting)
+        def refuse(*args):
+            raise AssertionError("_pairwise entered")
+
+        monkeypatch.setattr(phfe.distance, "_pairwise3", counting)
+        monkeypatch.setattr(phfe.entropy, "_pairwise", refuse)
+        monkeypatch.setattr(phfe.distance, "_pairwise", refuse)
         matrix = _seeded_matrix()
         m, n = matrix.shape
-        entropy_weights(matrix)  # weights alone build no hybrid columns
+        entropy_weights(matrix)  # weights alone fill all six columns of the pair
         assert len(passes) == m * n
         for config in all_configs():
             run_topsis(matrix, config)
-        assert len(passes) == 6 * 3 * m * n
+        assert len(passes) == 6 * m * n
         assert len(set(passes)) == 6
         for config in all_configs():
             run_topsis(matrix, config)
-        assert len(passes) == 6 * 3 * m * n
+        assert len(passes) == 6 * m * n
         run_topsis(matrix, EntropyConfig.from_string("r1:f1:max@r=2"))
         run_topsis(matrix, EntropyConfig.from_string("r1:f1:bsum@r=2"))
-        assert len(passes) == 7 * 3 * m * n
+        assert len(passes) == 7 * m * n
 
     def test_ideal_columns_build_no_hybrid(self, monkeypatch):
         def refuse(a, b):
