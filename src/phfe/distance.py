@@ -16,8 +16,7 @@ import math
 from operator import lt
 
 from .elements import PHFE, _pi_fast, canonicalize
-from .entropy import (DEFAULT_CONFIG, EntropyConfig, _pairwise, _pairwise3, _Variant,
-                      entropy_components)
+from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise, _pairwise3, _Variant
 
 
 def hybrid(a: PHFE, b: PHFE) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -102,17 +101,17 @@ def topsis_components(a: PHFE, config: EntropyConfig) -> tuple[float, ...]:
     hybrid_components of ``a`` with {1|1}, then with {0|1}, all in one loop.
 
     Against a one-value ideal the sorted hybrid is ``a``'s own order ({1|1})
-    or its reverse ({0|1}), with the weights pi(p, 1), while the values stay
-    strictly monotone; they do unless 1 - v rounds two values together.
+    or its reverse ({0|1}), with the weights pi(p, 1), unless 1 - v rounds two
+    values together; then the two ideal lanes are the sorted hybrids themselves.
     """
     full = [(1.0 - abs(v - 1.0)) / 2.0 for v in a.values]
-    empty = [(1.0 - v) / 2.0 for v in reversed(a.values)]
-    if not (all(map(lt, full, full[1:])) and all(map(lt, empty, empty[1:]))):
-        return (entropy_components(a, config) + hybrid_components(a, FULL_ELEMENT, config)
-                + hybrid_components(a, EMPTY_ELEMENT, config))
     weights = [_pi_fast(p, 1.0) for p in a.probs]
-    lanes = ((a.values, a.probs), (full, weights), (empty, weights[::-1]))
-    return _pairwise3(lanes, config.fuzziness, config.nonspecificity)
+    ideals = (full, weights), ([(1.0 - v) / 2.0 for v in reversed(a.values)], weights[::-1])
+    # abs(v - 1) is fl(1 - v) and 1 - fl(1 - v) is exact (Sterbenz, or v itself), so
+    # the {0|1} lane is strictly increasing exactly when this one is.
+    if not all(map(lt, full, full[1:])):
+        ideals = hybrid(a, FULL_ELEMENT), hybrid(a, EMPTY_ELEMENT)
+    return _pairwise3(((a.values, a.probs), *ideals), config.fuzziness, config.nonspecificity)
 
 
 def component_distance(f: float, n: float, psi: PsiFunction, config: EntropyConfig) -> float:

@@ -254,11 +254,8 @@ def _pairwise(
             w = _pi_fast(wi, weights[j])
             if r_fn is not None:
                 fuzz_total += r_fn(vi, vj, r) * w
-            if f_fn is not None:
-                base = f_fn(vi, vj)
-                if base > 0.0:
-                    ns_total += base ** w
-                # base == 0 contributes 0: zero to a positive power.
+            if f_fn is not None:  # w > 0, so a zero base adds +0.0: no bit changes
+                ns_total += f_fn(vi, vj) ** w
     return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
 
 
@@ -277,19 +274,13 @@ def _pairwise3(lanes, fuzz: FuzzinessKernel, nonspec: NonSpecificityKernel) -> t
         for j in range(i + 1, l):
             y, w = v0[j], _pi_fast(p0, w0[j])
             f0 += r_fn(x0, y, r) * w
-            base = f_fn(x0, y)
-            if base > 0.0:
-                n0 += base ** w
+            n0 += f_fn(x0, y) ** w
             y, w = v1[j], _pi_fast(p1, w1[j])
             f1 += r_fn(x1, y, r) * w
-            base = f_fn(x1, y)
-            if base > 0.0:
-                n1 += base ** w
+            n1 += f_fn(x1, y) ** w
             y, w = v2[j], _pi_fast(p2, w2[j])
             f2 += r_fn(x2, y, r) * w
-            base = f_fn(x2, y)
-            if base > 0.0:
-                n2 += base ** w
+            n2 += f_fn(x2, y) ** w
     fd, nd = l * (l + 1), max(2, l * (l - 1))
     return 2.0 * f0 / fd, 2.0 * n0 / nd, 2.0 * f1 / fd, 2.0 * n1 / nd, 2.0 * f2 / fd, 2.0 * n2 / nd
 

@@ -124,8 +124,8 @@ def _near_equal_weights(rng):
 
 
 class TestIdealComponents:
-    """topsis_components builds no hybrid, yet must equal the cell's own sums and the
-    sorted hybrids' sums bit for bit."""
+    """topsis_components builds no hybrid unless 1 - v collides, and must equal the
+    cell's own sums and the sorted hybrids' sums bit for bit."""
 
     def test_random_elements_equal_the_sorted_hybrids(self, monkeypatch):
         built = []
@@ -153,7 +153,7 @@ class TestIdealComponents:
         ],
         ids=["equal-weights", "unequal-weights", "with-zero", "near-equal-weights", "eight-values"],
     )
-    def test_values_colliding_under_one_minus_v_take_the_general_path(self, a, monkeypatch):
+    def test_values_colliding_under_one_minus_v_take_sorted_ideal_lanes(self, a, monkeypatch):
         assert 1.0 - 1e-17 == 1.0 - 2e-17 == 1.0
         built = []
         monkeypatch.setattr(phfe.distance, "hybrid", lambda a, b: built.append(b) or hybrid(a, b))

@@ -384,6 +384,32 @@ class TestPairwiseDiagonal:
             assert _pi_fast(w, w) == w and _pi_fast(w, w).hex() == w.hex()
             assert pi(w, w) == w
 
+    def test_zero_to_a_weight_adds_nothing(self):
+        # The loops add f(v, v') ** w with no test for a zero base: 0.0 ** w is
+        # +0.0 for every weight w > 0, and adding +0.0 keeps a total's bits.
+        rng = random.Random(13)
+        for w in _EDGE_WEIGHTS + [rng.uniform(1e-9, 1.0) for _ in range(2000)]:
+            zero = 0.0**w
+            assert zero.hex() == "0x0.0p+0"
+            for total in (0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5, 1e300):
+                assert (total + zero).hex() == total.hex()
+
+    def test_ideal_lanes_collide_together(self):
+        # topsis_components tests only the {1|1} lane for ties under 1 - v; the
+        # {0|1} lane must be strictly increasing exactly when that one is.
+        rng = random.Random(14)
+        outcomes = set()
+        for _ in range(3000):
+            centre, step = rng.choice([0.0, 0.5, 1.0]), 2.0 ** -rng.randint(50, 58)
+            values = sorted({min(1.0, max(0.0, centre + k * step))
+                             for k in rng.sample(range(-20, 21), rng.randint(2, 8))})
+            full = [(1.0 - abs(v - 1.0)) / 2.0 for v in values]
+            empty = [(1.0 - v) / 2.0 for v in reversed(values)]
+            increasing = all(x < y for x, y in zip(full, full[1:]))
+            assert increasing == all(x < y for x, y in zip(empty, empty[1:])), values
+            outcomes.add(increasing)
+        assert outcomes == {False, True}
+
     @pytest.mark.parametrize("name", sorted(_NONSPECIFICITY))
     def test_f_kernels_vanish_on_the_diagonal(self, name):
         rng = random.Random(12)

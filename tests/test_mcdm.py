@@ -286,7 +286,8 @@ class TestComponentTable:
 
     def test_one_pass_per_cell_input_and_kernel_pair(self, monkeypatch):
         # One three-lane loop per cell and kernel pair sums the cell and both its
-        # ideal hybrids; the in-place path never enters _pairwise.
+        # ideal hybrids, a cell whose values collide under 1 - v included; no
+        # cell enters _pairwise.
         passes = []
         original = phfe.distance._pairwise3
 
@@ -300,7 +301,10 @@ class TestComponentTable:
         monkeypatch.setattr(phfe.distance, "_pairwise3", counting)
         monkeypatch.setattr(phfe.entropy, "_pairwise", refuse)
         monkeypatch.setattr(phfe.distance, "_pairwise", refuse)
-        matrix = _seeded_matrix()
+        seeded = _seeded_matrix()
+        rows = [list(row) for row in seeded.cells]
+        rows[1][2] = canonicalize([(1e-17, 0.3), (2e-17, 0.7)])  # 1 - v is 1.0 for both
+        matrix = DecisionMatrix(seeded.alternatives, seeded.criteria, rows)
         m, n = matrix.shape
         entropy_weights(matrix)  # weights alone fill all six columns of the pair
         assert len(passes) == m * n
