@@ -3,8 +3,8 @@
 The hybrid form crosses every membership value of one element with every
 value of the other: each of the l_a * l_b cross pairs contributes the
 value (1 - |v_a - v_b|) / 2 with weight pi(p_a, p_b).  The comprehensive
-entropy of that weighted list is pushed through a strictly increasing
-generator that fixes 0 and 1, and one minus the result is the distance.
+entropy of that weighted list, shaped by a strictly increasing generator
+that fixes 0 and 1, gives the distance (see distance_from_entropy).
 
 The hybrid list is consumed as-is: weights are not renormalised and equal
 values are not merged, so it is generally not a valid element itself.
@@ -16,7 +16,7 @@ import math
 from operator import lt
 
 from .elements import PHFE, _pi_fast, canonicalize
-from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise, _pairwise3, _Variant
+from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise3, _Variant, weighted_comprehensive
 
 
 def hybrid(a: PHFE, b: PHFE) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -54,9 +54,9 @@ _PSI = {"id": _psi_id, "sq": _psi_sq, "harm": _psi_harm, "exp": _psi_exp}
 class PsiFunction(_Variant):
     """Strictly increasing generator on [0, 1] used to shape the distance.
 
-    Every variant maps 0 to 0.0 and 1 to 1.0 exactly, so the distance
-    1 - psi(entropy) needs no affine renormalisation; a new variant must
-    keep both endpoints exact.
+    Every variant maps 0 to 0.0 and 1 to 1.0 exactly, so
+    :func:`distance_from_entropy` needs no affine renormalisation; a new
+    variant must keep both endpoints exact.
     """
 
     _table, _kind = _PSI, "psi generator"
@@ -75,7 +75,7 @@ def entropy_distance(
     psi: PsiFunction = PSI_IDENTITY,
     config: EntropyConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Distance in [0, 1]: one minus psi of the entropy of the hybrid.
+    """Distance in [0, 1]: :func:`distance_from_entropy` of the hybrid's comprehensive entropy.
 
     Symmetric in its arguments bit-for-bit.  Zero exactly when the hybrid
     collapses to {0.5|1}, which for singletons means equality; for
@@ -83,12 +83,7 @@ def entropy_distance(
     positive, a property of the construction that the verification report
     surfaces rather than patches.
     """
-    return component_distance(*hybrid_components(a, b, config), psi, config)
-
-
-def hybrid_components(a: PHFE, b: PHFE, config: EntropyConfig) -> tuple[float, float]:
-    """(fuzziness, non-specificity) of the hybrid of ``a`` and ``b``."""
-    return _pairwise(*hybrid(a, b), config.fuzziness, config.nonspecificity)
+    return distance_from_entropy(weighted_comprehensive(*hybrid(a, b), config), psi)
 
 
 #: Ideal elements for a benefit criterion; a cost criterion swaps them.
@@ -98,7 +93,7 @@ EMPTY_ELEMENT = canonicalize([(0.0, 1.0)])
 
 def topsis_components(a: PHFE, config: EntropyConfig) -> tuple[float, ...]:
     """Six sums of one TOPSIS cell, bit for bit: entropy_components of ``a``, then
-    hybrid_components of ``a`` with {1|1}, then with {0|1}, all in one loop.
+    those of ``hybrid(a, FULL_ELEMENT)``, then of ``hybrid(a, EMPTY_ELEMENT)``, all in one loop.
 
     Against a one-value ideal the sorted hybrid is ``a``'s own order ({1|1})
     or its reverse ({0|1}), with the weights pi(p, 1), unless 1 - v rounds two
@@ -114,6 +109,6 @@ def topsis_components(a: PHFE, config: EntropyConfig) -> tuple[float, ...]:
     return _pairwise3(((a.values, a.probs), *ideals), config.fuzziness, config.nonspecificity)
 
 
-def component_distance(f: float, n: float, psi: PsiFunction, config: EntropyConfig) -> float:
-    """entropy_distance from the two sums (f, n) that hybrid_components returns."""
-    return 1.0 - psi._fn(config.theta._fn(f, n))
+def distance_from_entropy(e: float, psi: PsiFunction) -> float:
+    """d(a, b) = 1 - psi(e), where ``e`` is the comprehensive entropy of the hybrid h(a, b)."""
+    return 1.0 - psi._fn(e)

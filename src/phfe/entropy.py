@@ -9,7 +9,7 @@ commutative, monotone combiner.
 All three measures are pairwise double sums over the element, weighted by
 the probability functional :func:`phfe.elements.pi`.  One private pass
 computes both sums (a twin runs three lists of one length in one loop);
-:func:`weighted_comprehensive` runs it over an arbitrary (value, weight)
+:func:`weighted_comprehensive` runs it over any checked (value, weight)
 list, such as the hybrid form of two elements, whose weights need not sum to one.
 """
 
@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 
 from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
 from .elements import PHFE, Frozen, _pi_fast, format_number
-from .errors import OutOfRangeError, UnknownMeasureError
+from .errors import EmptyInputError, OutOfRangeError, UnknownMeasureError
 
 # Each family is one table from id to scalar function, the only list of its
 # ids.  Fuzziness kernels take the r1 exponent as a third argument; r2 ignores it.
@@ -290,7 +290,17 @@ def weighted_comprehensive(
     weights: Sequence[float],
     config: EntropyConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Comprehensive entropy of a weighted list, such as a hybrid form."""
+    """Comprehensive entropy of a weighted list, such as a hybrid form: at least one
+    value, each in [0, 1] with its own weight in (0, 1]; anything else is refused."""
+    if not values:
+        raise EmptyInputError("a weighted list needs at least one entry")
+    if len(weights) != len(values):
+        raise OutOfRangeError(f"{len(values)} values but {len(weights)} weights")
+    for v, w in zip(values, weights):
+        if not 0.0 <= v <= 1.0:
+            raise OutOfRangeError(f"membership value {v!r} outside [0, 1]")
+        if not 0.0 < w <= 1.0:  # nan fails too
+            raise OutOfRangeError(f"weight {w!r} outside (0, 1]")
     return config.theta._fn(*_pairwise(values, weights, config.fuzziness, config.nonspecificity))
 
 

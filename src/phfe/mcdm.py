@@ -12,7 +12,7 @@ from array import array
 from collections.abc import Mapping, Sequence
 from operator import mul
 
-from .distance import PSI_IDENTITY, PsiFunction, component_distance, topsis_components
+from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy, topsis_components
 from .elements import PHFE, Frozen, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
@@ -128,7 +128,7 @@ def ideal_distances(
     n = len(matrix.criteria)
     sums = _columns(matrix, config)[2:]
     to_full, to_empty = (
-        [component_distance(f, ns, psi, config) for f, ns in zip(fuzz, nonspec)]
+        [distance_from_entropy(e, psi) for e in map(config.theta._fn, fuzz, nonspec)]
         for fuzz, nonspec in (sums[:2], sums[2:])
     )
     # Each criterion's column of distances to its positive and its negative ideal.

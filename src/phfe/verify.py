@@ -165,7 +165,7 @@ def nonspecificity_monotonicity(a: PHFE, b: PHFE) -> str | None:
 
 def distance_symmetry(a: PHFE, b: PHFE, psi: PsiFunction, ec: float) -> str | None:
     """``entropy_distance`` is bit-for-bit symmetric and in [0, 1]; ``ec``: the hybrid's entropy."""
-    d_ab = 1.0 - psi(ec)  # entropy_distance(a, b, psi) by its definition
+    d_ab = 1.0 - psi(ec)  # by the definition, kept apart from entropy_distance so a fault there shows
     d_ba = entropy_distance(b, a, psi)
     if d_ab != d_ba:
         return f"distance asymmetric on {a!r}, {b!r}: {d_ab!r} vs {d_ba!r}"

@@ -57,12 +57,50 @@ def test_every_hook_names_a_traced_function():
     assert set(spans.HOOKS) <= traced
 
 
+def _check_one_cycle(tmp_path, name, tracer=None):
+    """One cycle of the workload on TINY, run under ``tracer`` if given; every op must pass."""
+    spec = workloads.generate(name, 7, tmp_path, TINY)
+    w = worker.WORKLOADS[name](spec, tracer is not None)
+    check = run._checker(spec)
+    if tracer is not None:
+        tracer.install()
+    try:
+        values = [w.op(k) for k in range(w.cycle)]
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    for k, value in enumerate(values):
+        # check_outputs sees each op as the JSON text of its description.
+        value = json.loads(json.dumps(w.describe(value)))
+        assert check(str(w.slot(k)), value), (name, w.slot(k))
+
+
 @pytest.mark.parametrize("name", workloads.WORKLOADS)
 def test_worker_ops_pass_the_benchmark_check(tmp_path, name):
-    spec = workloads.generate(name, 7, tmp_path, TINY)
-    w = worker.WORKLOADS[name](spec, False)
-    check = run._checker(spec)
-    for k in range(w.cycle):
-        # check_outputs sees each op as the JSON text of its description.
-        value = json.loads(json.dumps(w.describe(w.op(k))))
-        assert check(str(w.slot(k)), value), (name, w.slot(k))
+    _check_one_cycle(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_traced_worker_ops_pass_the_benchmark_check(tmp_path, name):
+    # What `run.py --trace 1` runs: a traced function that phfe re-routes or renames
+    # must still give the checked outputs.
+    tracer = spans.Tracer()
+    _check_one_cycle(tmp_path, name, tracer)
+    if name in ("distance-long", "axioms"):
+        assert tracer.counts["entropy.kernel_evals"] > 0
+
+
+def test_a_traced_distance_is_charged_to_the_entropy_layer():
+    import phfe
+
+    a = phfe.canonicalize([(0.2, 0.3), (0.5, 0.2), (0.9, 0.5)])
+    b = phfe.canonicalize([(0.1, 0.6), (0.7, 0.4)])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        phfe.entropy_distance(a, b)  # install() rewrites module attributes, not local names
+    finally:
+        tracer.uninstall()
+    l = len(a) * len(b)
+    assert tracer.totals()["calls"]["entropy.weighted_comprehensive"] == 1
+    assert tracer.counts["entropy.kernel_evals"] == l * (l + 1)

@@ -21,7 +21,7 @@ from phfe import (
     hybrid,
     weighted_comprehensive,
 )
-from phfe.distance import hybrid_components, topsis_components
+from phfe.distance import topsis_components
 from phfe.entropy import F1, F2, F3, _pairwise, entropy_components
 from phfe.verify import random_phfe
 
@@ -110,8 +110,9 @@ KERNEL_PAIRS = list(
 
 def _expected_topsis_components(a, config):
     """The six sums of a TOPSIS cell by their definitions: three separate passes."""
-    return (entropy_components(a, config) + hybrid_components(a, ONE, config)
-            + hybrid_components(a, ZERO, config))
+    kernels = config.fuzziness, config.nonspecificity
+    return (entropy_components(a, config) + _pairwise(*hybrid(a, ONE), *kernels)
+            + _pairwise(*hybrid(a, ZERO), *kernels))
 
 
 def _near_equal_weights(rng):

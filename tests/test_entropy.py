@@ -6,6 +6,7 @@ import pytest
 
 from phfe import (
     DEFAULT_CONFIG,
+    EmptyInputError,
     EntropyConfig,
     F1,
     F2,
@@ -31,6 +32,7 @@ from phfe import (
     pi,
     su_entropy_d,
     su_entropy_p2,
+    weighted_comprehensive,
 )
 from phfe.elements import _pi_fast
 from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA, _pairwise, _pairwise3
@@ -239,6 +241,34 @@ class TestComprehensiveEntropy:
         e_bsum = comprehensive_entropy(split, EntropyConfig(R1, F1, THETA_BSUM))
         assert e_psum == 1.0
         assert e_max <= e_psum <= e_bsum
+
+
+class TestWeightedComprehensiveRefusal:
+    """The engine's public list entry refuses what its sums are not defined on."""
+
+    @pytest.mark.parametrize(
+        "values, weights, error, message",
+        [
+            ([], [], EmptyInputError, "at least one entry"),
+            ([0.2, 0.2], [0.0, 0.0], OutOfRangeError, "weight 0.0 outside (0, 1]"),
+            ([0.2, 0.2], [-0.1, -0.1], OutOfRangeError, "weight -0.1 outside"),
+            ([0.2], [0.5, 0.5], OutOfRangeError, "1 values but 2 weights"),
+            ([0.2, 0.3], [float("nan"), 0.5], OutOfRangeError, "weight nan outside"),
+            ([0.2, 0.3], [0.5, 1.5], OutOfRangeError, "weight 1.5 outside"),
+            ([0.2, 1.5], [0.5, 0.5], OutOfRangeError, "membership value 1.5 outside [0, 1]"),
+            ([-0.0001, 0.5], [0.5, 0.5], OutOfRangeError, "membership value -0.0001 outside"),
+            ([float("nan")], [1.0], OutOfRangeError, "membership value nan outside"),
+        ],
+    )
+    def test_refusal_type_and_message(self, values, weights, error, message):
+        with pytest.raises(error) as info:
+            weighted_comprehensive(values, weights)
+        assert message in str(info.value)
+
+    def test_closed_ends_are_accepted(self):
+        ends = [0.0, 1.0], [1.0, 1.0]
+        assert weighted_comprehensive(*ends) == max(_pairwise(*ends, R1, F1))
+        assert weighted_comprehensive([0.5], [1.0]) == 1.0
 
 
 class TestEntropyConfig:

@@ -300,7 +300,6 @@ class TestComponentTable:
 
         monkeypatch.setattr(phfe.distance, "_pairwise3", counting)
         monkeypatch.setattr(phfe.entropy, "_pairwise", refuse)
-        monkeypatch.setattr(phfe.distance, "_pairwise", refuse)
         seeded = _seeded_matrix()
         rows = [list(row) for row in seeded.cells]
         rows[1][2] = canonicalize([(1e-17, 0.3), (2e-17, 0.7)])  # 1 - v is 1.0 for both
