@@ -7,10 +7,10 @@ singletons).  A comprehensive measure combines the two through a
 commutative, monotone combiner.
 
 All three measures are pairwise double sums over the element, weighted by
-the probability functional :func:`phfe.elements.pi`.  One private pass
-computes both sums (a twin runs three lists of one length in one loop);
-:func:`weighted_comprehensive` runs it over any checked (value, weight)
-list, such as the hybrid form of two elements, whose weights need not sum to one.
+the probability functional :func:`phfe.elements.pi`.  Every pass sums one fuzziness
+and one non-specificity kernel (a twin runs three lists of one length in one loop); a
+single measure keeps its half.  :func:`weighted_comprehensive` runs it over any checked
+(value, weight) list, such as a hybrid form, whose weights need not sum to one.
 """
 
 from __future__ import annotations
@@ -237,25 +237,21 @@ def measure_value(measure: Measure, a: PHFE) -> float:
 def _pairwise(
     values: Sequence[float],
     weights: Sequence[float],
-    fuzz: FuzzinessKernel | None,
-    nonspec: NonSpecificityKernel | None,
+    fuzz: FuzzinessKernel,
+    nonspec: NonSpecificityKernel,
 ) -> tuple[float, float]:
-    """(fuzziness, non-specificity) in one i <= j pass; a None kernel's sum stays 0."""
-    r_fn, r = (None, 1.0) if fuzz is None else (fuzz._fn, fuzz.r)
-    f_fn = None if nonspec is None else nonspec._fn
+    """(fuzziness, non-specificity) in one i <= j pass that sums both kernels."""
+    r_fn, r, f_fn = fuzz._fn, fuzz.r, nonspec._fn
     l = len(values)
     fuzz_total = ns_total = 0.0
     for i in range(l):
         vi, wi = values[i], weights[i]
-        if r_fn is not None:
-            fuzz_total += r_fn(vi, vi, r) * wi  # j == i: pi(w, w) is w; f(v, v) is 0, adds nothing
+        fuzz_total += r_fn(vi, vi, r) * wi  # j == i: pi(w, w) is w; f(v, v) is 0, adds nothing
         for j in range(i + 1, l):
             vj = values[j]
             w = _pi_fast(wi, weights[j])
-            if r_fn is not None:
-                fuzz_total += r_fn(vi, vj, r) * w
-            if f_fn is not None:  # w > 0, so a zero base adds +0.0: no bit changes
-                ns_total += f_fn(vi, vj) ** w
+            fuzz_total += r_fn(vi, vj, r) * w
+            ns_total += f_fn(vi, vj) ** w  # w > 0, so a zero base adds +0.0: no bit changes
     return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
 
 
@@ -314,9 +310,9 @@ def fuzziness_entropy(a: PHFE, kernel: FuzzinessKernel = R1) -> float:
 
     Scaled pairwise sum of kernel values weighted by the probability
     functional; 0 exactly at the crisp singletons {0|1} and {1|1}, 1 at
-    {0.5|1} for the r1 family.
+    {0.5|1} for the r1 family.  The fuzziness half of a pass whose other half is F1's.
     """
-    return _pairwise(a.values, a.probs, kernel, None)[0]
+    return _pairwise(a.values, a.probs, kernel, F1)[0]
 
 
 def nonspecificity_entropy(a: PHFE, kernel: NonSpecificityKernel = F1) -> float:
@@ -324,9 +320,9 @@ def nonspecificity_entropy(a: PHFE, kernel: NonSpecificityKernel = F1) -> float:
 
     Pairwise sum of kernel values raised to the probability functional,
     scaled by 2 / max(2, l*(l-1)); 0 exactly for singletons, 1 exactly at
-    {0|0.5, 1|0.5}.
+    {0|0.5, 1|0.5}.  The non-specificity half of a pass whose other half is R1's.
     """
-    return _pairwise(a.values, a.probs, None, kernel)[1]
+    return _pairwise(a.values, a.probs, R1, kernel)[1]
 
 
 def entropy_components(a: PHFE, config: EntropyConfig = DEFAULT_CONFIG) -> tuple[float, float]:

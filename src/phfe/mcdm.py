@@ -81,6 +81,8 @@ class WeightVector(Frozen):
 
 
 class TopsisResult(Frozen):
+    """One TOPSIS run: weights, weighted distances to both ideals, closeness, ranking."""
+
     def __init__(
         self,
         weights: WeightVector,

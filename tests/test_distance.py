@@ -22,8 +22,9 @@ from phfe import (
     weighted_comprehensive,
 )
 from phfe.distance import topsis_components
-from phfe.entropy import F1, F2, F3, _pairwise, entropy_components
+from phfe.entropy import F1, F2, F3, R1, _pairwise
 from phfe.verify import random_phfe
+from test_entropy import oracle_kernels
 
 ONE = canonicalize([(1.0, 1.0)])
 ZERO = canonicalize([(0.0, 1.0)])
@@ -93,8 +94,8 @@ class TestHybrid:
             a = random_phfe(rng)
             full, empty = hybrid(a, ONE), hybrid(a, ZERO)
             for kernel in (F1, F2, F3):
-                x = _pairwise(*full, None, kernel)[1]
-                y = _pairwise(*empty, None, kernel)[1]
+                x = _pairwise(*full, R1, kernel)[1]
+                y = _pairwise(*empty, R1, kernel)[1]
                 assert abs(x - y) <= 8 * math.ulp(max(x, y)), (a, kernel.label, x, y)
 
 
@@ -108,11 +109,14 @@ KERNEL_PAIRS = list(
 )
 
 
-def _expected_topsis_components(a, config):
-    """The six sums of a TOPSIS cell by their definitions: three separate passes."""
-    kernels = config.fuzziness, config.nonspecificity
-    return (entropy_components(a, config) + _pairwise(*hybrid(a, ONE), *kernels)
-            + _pairwise(*hybrid(a, ZERO), *kernels))
+def _oracle_sums(a, config):
+    """The six sums of a TOPSIS cell by the oracle: the cell's, then its hybrids' with
+    {1|1} and with {0|1}."""
+    r_fn, f_fn = oracle_kernels(config.fuzziness, config.nonspecificity)
+    full, empty = oracle.hybrid(list(a), [(1.0, 1.0)]), oracle.hybrid(list(a), [(0.0, 1.0)])
+    lanes = (a.values, a.probs), full, empty
+    return [x for lane in lanes
+            for x in (oracle.fuzziness(*lane, r_fn), oracle.nonspecificity(*lane, f_fn))]
 
 
 def _near_equal_weights(rng):
@@ -126,7 +130,7 @@ def _near_equal_weights(rng):
 
 class TestIdealComponents:
     """topsis_components builds no hybrid unless 1 - v collides, and must equal the
-    cell's own sums and the sorted hybrids' sums bit for bit."""
+    oracle's sums of the cell and of its sorted hybrids bit for bit."""
 
     def test_random_elements_equal_the_sorted_hybrids(self, monkeypatch):
         built = []
@@ -138,7 +142,7 @@ class TestIdealComponents:
         assert {len(a) for a in elements} == set(range(1, 9))
         for a in elements:
             for config in KERNEL_PAIRS:
-                expected = _expected_topsis_components(a, config)
+                expected = _oracle_sums(a, config)
                 del built[:]
                 assert _hex(topsis_components(a, config)) == _hex(expected), (a, config.label)
                 assert built == []  # grid values never collide under 1 - v: the in-place path
@@ -162,7 +166,7 @@ class TestIdealComponents:
             del built[:]
             got = topsis_components(a, config)
             assert built == [ONE, ZERO]
-            assert _hex(got) == _hex(_expected_topsis_components(a, config)), config.label
+            assert _hex(got) == _hex(_oracle_sums(a, config)), config.label
 
 
 class TestPsiFunctions:

@@ -1,9 +1,11 @@
 import copy
+import functools
 import pickle
 import random
 
 import pytest
 
+import oracle
 from phfe import (
     DEFAULT_CONFIG,
     EmptyInputError,
@@ -380,20 +382,10 @@ def _parses(text: str) -> bool:
 _EDGE_WEIGHTS = [1.0, 0.5, 1.0 / 3.0, 0.1, 1e-12, 1e-300, 2.2250738585072014e-308, 5e-324, 1e-310]
 
 
-def _full_pairwise(values, weights, fuzz, nonspec):
-    """The i <= j double sum with the diagonal evaluated like every other pair."""
-    l = len(values)
-    fuzz_total = ns_total = 0.0
-    for i in range(l):
-        for j in range(i, l):
-            w = _pi_fast(weights[i], weights[j])
-            if fuzz is not None:
-                fuzz_total += fuzz._fn(values[i], values[j], fuzz.r) * w
-            if nonspec is not None:
-                base = nonspec._fn(values[i], values[j])
-                if base > 0.0:
-                    ns_total += base ** w
-    return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
+def oracle_kernels(fuzz, nonspec):
+    """The oracle's transcriptions of a library kernel pair, as (r_fn, f_fn)."""
+    r_fn = functools.partial(oracle.r1, r=fuzz.r) if fuzz.variant == "r1" else oracle.r2
+    return r_fn, getattr(oracle, nonspec.variant)
 
 
 def _weighted_lists(rng: random.Random, tied: bool):
@@ -449,21 +441,24 @@ class TestPairwiseDiagonal:
     @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
     @pytest.mark.parametrize("r", [1.0, 1.7, 2.0])
     def test_matches_the_full_double_sum(self, r, tied):
-        fuzz_kernels = [None, FuzzinessKernel("r1", r), R2]
-        ns_kernels = [None, F1, F2, F3]
+        # The oracle evaluates the diagonal like every other pair and tests for a zero base.
+        fuzz_kernels = [FuzzinessKernel("r1", r), R2]
+        ns_kernels = [F1, F2, F3]
         rng = random.Random(f"{r}:{tied}")
         for _ in range(20):
             for values, weights in _weighted_lists(rng, tied):
                 for fuzz in fuzz_kernels:
                     for nonspec in ns_kernels:
+                        r_fn, f_fn = oracle_kernels(fuzz, nonspec)
                         got = _pairwise(values, weights, fuzz, nonspec)
-                        want = _full_pairwise(values, weights, fuzz, nonspec)
+                        want = (oracle.fuzziness(values, weights, r_fn),
+                                oracle.nonspecificity(values, weights, f_fn))
                         assert [x.hex() for x in got] == [x.hex() for x in want]
         # The three-lane loop equals three _pairwise calls on unrelated lanes of one length.
         for _ in range(10):
             for lanes in zip(*(_weighted_lists(rng, tied) for _ in range(3))):
-                for fuzz in fuzz_kernels[1:]:
-                    for nonspec in ns_kernels[1:]:
+                for fuzz in fuzz_kernels:
+                    for nonspec in ns_kernels:
                         got = _pairwise3(lanes, fuzz, nonspec)
                         want = sum((_pairwise(*lane, fuzz, nonspec) for lane in lanes), ())
                         assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -1,3 +1,4 @@
+import builtins
 import json
 import random
 
@@ -14,6 +15,7 @@ from phfe import (
     EntropyConfig,
     FULL_ELEMENT,
     ParseError,
+    WeightVector,
     ZeroDenominatorError,
     all_configs,
     canonicalize,
@@ -29,6 +31,7 @@ from phfe import (
     run_topsis,
 )
 from phfe.reproduce import load_table
+from test_cli import _compensated_sum
 
 
 def _case_study_matrix():
@@ -197,6 +200,32 @@ class TestRunTopsis:
         assert result.closeness[0] == 0.5
         assert result.closeness[1] != 0.5
 
+    @pytest.mark.parametrize(
+        "config, ties",
+        [("r1:f1:max", 231), ("r1:f2:max", 21), ("r1:f3:max", 0),
+         ("r2:f1:max", 231), ("r2:f2:max", 231), ("r2:f3:max", 0)],
+    )
+    def test_no_weighting_puts_x1_strictly_first(self, case_study, config, ties):
+        # Every weight vector of the 20-step grid over the 4-criterion simplex: at
+        # best x1 ties for first, so the published strict x1 > x3 does not come
+        # from the weights.
+        steps = 20
+        grid = [
+            (a / steps, b / steps, c / steps, (steps - a - b - c) / steps)
+            for a in range(steps + 1)
+            for b in range(steps + 1 - a)
+            for c in range(steps + 1 - a - b)
+        ]
+        assert len(grid) == 1771
+        config = EntropyConfig.from_string(config)
+        tied = 0
+        for w in grid:
+            d_plus, d_minus = ideal_distances(case_study, WeightVector(w, w), config=config)
+            scores = [closeness(p, q) for p, q in zip(d_plus, d_minus)]
+            assert scores[0] <= max(scores[1:]), w
+            tied += scores[0] == max(scores)
+        assert tied == ties
+
     def test_tie_break_is_stable(self):
         cell = canonicalize([(0.4, 1.0)])
         matrix = DecisionMatrix(
@@ -254,12 +283,18 @@ class TestComponentTable:
         m, n = matrix.shape
         for config in all_configs():
             weights = entropy_weights(matrix, config)
-            raw = tuple(
-                1.0 - sum(comprehensive_entropy(matrix.cells[i][j], config) for i in range(m)) / m
-                for j in range(n)
-            )
-            assert weights.raw == raw
-            assert weights.normalized == tuple(w / sum(raw) for w in raw)
+            # Left to right, like d+ and d- below: the built-in sum compensates from 3.12 on.
+            raw = []
+            for j in range(n):
+                total = 0.0
+                for i in range(m):
+                    total += comprehensive_entropy(matrix.cells[i][j], config)
+                raw.append(1.0 - total / m)
+            denom = 0.0
+            for w in raw:
+                denom += w
+            assert weights.raw == tuple(raw)
+            assert weights.normalized == tuple(w / denom for w in raw)
             for psi in ALL_PSI:
                 expected = ([], [])
                 for i in range(m):
@@ -274,6 +309,11 @@ class TestComponentTable:
                     expected[0].append(plus)
                     expected[1].append(minus)
                 assert ideal_distances(matrix, weights, psi, config) == tuple(map(tuple, expected))
+
+    @pytest.mark.parametrize("build", [_case_study_matrix, _seeded_matrix], ids=["case", "seeded"])
+    def test_matches_definitions_on_a_compensating_sum(self, build, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        self.test_matches_definitions_for_every_config_and_psi(build)
 
     @pytest.mark.parametrize("build", [_case_study_matrix, _seeded_matrix], ids=["case", "seeded"])
     def test_results_do_not_depend_on_what_ran_before(self, build):
