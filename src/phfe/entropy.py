@@ -68,13 +68,18 @@ def _psum(x: float, y: float) -> float:
     return x + y - x * y
 
 
+def _max(x: float, y: float) -> float:
+    return y if y > x else x  # max(x, y), ties, signed zeros and nan included
+
+
 def _bsum(x: float, y: float) -> float:
-    return min(x + y, 1.0)
+    s = x + y
+    return 1.0 if 1.0 < s else s  # min(x + y, 1.0), the same way
 
 
 _FUZZINESS = {"r1": _r1, "r2": _r2}
 _NONSPECIFICITY = {"f1": _f1, "f2": _f2, "f3": _f3}
-_THETA = {"max": max, "psum": _psum, "bsum": _bsum}
+_THETA = {"max": _max, "psum": _psum, "bsum": _bsum}
 
 
 class _Variant(Frozen):

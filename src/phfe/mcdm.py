@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping, Sequence
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy, topsis_components
 from .elements import PHFE, Frozen, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
@@ -124,24 +125,23 @@ def ideal_distances(
     """Weighted distances of every alternative to the two ideal profiles.
 
     For a benefit criterion the positive ideal is {1|1} and the negative
-    ideal {0|1}; a cost criterion swaps them.  Sums run row-major so the
-    result does not depend on evaluation order.
+    ideal {0|1}; a cost criterion swaps them.  Each alternative's sums add
+    its weighted distances criterion by criterion, left to right from 0.0,
+    so the result does not depend on evaluation order.
     """
-    n = len(matrix.criteria)
+    m, n = matrix.shape
     sums = _columns(matrix, config)[2:]
     to_full, to_empty = (
         [distance_from_entropy(e, psi) for e in map(config.theta._fn, fuzz, nonspec)]
         for fuzz, nonspec in (sums[:2], sums[2:])
     )
-    # Each criterion's column of distances to its positive and its negative ideal.
-    pos, neg = zip(*(
-        (to_full[j::n], to_empty[j::n]) if c.kind == "benefit" else (to_empty[j::n], to_full[j::n])
-        for j, c in enumerate(matrix.criteria)
-    ))
-    w = weights.normalized
-    return tuple(
-        tuple(_ltr_sum(map(mul, w, row)) for row in zip(*columns)) for columns in (pos, neg)
-    )
+    plus, minus = [0.0] * m, [0.0] * m
+    for j, (w, c) in enumerate(zip(weights.normalized, matrix.criteria)):
+        pos, neg = (to_full, to_empty) if c.kind == "benefit" else (to_empty, to_full)
+        # A list each step: lazy maps would nest one C level per criterion.
+        plus = list(map(add, plus, map(mul, repeat(w), pos[j::n])))
+        minus = list(map(add, minus, map(mul, repeat(w), neg[j::n])))
+    return tuple(plus), tuple(minus)
 
 
 def closeness(d_plus: float, d_minus: float) -> float:
@@ -163,13 +163,13 @@ def run_topsis(
     """
     weights = entropy_weights(matrix, config)
     d_plus, d_minus = ideal_distances(matrix, weights, psi, config)
-    scores = tuple(closeness(p, m_) for p, m_ in zip(d_plus, d_minus))
+    scores = tuple(map(closeness, d_plus, d_minus))
     return TopsisResult(weights, d_plus, d_minus, scores, _ranking(scores))
 
 
 def _ranking(values: Sequence[float]) -> tuple[int, ...]:
     """Indices of ``values`` from largest to smallest; ties keep input order."""
-    return tuple(sorted(range(len(values)), key=lambda i: (-values[i], i)))
+    return tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))  # stable
 
 
 # ---------------------------------------------------------------------------

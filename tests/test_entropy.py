@@ -1,5 +1,7 @@
 import copy
 import functools
+import itertools
+import math
 import pickle
 import random
 
@@ -243,6 +245,44 @@ class TestComprehensiveEntropy:
         e_bsum = comprehensive_entropy(split, EntropyConfig(R1, F1, THETA_BSUM))
         assert e_psum == 1.0
         assert e_max <= e_psum <= e_bsum
+
+
+#: Signed zeros, the smallest subnormal, 0.5 and its next float, the floats
+#: either side of 1, infinities and nan: where a rewritten max or min can slip.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52,
+    math.inf, -math.inf, math.nan,
+)
+
+
+def _mismatches(fn, builtin_form):
+    """Ordered pairs of EDGE_FLOATS where ``fn`` differs from ``builtin_form`` in any bit."""
+    bad = []
+    for x, y in itertools.product(EDGE_FLOATS, repeat=2):
+        got, want = fn(x, y), builtin_form(x, y)
+        if math.isnan(want) != math.isnan(got) or not math.isnan(want) and got.hex() != want.hex():
+            bad.append((x, y, got, want))
+    return bad
+
+
+class TestCombinersMatchTheBuiltins:
+    """The max and bsum combiners avoid the built-in max and min (dear through ``map`` on
+    Python 3.11), and must return what those return bit for bit."""
+
+    def test_max_is_builtin_max(self):
+        assert _mismatches(_THETA["max"], max) == []
+
+    def test_bsum_is_min_of_sum_and_one(self):
+        assert _mismatches(_THETA["bsum"], lambda x, y: min(x + y, 1.0)) == []
+
+    def test_a_max_that_prefers_the_second_on_ties_is_caught(self):
+        # It differs wherever neither argument is larger: at the signed zeros and at nan.
+        bad = _mismatches(lambda x, y: x if x > y else y, max)
+        assert [(x.hex(), y.hex()) for x, y, _, _ in bad if x == x and y == y] == [
+            ("0x0.0p+0", "-0x0.0p+0"),
+            ("-0x0.0p+0", "0x0.0p+0"),
+        ]
+        assert len(bad) == 2 + 2 * (len(EDGE_FLOATS) - 1)
 
 
 class TestWeightedComprehensiveRefusal:

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phfe.distance
 import phfe.entropy
@@ -30,6 +32,7 @@ from phfe import (
     result_to_dict,
     run_topsis,
 )
+from phfe.mcdm import _ranking
 from phfe.reproduce import load_table
 from test_cli import _compensated_sum
 
@@ -243,6 +246,18 @@ class TestRunTopsis:
         assert first == second
 
 
+class TestRanking:
+    """One ranking order: descending, exact ties (0.0 and -0.0 among them) in input order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]), min_size=1, max_size=12))
+    def test_descending_with_ties_in_input_order(self, values):
+        n = len(values)
+        assert _ranking(values) == tuple(sorted(range(n), key=lambda i: (-values[i], i)))
+        weights = WeightVector(tuple(values), tuple(values))
+        assert weights.argmax == values.index(max(values))  # the first of tied maxima
+
+
 class TestRendering:
     def test_result_dict_names_ranking(self, case_study):
         result = run_topsis(case_study)
@@ -275,7 +290,8 @@ def _seeded_matrix(seed=11, m=5, kinds=("benefit", "cost", "benefit", "cost")):
 
 class TestComponentTable:
     """Weights and distances read per-matrix component sums; these pin the
-    cached path to the entropy and distance definitions, bit for bit."""
+    cached path, closeness and ranking included, to the entropy and distance
+    definitions, bit for bit."""
 
     @pytest.mark.parametrize("build", [_case_study_matrix, _seeded_matrix], ids=["case", "seeded"])
     def test_matches_definitions_for_every_config_and_psi(self, build):
@@ -309,6 +325,11 @@ class TestComponentTable:
                     expected[0].append(plus)
                     expected[1].append(minus)
                 assert ideal_distances(matrix, weights, psi, config) == tuple(map(tuple, expected))
+                result = run_topsis(matrix, config, psi)
+                assert (result.weights, result.d_plus, result.d_minus) == (weights, *map(tuple, expected))
+                scores = [dm / (dp + dm) for dp, dm in zip(*expected)]
+                assert result.closeness == tuple(scores)
+                assert result.ranking == tuple(sorted(range(m), key=lambda i: (-scores[i], i)))
 
     @pytest.mark.parametrize("build", [_case_study_matrix, _seeded_matrix], ids=["case", "seeded"])
     def test_matches_definitions_on_a_compensating_sum(self, build, monkeypatch):
