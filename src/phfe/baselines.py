@@ -22,7 +22,7 @@ def su_entropy_p1(a: PHFE) -> float:
     total = 0.0
     for v, p in a:
         total += (_xlnx(v) + _xlnx(1.0 - v)) * p
-    return -total / _LN2
+    return 0.0 - total / _LN2  # +0.0, not -0.0, where every value is 0 or 1
 
 
 def _xlnx(x: float) -> float:

@@ -13,7 +13,6 @@ values are not merged, so it is generally not a valid element itself.
 from __future__ import annotations
 
 import math
-from operator import lt
 
 from .elements import PHFE, _pi_fast, canonicalize
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise3, _Variant, weighted_comprehensive
@@ -92,21 +91,17 @@ EMPTY_ELEMENT = canonicalize([(0.0, 1.0)])
 
 
 def topsis_components(a: PHFE, config: EntropyConfig) -> tuple[float, ...]:
-    """Six sums of one TOPSIS cell, bit for bit: entropy_components of ``a``, then
-    those of ``hybrid(a, FULL_ELEMENT)``, then of ``hybrid(a, EMPTY_ELEMENT)``, all in one loop.
+    """Six sums of one TOPSIS cell in one loop: entropy_components of ``a``, then of its
+    hybrids with FULL_ELEMENT and EMPTY_ELEMENT, built in place under the weights pi(p, 1).
 
-    Against a one-value ideal the sorted hybrid is ``a``'s own order ({1|1})
-    or its reverse ({0|1}), with the weights pi(p, 1), unless 1 - v rounds two
-    values together; then the two ideal lanes are the sorted hybrids themselves.
+    Those are the values (1 - |v - 1|) / 2 in ``a``'s order and (1 - v) / 2 in reverse:
+    the sorted ``hybrid`` bit for bit, unless 1 - v rounds two values together (two
+    values below 1/2 less than about 1.1e-16 apart), where a sum may move by an ulp.
     """
-    full = [(1.0 - abs(v - 1.0)) / 2.0 for v in a.values]
     weights = [_pi_fast(p, 1.0) for p in a.probs]
-    ideals = (full, weights), ([(1.0 - v) / 2.0 for v in reversed(a.values)], weights[::-1])
-    # abs(v - 1) is fl(1 - v) and 1 - fl(1 - v) is exact (Sterbenz, or v itself), so
-    # the {0|1} lane is strictly increasing exactly when this one is.
-    if not all(map(lt, full, full[1:])):
-        ideals = hybrid(a, FULL_ELEMENT), hybrid(a, EMPTY_ELEMENT)
-    return _pairwise3(((a.values, a.probs), *ideals), config.fuzziness, config.nonspecificity)
+    full = [(1.0 - abs(v - 1.0)) / 2.0 for v in a.values], weights
+    empty = [(1.0 - v) / 2.0 for v in reversed(a.values)], weights[::-1]
+    return _pairwise3(((a.values, a.probs), full, empty), config.fuzziness, config.nonspecificity)
 
 
 def distance_from_entropy(e: float, psi: PsiFunction) -> float:

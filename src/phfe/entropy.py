@@ -166,11 +166,10 @@ class EntropyConfig(Frozen):
 DEFAULT_CONFIG = EntropyConfig()
 
 
-def all_configs(r: float = 1.0) -> list[EntropyConfig]:
-    """All 18 kernel/combiner combinations, r1 at exponent ``r``, in a fixed documented order."""
+def all_configs() -> list[EntropyConfig]:
+    """All 18 kernel/combiner combinations at r = 1, in a fixed documented order."""
     return [
-        EntropyConfig(FuzzinessKernel(fuzz, r if fuzz == "r1" else 1.0),
-                      NonSpecificityKernel(ns), ThetaCombiner(theta))
+        EntropyConfig(FuzzinessKernel(fuzz), NonSpecificityKernel(ns), ThetaCombiner(theta))
         for theta in _THETA
         for fuzz in _FUZZINESS
         for ns in _NONSPECIFICITY

@@ -76,22 +76,6 @@ def components(values, weights, r_name, f_name, r=1):
         return _TWO * fuzz / (l * (l + 1)), _TWO * ns / max(2, l * (l - 1))
 
 
-def ideal_components(values, probs, r_name, f_name, r=1):
-    """components of the hybrids of an element with {1|1}, then with {0|1}.
-
-    Against a one-value ideal u the hybrid has the values (1 - |v - u|) / 2
-    under the weights pi(p, 1); here both are exact.
-    """
-    sums = []
-    for u in (1, 0):
-        with localcontext() as ctx:
-            ctx.prec = PREC
-            hybrid_values = [(_ONE - abs(Decimal(v) - u)) / _TWO for v in values]
-            hybrid_weights = [pi_op(Decimal(p), _ONE) for p in probs]
-        sums += components(hybrid_values, hybrid_weights, r_name, f_name, r)
-    return tuple(sums)
-
-
 def hybrid_components(a_values, a_probs, b_values, b_probs, r_name, f_name, r=1):
     """components of the hybrid of two elements, built exactly from their floats.
 

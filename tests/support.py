@@ -1,0 +1,71 @@
+"""Helpers shared by the test modules; no test module imports another.
+
+``KERNEL_PAIRS`` is one config per kernel pair, the oracle lookup turns a
+library kernel or combiner into its transcription in ``oracle.py``, and
+``_compensated_sum`` stands in for the built-in ``sum`` of Python 3.12 on.
+"""
+
+import builtins
+import functools
+import math
+
+import oracle
+from phfe import EntropyConfig, all_configs
+
+
+def configs_at(r):
+    """The 18 configs of ``all_configs()`` with r1 at exponent ``r``, built by id; r2 takes none."""
+    return [
+        EntropyConfig.from_string(f"{c.label}@r={r!r}") if c.fuzziness.variant == "r1" else c
+        for c in all_configs()
+    ]
+
+
+#: One config per kernel pair, r1 at r = 1 and r = 2: nine pairs.
+KERNEL_PAIRS = list(
+    {(c.fuzziness, c.nonspecificity): c for c in all_configs() + configs_at(2.0)}.values()
+)
+
+_ORACLE = {
+    "r2": oracle.r2,
+    "f1": oracle.f1,
+    "f2": oracle.f2,
+    "f3": oracle.f3,
+    "max": oracle.theta_max,
+    "psum": oracle.theta_psum,
+    "bsum": oracle.theta_bsum,
+}
+
+
+def oracle_fn(variant):
+    """The oracle's transcription of a library kernel or combiner, r1 at its exponent."""
+    if variant.variant == "r1":
+        return functools.partial(oracle.r1, r=variant.r)
+    return _ORACLE[variant.variant]
+
+
+def oracle_config(config):
+    """The oracle's (r_fn, f_fn, theta_fn) for a library config."""
+    return tuple(map(oracle_fn, (config.fuzziness, config.nonspecificity, config.theta)))
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The built-in ``sum`` of Python 3.12 and later: Neumaier-compensated over floats.
+
+    Integer and bool sums keep the plain built-in and their type.
+    """
+    items = list(iterable)
+    if not any(isinstance(x, float) for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total

@@ -38,7 +38,7 @@ class TestMembershipEntropies:
     def test_documented_failure_at_split_element(self):
         # The baselines collapse to zero here while the proposed
         # non-specificity measure reaches its maximum.
-        assert su_entropy_p1(SPLIT) == 0.0
+        assert su_entropy_p1(SPLIT).hex() == "0x0.0p+0"  # +0.0, not -0.0
 
     def test_complement_symmetry(self):
         for a in (H1, H2, NARROW, WIDE):

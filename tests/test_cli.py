@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import random
 
 import pytest
@@ -19,6 +18,7 @@ from phfe.elements import canonicalize, pi
 from phfe.mcdm import parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
 from phfe.verify import random_phfe
+from support import _compensated_sum
 
 
 @pytest.fixture()
@@ -85,6 +85,19 @@ class TestEntropyCommand:
         values = {line.split()[-2]: line.split()[-1] for line in out[1:]}
         assert float(values["su-p1"]) == 0.0
         assert float(values["f1"]) == 1.0
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_su_p1_of_crisp_values_prints_positive_zero(self, tmp_path, capsys, fmt):
+        # Every value 0 or 1 sums to 0.0, and -0.0 / ln 2 would print "-0.0".
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"pairs": [{"v": 0, "p": 0.5}, {"v": 1, "p": 0.5}]}))
+        assert main(["entropy", "--input", str(path), "--measure", "su-p1", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            value = repr(json.loads(out)[0]["value"])
+        else:
+            value = out.splitlines()[1].replace(",", " ").split()[-1]
+        assert value == "0.0"
 
     def test_comprehensive_includes_components(self, elements_file, capsys):
         assert main(
@@ -672,28 +685,6 @@ def test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, arg
     argv = [argv[0], "--input", inputs[argv[1]], *argv[2:]]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
-_BUILTIN_SUM = builtins.sum
-
-
-def _compensated_sum(iterable, /, start=0):
-    """The built-in ``sum`` of Python 3.12 and later: Neumaier-compensated over floats.
-
-    Integer and bool sums keep the plain built-in and their type.
-    """
-    items = list(iterable)
-    if not any(isinstance(x, float) for x in items):
-        return _BUILTIN_SUM(items, start)
-    total, compensation = float(start), 0.0
-    for x in items:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 def _cases(test):

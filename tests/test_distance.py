@@ -24,7 +24,7 @@ from phfe import (
 from phfe.distance import topsis_components
 from phfe.entropy import F1, F2, F3, R1, _pairwise
 from phfe.verify import random_phfe
-from test_entropy import oracle_kernels
+from support import KERNEL_PAIRS, oracle_fn
 
 ONE = canonicalize([(1.0, 1.0)])
 ZERO = canonicalize([(0.0, 1.0)])
@@ -103,18 +103,24 @@ def _hex(sums):
     return [x.hex() for x in sums]
 
 
-#: One config per kernel pair, r1 at r = 1 and r = 2.
-KERNEL_PAIRS = list(
-    {(c.fuzziness, c.nonspecificity): c for r in (1.0, 2.0) for c in all_configs(r)}.values()
-)
+def _sorted_hybrids(a):
+    """The oracle's hybrids of ``a`` with {1|1} and with {0|1}, sorted."""
+    return oracle.hybrid(list(a), [(1.0, 1.0)]), oracle.hybrid(list(a), [(0.0, 1.0)])
 
 
-def _oracle_sums(a, config):
-    """The six sums of a TOPSIS cell by the oracle: the cell's, then its hybrids' with
-    {1|1} and with {0|1}."""
-    r_fn, f_fn = oracle_kernels(config.fuzziness, config.nonspecificity)
-    full, empty = oracle.hybrid(list(a), [(1.0, 1.0)]), oracle.hybrid(list(a), [(0.0, 1.0)])
-    lanes = (a.values, a.probs), full, empty
+def _in_place_lanes(a):
+    """The same hybrids unsorted: ``a``'s order against {1|1}, its reverse against {0|1}."""
+    weights = [oracle.pi_op(p, 1.0) for p in a.probs]
+    full = [(1.0 - abs(v - 1.0)) / 2.0 for v in a.values]
+    empty = [(1.0 - abs(v - 0.0)) / 2.0 for v in a.values]
+    return (full, weights), (empty[::-1], weights[::-1])
+
+
+def _oracle_sums(a, config, ideals):
+    """The six sums of a TOPSIS cell by the oracle: the cell's, then those of the two
+    ideal hybrids ``ideals``."""
+    r_fn, f_fn = oracle_fn(config.fuzziness), oracle_fn(config.nonspecificity)
+    lanes = (a.values, a.probs), *ideals
     return [x for lane in lanes
             for x in (oracle.fuzziness(*lane, r_fn), oracle.nonspecificity(*lane, f_fn))]
 
@@ -129,12 +135,11 @@ def _near_equal_weights(rng):
 
 
 class TestIdealComponents:
-    """topsis_components builds no hybrid unless 1 - v collides, and must equal the
-    oracle's sums of the cell and of its sorted hybrids bit for bit."""
+    """topsis_components sums the cell and its two ideal hybrids built in place, never
+    through hybrid(); that equals the oracle's sorted hybrids bit for bit, unless 1 - v
+    rounds two of the cell's values together."""
 
-    def test_random_elements_equal_the_sorted_hybrids(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(phfe.distance, "hybrid", lambda a, b: built.append(b) or hybrid(a, b))
+    def test_random_elements_equal_the_sorted_hybrids(self):
         rng = random.Random("ideal")
         elements = [random_phfe(rng) for _ in range(300)]
         elements += [random_phfe(rng, 8) for _ in range(40)]
@@ -142,10 +147,8 @@ class TestIdealComponents:
         assert {len(a) for a in elements} == set(range(1, 9))
         for a in elements:
             for config in KERNEL_PAIRS:
-                expected = _oracle_sums(a, config)
-                del built[:]
+                expected = _oracle_sums(a, config, _sorted_hybrids(a))
                 assert _hex(topsis_components(a, config)) == _hex(expected), (a, config.label)
-                assert built == []  # grid values never collide under 1 - v: the in-place path
 
     @pytest.mark.parametrize(
         "a",
@@ -158,15 +161,20 @@ class TestIdealComponents:
         ],
         ids=["equal-weights", "unequal-weights", "with-zero", "near-equal-weights", "eight-values"],
     )
-    def test_values_colliding_under_one_minus_v_take_sorted_ideal_lanes(self, a, monkeypatch):
+    def test_colliding_cells_use_in_place_lanes(self, a, monkeypatch):
+        # 1 - v is 1.0 for both 1e-17 and 2e-17, so the sorted hybrids may order the
+        # ideal lanes otherwise and round a sum an ulp apart; the oracle allows 1e-12.
         assert 1.0 - 1e-17 == 1.0 - 2e-17 == 1.0
-        built = []
-        monkeypatch.setattr(phfe.distance, "hybrid", lambda a, b: built.append(b) or hybrid(a, b))
+
+        def refuse(a, b):
+            raise AssertionError(f"hybrid({a}, {b}) built")
+
+        monkeypatch.setattr(phfe.distance, "hybrid", refuse)
         for config in KERNEL_PAIRS:
-            del built[:]
             got = topsis_components(a, config)
-            assert built == [ONE, ZERO]
-            assert _hex(got) == _hex(_oracle_sums(a, config)), config.label
+            assert _hex(got) == _hex(_oracle_sums(a, config, _in_place_lanes(a))), config.label
+            sorted_sums = _oracle_sums(a, config, _sorted_hybrids(a))
+            assert list(got) == pytest.approx(sorted_sums, rel=0, abs=1e-12), config.label
 
 
 class TestPsiFunctions:

@@ -1,5 +1,4 @@
 import copy
-import functools
 import itertools
 import math
 import pickle
@@ -40,6 +39,7 @@ from phfe import (
 )
 from phfe.elements import _pi_fast
 from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA, _pairwise, _pairwise3
+from support import configs_at, oracle_fn
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
 H2 = canonicalize([(0.6, 0.9), (0.9, 0.1)])
@@ -342,14 +342,13 @@ class TestEntropyConfig:
 
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 1.0000001, 1234567.5])
     def test_labels_round_trip(self, r):
-        measures = [FuzzinessKernel("r1", r), R2, F1, F2, F3, *all_configs(r)]
+        measures = [FuzzinessKernel("r1", r), R2, F1, F2, F3, *configs_at(r)]
         for measure in measures:
             assert parse_measure(measure.label) == measure, measure.label
 
     def test_short_exponents_keep_six_digit_labels(self):
         labels = [FuzzinessKernel("r1", r).label for r in (1.5, 2.0, 3.0)]
         assert labels == ["r1@r=1.5", "r1@r=2", "r1@r=3"]
-        assert all_configs(2.0)[0].label == "r1:f1:max@r=2"
 
     def test_only_r1_takes_an_exponent(self):
         with pytest.raises(OutOfRangeError):
@@ -359,7 +358,7 @@ class TestEntropyConfig:
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
                              ids=["deepcopy", "pickle"])
     def test_configs_survive_copies(self, copier):
-        configs = all_configs(2.0)
+        configs = configs_at(2.0)
         copies = copier(configs)
         assert copies == configs
         assert [hash(c) for c in copies] == [hash(c) for c in configs]
@@ -422,12 +421,6 @@ def _parses(text: str) -> bool:
 _EDGE_WEIGHTS = [1.0, 0.5, 1.0 / 3.0, 0.1, 1e-12, 1e-300, 2.2250738585072014e-308, 5e-324, 1e-310]
 
 
-def oracle_kernels(fuzz, nonspec):
-    """The oracle's transcriptions of a library kernel pair, as (r_fn, f_fn)."""
-    r_fn = functools.partial(oracle.r1, r=fuzz.r) if fuzz.variant == "r1" else oracle.r2
-    return r_fn, getattr(oracle, nonspec.variant)
-
-
 def _weighted_lists(rng: random.Random, tied: bool):
     """(values, weights) lists like elements and hybrids; ``tied`` repeats entries."""
     for length in range(1, 9):
@@ -456,22 +449,6 @@ class TestPairwiseDiagonal:
             for total in (0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5, 1e300):
                 assert (total + zero).hex() == total.hex()
 
-    def test_ideal_lanes_collide_together(self):
-        # topsis_components tests only the {1|1} lane for ties under 1 - v; the
-        # {0|1} lane must be strictly increasing exactly when that one is.
-        rng = random.Random(14)
-        outcomes = set()
-        for _ in range(3000):
-            centre, step = rng.choice([0.0, 0.5, 1.0]), 2.0 ** -rng.randint(50, 58)
-            values = sorted({min(1.0, max(0.0, centre + k * step))
-                             for k in rng.sample(range(-20, 21), rng.randint(2, 8))})
-            full = [(1.0 - abs(v - 1.0)) / 2.0 for v in values]
-            empty = [(1.0 - v) / 2.0 for v in reversed(values)]
-            increasing = all(x < y for x, y in zip(full, full[1:]))
-            assert increasing == all(x < y for x, y in zip(empty, empty[1:])), values
-            outcomes.add(increasing)
-        assert outcomes == {False, True}
-
     @pytest.mark.parametrize("name", sorted(_NONSPECIFICITY))
     def test_f_kernels_vanish_on_the_diagonal(self, name):
         rng = random.Random(12)
@@ -489,7 +466,7 @@ class TestPairwiseDiagonal:
             for values, weights in _weighted_lists(rng, tied):
                 for fuzz in fuzz_kernels:
                     for nonspec in ns_kernels:
-                        r_fn, f_fn = oracle_kernels(fuzz, nonspec)
+                        r_fn, f_fn = oracle_fn(fuzz), oracle_fn(nonspec)
                         got = _pairwise(values, weights, fuzz, nonspec)
                         want = (oracle.fuzziness(values, weights, r_fn),
                                 oracle.nonspecificity(values, weights, f_fn))

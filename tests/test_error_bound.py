@@ -12,17 +12,12 @@ import random
 from decimal import Decimal
 
 import decimal_reference as ref
-from phfe import all_configs
 from phfe.distance import hybrid, topsis_components
 from phfe.entropy import _pairwise, entropy_components
 from phfe.verify import random_phfe
+from support import KERNEL_PAIRS
 
 BOUND = 2 * 2.0**-52
-
-#: One config per kernel pair, r1 at r = 1 and r = 2: nine pairs.
-KERNEL_PAIRS = list(
-    {(c.fuzziness, c.nonspecificity): c for r in (1.0, 2.0) for c in all_configs(r)}.values()
-)
 
 
 def _max_error(engine, reference, count, seed):
@@ -44,8 +39,12 @@ def test_element_sums_within_the_bound():
     assert _max_error(entropy_components, ref.components, 40, "error-bound") <= BOUND
 
 
-def _topsis_reference(*args):
-    return ref.components(*args) + ref.ideal_components(*args)
+def _topsis_reference(values, probs, *kernels):
+    return (
+        ref.components(values, probs, *kernels)
+        + ref.hybrid_components(values, probs, [1.0], [1.0], *kernels)
+        + ref.hybrid_components(values, probs, [0.0], [1.0], *kernels)
+    )
 
 
 def test_ideal_hybrid_sums_within_the_bound():

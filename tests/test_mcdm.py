@@ -34,7 +34,7 @@ from phfe import (
 )
 from phfe.mcdm import _ranking
 from phfe.reproduce import load_table
-from test_cli import _compensated_sum
+from support import _compensated_sum, configs_at
 
 
 def _case_study_matrix():
@@ -380,12 +380,16 @@ class TestComponentTable:
         assert len(passes) == 7 * m * n
 
     def test_ideal_columns_build_no_hybrid(self, monkeypatch):
+        # One in-place construction of the ideal lanes, also where 1 - v rounds values together.
         def refuse(a, b):
             raise AssertionError(f"hybrid({a}, {b}) built")
 
         monkeypatch.setattr(phfe.distance, "hybrid", refuse)
-        matrix = _seeded_matrix(seed=12, m=100, kinds=("benefit", "cost") * 5)
-        for config in all_configs() + all_configs(2.0):
+        seeded = _seeded_matrix(seed=12, m=100, kinds=("benefit", "cost") * 5)
+        rows = [list(row) for row in seeded.cells]
+        rows[7][3] = canonicalize([(0.0, 0.2), (1e-17, 0.3), (2e-17, 0.1), (0.4, 0.4)])
+        matrix = DecisionMatrix(seeded.alternatives, seeded.criteria, rows)
+        for config in all_configs() + configs_at(2.0):
             run_topsis(matrix, config)
 
     def test_cache_leaves_equality_and_hash_alone(self):

@@ -14,12 +14,6 @@ import oracle
 from phfe import (
     ALL_PSI,
     EntropyConfig,
-    F1,
-    F2,
-    F3,
-    FuzzinessKernel,
-    R1,
-    R2,
     all_configs,
     canonicalize,
     comprehensive_entropy,
@@ -28,8 +22,10 @@ from phfe import (
     fuzziness_entropy,
     hybrid,
     nonspecificity_entropy,
+    parse_measure,
     weighted_comprehensive,
 )
+from support import oracle_config, oracle_fn
 
 VALUE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -52,42 +48,24 @@ def grid_elements():
 
 ELEMENTS = list(grid_elements())
 
-ORACLE_R = {
-    "r1": oracle.r1,
-    "r1@r=2": lambda x, y: oracle.r1(x, y, 2.0),
-    "r2": oracle.r2,
-}
-ORACLE_F = {"f1": oracle.f1, "f2": oracle.f2, "f3": oracle.f3}
-ORACLE_THETA = {
-    "max": oracle.theta_max,
-    "psum": oracle.theta_psum,
-    "bsum": oracle.theta_bsum,
-}
-LIB_R = {
-    "r1": R1,
-    "r1@r=2": FuzzinessKernel("r1", 2.0),
-    "r2": R2,
-}
-LIB_F = {"f1": F1, "f2": F2, "f3": F3}
-
 
 def test_grid_is_nontrivial():
     assert len(ELEMENTS) == 5 * 1 + 10 * 3 + 10 * 3
 
 
-@pytest.mark.parametrize("kernel_id", sorted(ORACLE_R))
+@pytest.mark.parametrize("kernel_id", ["r1", "r1@r=2", "r2"])
 def test_fuzziness_matches_oracle(kernel_id):
-    kernel = LIB_R[kernel_id]
-    reference = ORACLE_R[kernel_id]
+    kernel = parse_measure(kernel_id)
+    reference = oracle_fn(kernel)
     for a in ELEMENTS:
         expected = oracle.fuzziness(list(a.values), list(a.probs), reference)
         assert fuzziness_entropy(a, kernel) == pytest.approx(expected, abs=TOL), repr(a)
 
 
-@pytest.mark.parametrize("kernel_id", sorted(ORACLE_F))
+@pytest.mark.parametrize("kernel_id", ["f1", "f2", "f3"])
 def test_nonspecificity_matches_oracle(kernel_id):
-    kernel = LIB_F[kernel_id]
-    reference = ORACLE_F[kernel_id]
+    kernel = parse_measure(kernel_id)
+    reference = oracle_fn(kernel)
     for a in ELEMENTS:
         expected = oracle.nonspecificity(list(a.values), list(a.probs), reference)
         assert nonspecificity_entropy(a, kernel) == pytest.approx(expected, abs=TOL), repr(a)
@@ -95,15 +73,9 @@ def test_nonspecificity_matches_oracle(kernel_id):
 
 def test_comprehensive_matches_oracle_for_all_configs():
     for config in all_configs():
-        reference_r = ORACLE_R[
-            "r1" if config.fuzziness.variant == "r1" else "r2"
-        ]
-        reference_f = ORACLE_F[config.nonspecificity.variant]
-        reference_t = ORACLE_THETA[config.theta.variant]
+        reference = oracle_config(config)
         for a, b in zip(ELEMENTS, reversed(ELEMENTS)):
-            expected = oracle.comprehensive(
-                list(a.values), list(a.probs), reference_r, reference_f, reference_t
-            )
+            expected = oracle.comprehensive(list(a.values), list(a.probs), *reference)
             got = comprehensive_entropy(a, config)
             assert got == pytest.approx(expected, abs=TOL), f"{config.label} on {a!r}"
             # The one-pass components equal the single-kernel measures exactly.
@@ -126,11 +98,5 @@ def test_comprehensive_matches_oracle_for_all_configs():
 def test_comprehensive_matches_oracle_with_exponent():
     config = EntropyConfig.from_string("r1:f2:psum@r=2")
     for a in ELEMENTS:
-        expected = oracle.comprehensive(
-            list(a.values),
-            list(a.probs),
-            ORACLE_R["r1@r=2"],
-            oracle.f2,
-            oracle.theta_psum,
-        )
+        expected = oracle.comprehensive(list(a.values), list(a.probs), *oracle_config(config))
         assert comprehensive_entropy(a, config) == pytest.approx(expected, abs=TOL)

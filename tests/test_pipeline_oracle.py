@@ -8,19 +8,11 @@ library end to end.
 import pytest
 
 import oracle
-from phfe import EntropyConfig, parse_decision_matrix, run_topsis
+from phfe import EntropyConfig, all_configs, parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
+from support import oracle_config
 
 TOL = 1e-12
-
-# The 18 configs, each with the oracle's own kernels and combiner.
-_CONFIGS = {
-    f"{r}:{f}:{t}": (r_fn, f_fn, t_fn)
-    for t, t_fn in (("max", oracle.theta_max), ("psum", oracle.theta_psum),
-                    ("bsum", oracle.theta_bsum))
-    for r, r_fn in (("r1", oracle.r1), ("r2", oracle.r2))
-    for f, f_fn in (("f1", oracle.f1), ("f2", oracle.f2), ("f3", oracle.f3))
-}
 
 
 def _assert_matches(matrix, config, reference):
@@ -38,11 +30,11 @@ def _oracle_input(matrix):
     return cells, [c.kind for c in matrix.criteria]
 
 
-@pytest.mark.parametrize("label", list(_CONFIGS))
+@pytest.mark.parametrize("label", [c.label for c in all_configs()])
 def test_case_study_pipeline_matches_reference(label):
     matrix = parse_decision_matrix(load_table(9)["matrix"])
-    reference = oracle.topsis(*_oracle_input(matrix), *_CONFIGS[label])
-    _assert_matches(matrix, EntropyConfig.from_string(label), reference)
+    config = EntropyConfig.from_string(label)
+    _assert_matches(matrix, config, oracle.topsis(*_oracle_input(matrix), *oracle_config(config)))
 
 
 def test_two_by_two_pipeline_matches_reference():
@@ -64,5 +56,5 @@ def test_two_by_two_pipeline_matches_reference():
         ],
     }
     matrix = parse_decision_matrix(payload)
-    reference = oracle.topsis(*_oracle_input(matrix), *_CONFIGS["r1:f1:max"])
-    _assert_matches(matrix, EntropyConfig.from_string("r1:f1:max"), reference)
+    config = EntropyConfig.from_string("r1:f1:max")
+    _assert_matches(matrix, config, oracle.topsis(*_oracle_input(matrix), *oracle_config(config)))
