@@ -13,6 +13,7 @@ values are not merged, so it is generally not a valid element itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .elements import PHFE, _pi_fast, canonicalize
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise3, _Variant, weighted_comprehensive
@@ -31,20 +32,20 @@ def hybrid(a: PHFE, b: PHFE) -> tuple[tuple[float, ...], tuple[float, ...]]:
     ))))
 
 
-def _psi_id(z: float) -> float:
-    return z
+def _psi_id(zs: Sequence[float]) -> Sequence[float]:
+    return zs
 
 
-def _psi_sq(z: float) -> float:
-    return z * z
+def _psi_sq(zs: Sequence[float]) -> list[float]:
+    return [z * z for z in zs]
 
 
-def _psi_harm(z: float) -> float:
-    return 2.0 * z / (1.0 + z)
+def _psi_harm(zs: Sequence[float]) -> list[float]:
+    return [2.0 * z / (1.0 + z) for z in zs]
 
 
-def _psi_exp(z: float) -> float:
-    return z * math.exp(z - 1.0)
+def _psi_exp(zs: Sequence[float]) -> list[float]:
+    return [z * math.exp(z - 1.0) for z in zs]
 
 
 _PSI = {"id": _psi_id, "sq": _psi_sq, "harm": _psi_harm, "exp": _psi_exp}
@@ -53,15 +54,15 @@ _PSI = {"id": _psi_id, "sq": _psi_sq, "harm": _psi_harm, "exp": _psi_exp}
 class PsiFunction(_Variant):
     """Strictly increasing generator on [0, 1] used to shape the distance.
 
-    Every variant maps 0 to 0.0 and 1 to 1.0 exactly, so
-    :func:`distance_from_entropy` needs no affine renormalisation; a new
-    variant must keep both endpoints exact.
+    Its function maps a column of entropies to a column; a call on one number
+    passes a column of one.  Every variant maps 0 to 0.0 and 1 to 1.0 exactly (a new
+    one must too), so :func:`distance_from_entropy` needs no affine renormalisation.
     """
 
     _table, _kind = _PSI, "psi generator"
 
     def __call__(self, z: float) -> float:
-        return self._fn(z)
+        return self._fn((z,))[0]
 
 
 ALL_PSI = tuple(map(PsiFunction, _PSI))
@@ -82,7 +83,7 @@ def entropy_distance(
     positive, a property of the construction that the verification report
     surfaces rather than patches.
     """
-    return distance_from_entropy(weighted_comprehensive(*hybrid(a, b), config), psi)
+    return distance_from_entropy((weighted_comprehensive(*hybrid(a, b), config),), psi)[0]
 
 
 #: Ideal elements for a benefit criterion; a cost criterion swaps them.
@@ -104,6 +105,6 @@ def topsis_components(a: PHFE, config: EntropyConfig) -> tuple[float, ...]:
     return _pairwise3(((a.values, a.probs), full, empty), config.fuzziness, config.nonspecificity)
 
 
-def distance_from_entropy(e: float, psi: PsiFunction) -> float:
-    """d(a, b) = 1 - psi(e), where ``e`` is the comprehensive entropy of the hybrid h(a, b)."""
-    return 1.0 - psi._fn(e)
+def distance_from_entropy(es: Sequence[float], psi: PsiFunction) -> list[float]:
+    """d(a, b) = 1 - psi(e) for each comprehensive entropy ``e`` of a hybrid h(a, b) in ``es``."""
+    return [1.0 - z for z in psi._fn(es)]

@@ -117,7 +117,7 @@ def canonicalize(raw_pairs: Iterable[tuple[float, float]]) -> PHFE:
     by summing their probabilities, and the result is sorted ascending by
     value.  Idempotent: ``canonicalize(a) == a`` for a canonical ``a``.
     """
-    pairs = [(float(v), float(p)) for v, p in raw_pairs]
+    pairs = [(float(v) + 0.0, float(p)) for v, p in raw_pairs]  # + 0.0 folds -0.0 into 0.0
     if not pairs:
         raise EmptyInputError("no pairs given")
     merged: dict[float, float] = {}

@@ -11,19 +11,21 @@ the probability functional :func:`phfe.elements.pi`.  Every pass sums one fuzzin
 and one non-specificity kernel (a twin runs three lists of one length in one loop); a
 single measure keeps its half.  :func:`weighted_comprehensive` runs it over any checked
 (value, weight) list, such as a hybrid form, whose weights need not sum to one.
+Combiners act on whole columns; one element's combination is a column of one.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from operator import add
 
 from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
 from .elements import PHFE, Frozen, _pi_fast, format_number
 from .errors import EmptyInputError, OutOfRangeError, UnknownMeasureError
 
-# Each family is one table from id to scalar function, the only list of its
-# ids.  Fuzziness kernels take the r1 exponent as a third argument; r2 ignores it.
+# Each family is one table from id to function, the only list of its ids.  Kernels take scalars
+# (r1's exponent third, which r2 ignores); a combiner maps two columns to one list.
 
 
 def _r1(x: float, y: float, r: float) -> float:
@@ -60,21 +62,17 @@ def _f3(x: float, y: float) -> float:
     return d * math.exp(d - 1.0)
 
 
-def _psum(x: float, y: float) -> float:
-    # 1 absorbs exactly; the open form x + y - x*y rounds to
-    # 1 - 1e-16 there, breaking the max <= psum <= bsum chain.
-    if x == 1.0 or y == 1.0:
-        return 1.0
-    return x + y - x * y
+def _psum(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
+    # 1 absorbs exactly: x + y - x*y rounds to 1 - 1e-16 there, breaking max <= psum <= bsum.
+    return [1.0 if x == 1.0 or y == 1.0 else x + y - x * y for x, y in zip(xs, ys)]
 
 
-def _max(x: float, y: float) -> float:
-    return y if y > x else x  # max(x, y), ties, signed zeros and nan included
+def _max(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
+    return [y if y > x else x for x, y in zip(xs, ys)]  # max(x, y), signed zeros and nan too
 
 
-def _bsum(x: float, y: float) -> float:
-    s = x + y
-    return 1.0 if 1.0 < s else s  # min(x + y, 1.0), the same way
+def _bsum(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
+    return [1.0 if 1.0 < s else s for s in map(add, xs, ys)]  # min(x + y, 1.0), the same way
 
 
 _FUZZINESS = {"r1": _r1, "r2": _r2}
@@ -130,7 +128,7 @@ class ThetaCombiner(_Variant):
     _table, _kind = _THETA, "combiner"
 
     def combine(self, x: float, y: float) -> float:
-        return self._fn(x, y)
+        return self._fn((x,), (y,))[0]
 
 
 R1, R2 = map(FuzzinessKernel, _FUZZINESS)
@@ -301,7 +299,8 @@ def weighted_comprehensive(
             raise OutOfRangeError(f"membership value {v!r} outside [0, 1]")
         if not 0.0 < w <= 1.0:  # nan fails too
             raise OutOfRangeError(f"weight {w!r} outside (0, 1]")
-    return config.theta._fn(*_pairwise(values, weights, config.fuzziness, config.nonspecificity))
+    fuzz, nonspec = config.fuzziness, config.nonspecificity
+    return config.theta.combine(*_pairwise(values, weights, fuzz, nonspec))
 
 
 # ---------------------------------------------------------------------------
@@ -340,4 +339,4 @@ def entropy_components(a: PHFE, config: EntropyConfig = DEFAULT_CONFIG) -> tuple
 
 def comprehensive_entropy(a: PHFE, config: EntropyConfig = DEFAULT_CONFIG) -> float:
     """Combiner applied to the fuzziness and non-specificity of an element."""
-    return config.theta._fn(*entropy_components(a, config))
+    return config.theta.combine(*entropy_components(a, config))

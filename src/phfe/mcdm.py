@@ -108,8 +108,8 @@ def entropy_weights(
     """
     m, n = matrix.shape
     fuzz, nonspec = _columns(matrix, config)[:2]
-    combine = config.theta._fn
-    raw = [1.0 - _ltr_sum(map(combine, fuzz[j::n], nonspec[j::n])) / m for j in range(n)]
+    entropies = config.theta._fn(fuzz, nonspec)
+    raw = [1.0 - _ltr_sum(entropies[j::n]) / m for j in range(n)]
     denom = _ltr_sum(raw)
     if denom <= 0.0:
         raise DegenerateWeightsError("every cell has entropy 1; weights undefined")
@@ -130,11 +130,8 @@ def ideal_distances(
     so the result does not depend on evaluation order.
     """
     m, n = matrix.shape
-    sums = _columns(matrix, config)[2:]
-    to_full, to_empty = (
-        [distance_from_entropy(e, psi) for e in map(config.theta._fn, fuzz, nonspec)]
-        for fuzz, nonspec in (sums[:2], sums[2:])
-    )
+    combine, sums = config.theta._fn, _columns(matrix, config)[2:]  # two columns per ideal
+    to_full, to_empty = (distance_from_entropy(combine(*s), psi) for s in (sums[:2], sums[2:]))
     plus, minus = [0.0] * m, [0.0] * m
     for j, (w, c) in enumerate(zip(weights.normalized, matrix.criteria)):
         pos, neg = (to_full, to_empty) if c.kind == "benefit" else (to_empty, to_full)

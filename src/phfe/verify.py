@@ -18,6 +18,7 @@ over a common corpus, with the base entropies of each element computed once.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 from . import baselines
 from .distance import ALL_PSI, EMPTY_ELEMENT, FULL_ELEMENT, PsiFunction, entropy_distance, hybrid
@@ -95,31 +96,34 @@ def complement_involution(a: PHFE, c: PHFE) -> str | None:
         return f"complement does not reflect the values of {a!r} about 1/2"
 
 
+#: The six (fuzziness, non-specificity) id pairs a combiner takes, and getters of their columns.
+_BASE_PAIRS = [(fuzz, ns) for fuzz in _FUZZINESS for ns in _NONSPECIFICITY]
+_FUZZ_COLUMN, _NS_COLUMN = (itemgetter(*ids) for ids in zip(*_BASE_PAIRS))
+
+
 def entropy_range(a: PHFE, base: dict[str, float]) -> str | None:
     """Each base entropy, and each theta of a fuzziness and a non-specificity one, is in [0, 1]."""
     for key, value in base.items():
         if not 0.0 <= value <= 1.0:
             return f"{key} entropy of {a!r} = {value!r}"
-    for fuzz in _FUZZINESS:
-        for ns in _NONSPECIFICITY:
-            x, y = base[fuzz], base[ns]
-            for theta, combine in _THETA.items():
-                if not 0.0 <= (e := combine(x, y)) <= 1.0:
-                    return f"comprehensive[{fuzz}:{ns}:{theta}]({a!r}) = {e!r}"
+    xs, ys = _FUZZ_COLUMN(base), _NS_COLUMN(base)
+    columns = {theta: combine(xs, ys) for theta, combine in _THETA.items()}
+    for k, (fuzz, ns) in enumerate(_BASE_PAIRS):
+        for theta, es in columns.items():
+            if not 0.0 <= (e := es[k]) <= 1.0:
+                return f"comprehensive[{fuzz}:{ns}:{theta}]({a!r}) = {e!r}"
 
 
 def combiner_ordering(a: PHFE, base: dict[str, float]) -> str | None:
     """max <= probabilistic sum <= bounded sum for every pair of base entropies."""
-    theta_max, theta_psum, theta_bsum = _THETA.values()
-    for fuzz in _FUZZINESS:
-        for ns in _NONSPECIFICITY:
-            x, y = base[fuzz], base[ns]
-            e_max, e_psum, e_bsum = theta_max(x, y), theta_psum(x, y), theta_bsum(x, y)
-            if not e_max <= e_psum <= e_bsum:
-                return (
-                    f"combiner ordering broken on {a!r} [{fuzz}:{ns}]: "
-                    f"{e_max!r}, {e_psum!r}, {e_bsum!r}"
-                )
+    xs, ys = _FUZZ_COLUMN(base), _NS_COLUMN(base)
+    columns = [combine(xs, ys) for combine in _THETA.values()]  # max, psum, bsum
+    for (fuzz, ns), e_max, e_psum, e_bsum in zip(_BASE_PAIRS, *columns):
+        if not e_max <= e_psum <= e_bsum:
+            return (
+                f"combiner ordering broken on {a!r} [{fuzz}:{ns}]: "
+                f"{e_max!r}, {e_psum!r}, {e_bsum!r}"
+            )
 
 
 def complement_symmetry(
@@ -134,9 +138,13 @@ def complement_symmetry(
     for key in ("r1", *_NONSPECIFICITY):
         if abs(base_a[key] - base_c[key]) > _EXACT_TOL:
             return f"{key} entropy: {a!r} -> {base_a[key]!r} vs complement {base_c[key]!r}"
-    for ns in _NONSPECIFICITY:
-        for theta, combine in _THETA.items():
-            x, y = combine(base_a["r1"], base_a[ns]), combine(base_c["r1"], base_c[ns])
+    # One column per combiner: r1 with each non-specificity of a, then the same of c.
+    k, ys = len(_NONSPECIFICITY), [base[ns] for base in (base_a, base_c) for ns in _NONSPECIFICITY]
+    xs = [base_a["r1"]] * k + [base_c["r1"]] * k
+    columns = {theta: combine(xs, ys) for theta, combine in _THETA.items()}
+    for i, ns in enumerate(_NONSPECIFICITY):
+        for theta, es in columns.items():
+            x, y = es[i], es[i + k]
             if abs(x - y) > _EXACT_TOL:
                 return f"comprehensive[r1:{ns}:{theta}]: {x!r} vs {y!r} on {a!r}"
     for fn in (baselines.su_entropy_p1, baselines.su_entropy_p2, baselines.su_entropy_d):
@@ -190,12 +198,13 @@ def pi_symmetry(p: float, q: float) -> str | None:
 def theta_contract(x: float, y: float, z: float) -> str | None:
     """Each combiner fixes 0 and 1 against 0, commutes, and is monotone from ``y`` to ``z >= y``."""
     for theta, combine in _THETA.items():
-        for edge in (0.0, 1.0):
-            if combine(edge, 0.0) != edge:
+        e0, e1, xy, yx, xz = combine((0.0, 1.0, x, y, x), (0.0, 0.0, y, x, z))
+        for edge, e in ((0.0, e0), (1.0, e1)):
+            if e != edge:
                 return f"theta[{theta}]({edge}, 0) != {edge}"
-        if combine(x, y) != combine(y, x):
+        if xy != yx:
             return f"theta[{theta}] not commutative at ({x!r}, {y!r})"
-        if combine(x, y) > combine(x, z) + _EXACT_TOL:
+        if xy > xz + _EXACT_TOL:
             return f"theta[{theta}] not monotone at ({x!r}, {y!r} -> {z!r})"
 
 

@@ -8,9 +8,11 @@ any error, so these checks keep the names in step with the package.
 ``perfbench/worker.py`` calls phfe in the forms the benchmark times
 (``EntropyConfig.from_string``, ``all_configs()``, ``cli.main``); every op
 of one cycle of each workload, on a tiny input, must pass the benchmark's
-own output check.
+own output check.  The seeded sweep matrix keeps its results bit for bit under every
+config and generator.
 """
 
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -104,3 +106,20 @@ def test_a_traced_distance_is_charged_to_the_entropy_layer():
     l = len(a) * len(b)
     assert tracer.totals()["calls"]["entropy.weighted_comprehensive"] == 1
     assert tracer.counts["entropy.kernel_evals"] == l * (l + 1)
+
+
+def test_the_seeded_sweep_keeps_its_bits(tmp_path):
+    # Every float of run_topsis on the seed-5 topsis-sweep matrix, 18 configs x 4 generators.
+    import phfe
+
+    spec = workloads.generate("topsis-sweep", 5, tmp_path)
+    with open(spec["matrix"], encoding="utf-8") as fh:
+        matrix = phfe.parse_decision_matrix(json.load(fh))
+    digest = hashlib.sha256()
+    for config in phfe.all_configs():
+        for psi in phfe.ALL_PSI:
+            r = phfe.run_topsis(matrix, config, psi)
+            fields = (r.weights.raw, r.weights.normalized, r.d_plus, r.d_minus, r.closeness)
+            line = json.dumps([[x.hex() for x in f] for f in fields] + [list(r.ranking)]) + "\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == "bc318e68286ff7b9fdb0d4b77e12fa72783de92c20c78df1573e331d45958fc0"

@@ -99,6 +99,16 @@ class TestEntropyCommand:
             value = out.splitlines()[1].replace(",", " ").split()[-1]
         assert value == "0.0"
 
+    @pytest.mark.parametrize("command, column", [("entropy", 1), ("distance", 0)])
+    def test_negative_zero_value_prints_as_zero(self, tmp_path, capsys, command, column):
+        path = tmp_path / "negative_zero.json"
+        path.write_text(json.dumps([
+            {"pairs": [{"v": -0.0, "p": 0.5}, {"v": 0.5, "p": 0.5}]},
+            {"pairs": [{"v": 0.25, "p": 1.0}]},
+        ]))
+        rows = _csv_rows([command, "--input", str(path), "--format", "csv"], capsys)
+        assert rows[1][column] == "{0|0.5, 0.5|0.5}"
+
     def test_comprehensive_includes_components(self, elements_file, capsys):
         assert main(
             ["entropy", "--input", elements_file, "--measure", "r1:f1:max", "--format", "json"]

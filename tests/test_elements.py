@@ -45,6 +45,17 @@ class TestCanonicalize:
         assert a.values == (0.1, 0.9)
         assert a.probs == (0.7, 0.3)
 
+    def test_negative_zero_folds_into_zero(self):
+        # -0.0 == 0.0 with the same hash, so the two are one value, whichever comes first.
+        for raw in ([(-0.0, 1.0)], [(-0.0, 0.5), (0.0, 0.5)], [(0.0, 0.5), (-0.0, 0.5)]):
+            a = canonicalize(raw)
+            assert [v.hex() for v in a.values] == ["0x0.0p+0"]
+            assert repr(a) == "{0|1}"
+            assert phfe_to_dict(a) == {"pairs": [{"v": 0.0, "p": 1.0}]}
+            assert str(phfe_to_dict(a)["pairs"][0]["v"]) == "0.0"
+        # Every other value keeps its bits, the smallest subnormal included.
+        assert canonicalize([(5e-324, 0.5), (0.3, 0.5)]).values == (5e-324, 0.3)
+
     def test_idempotent(self):
         a = canonicalize([(0.2, 0.25), (0.8, 0.5), (0.2, 0.25)])
         again = canonicalize(list(a))

@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 from phfe import (
+    ALL_PSI,
     DEFAULT_CONFIG,
     EmptyInputError,
     EntropyConfig,
@@ -37,6 +38,7 @@ from phfe import (
     su_entropy_p2,
     weighted_comprehensive,
 )
+from phfe.distance import _PSI
 from phfe.elements import _pi_fast
 from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA, _pairwise, _pairwise3
 from support import configs_at, oracle_fn
@@ -255,19 +257,30 @@ EDGE_FLOATS = (
 )
 
 
-def _mismatches(fn, builtin_form):
-    """Ordered pairs of EDGE_FLOATS where ``fn`` differs from ``builtin_form`` in any bit."""
-    bad = []
-    for x, y in itertools.product(EDGE_FLOATS, repeat=2):
-        got, want = fn(x, y), builtin_form(x, y)
-        if math.isnan(want) != math.isnan(got) or not math.isnan(want) and got.hex() != want.hex():
-            bad.append((x, y, got, want))
-    return bad
+#: The 121 ordered pairs of EDGE_FLOATS, as one column of firsts and one of seconds.
+EDGE_PAIRS = list(itertools.product(EDGE_FLOATS, repeat=2))
+EDGE_XS, EDGE_YS = zip(*EDGE_PAIRS)
+
+
+def _same_bits(got, want):
+    return math.isnan(want) == math.isnan(got) and (math.isnan(want) or got.hex() == want.hex())
+
+
+def _mismatches(combine, scalar_form):
+    """Ordered pairs of EDGE_FLOATS where the column ``combine``, called once on all of them,
+    differs from ``scalar_form`` in any bit."""
+    got = combine(EDGE_XS, EDGE_YS)
+    assert len(got) == len(EDGE_PAIRS)
+    return [
+        (x, y, g, want)
+        for (x, y), g in zip(EDGE_PAIRS, got)
+        if not _same_bits(g, want := scalar_form(x, y))
+    ]
 
 
 class TestCombinersMatchTheBuiltins:
-    """The max and bsum combiners avoid the built-in max and min (dear through ``map`` on
-    Python 3.11), and must return what those return bit for bit."""
+    """Each combiner runs once over a column of pairs; the max and bsum combiners avoid the
+    built-in max and min, and every entry must be what the scalar form returns, bit for bit."""
 
     def test_max_is_builtin_max(self):
         assert _mismatches(_THETA["max"], max) == []
@@ -275,14 +288,46 @@ class TestCombinersMatchTheBuiltins:
     def test_bsum_is_min_of_sum_and_one(self):
         assert _mismatches(_THETA["bsum"], lambda x, y: min(x + y, 1.0)) == []
 
+    def test_psum_is_the_guarded_probabilistic_sum(self):
+        def guarded(x, y):
+            return 1.0 if x == 1.0 or y == 1.0 else x + y - x * y
+
+        assert _mismatches(_THETA["psum"], guarded) == []
+
     def test_a_max_that_prefers_the_second_on_ties_is_caught(self):
         # It differs wherever neither argument is larger: at the signed zeros and at nan.
-        bad = _mismatches(lambda x, y: x if x > y else y, max)
+        bad = _mismatches(lambda xs, ys: [x if x > y else y for x, y in zip(xs, ys)], max)
         assert [(x.hex(), y.hex()) for x, y, _, _ in bad if x == x and y == y] == [
             ("0x0.0p+0", "-0x0.0p+0"),
             ("-0x0.0p+0", "0x0.0p+0"),
         ]
         assert len(bad) == 2 + 2 * (len(EDGE_FLOATS) - 1)
+
+    def test_scalar_combine_is_the_column_of_one(self):
+        for theta in (THETA_MAX, THETA_PSUM, THETA_BSUM):
+            for (x, y), e in zip(EDGE_PAIRS, theta._fn(EDGE_XS, EDGE_YS)):
+                assert _same_bits(theta.combine(x, y), e)
+
+
+class TestGeneratorsMatchTheirFormulas:
+    """Each generator runs once over the column of EDGE_FLOATS; every entry must be its
+    scalar formula bit for bit, and a call on one number the column of one."""
+
+    FORMULAS = {
+        "id": lambda z: z,
+        "sq": lambda z: z * z,
+        "harm": lambda z: 2.0 * z / (1.0 + z),
+        "exp": lambda z: z * math.exp(z - 1.0),
+    }
+
+    @pytest.mark.parametrize("psi", ALL_PSI, ids=lambda psi: psi.label)
+    def test_column_is_the_scalar_formula(self, psi):
+        assert set(self.FORMULAS) == set(_PSI)
+        column = _PSI[psi.variant](EDGE_FLOATS)
+        assert len(column) == len(EDGE_FLOATS)
+        for z, got in zip(EDGE_FLOATS, column):
+            assert _same_bits(got, self.FORMULAS[psi.variant](z)), z
+            assert _same_bits(psi(z), got), z
 
 
 class TestWeightedComprehensiveRefusal:

@@ -10,6 +10,10 @@ import phfe.distance
 import phfe.entropy
 from phfe import (
     ALL_PSI,
+    F2,
+    PSI_SQUARE,
+    R1,
+    THETA_PSUM,
     CriterionSpec,
     DecisionMatrix,
     DegenerateWeightsError,
@@ -17,6 +21,8 @@ from phfe import (
     EntropyConfig,
     FULL_ELEMENT,
     ParseError,
+    PsiFunction,
+    ThetaCombiner,
     WeightVector,
     ZeroDenominatorError,
     all_configs,
@@ -391,6 +397,27 @@ class TestComponentTable:
         matrix = DecisionMatrix(seeded.alternatives, seeded.criteria, rows)
         for config in all_configs() + configs_at(2.0):
             run_topsis(matrix, config)
+
+    def test_a_cached_run_combines_whole_columns(self):
+        # On cached sums a run makes one combiner call for the weights and, per ideal,
+        # one combiner and one generator call, not one call per cell.
+        calls = []
+
+        def counting(variant):
+            fn = variant._fn
+
+            def count(*columns):
+                calls.append(variant.variant)
+                return fn(*columns)
+
+            variant.__dict__["_fn"] = count
+            return variant
+
+        matrix = _seeded_matrix(seed=12, m=100, kinds=("benefit", "cost") * 5)
+        expected = run_topsis(matrix, EntropyConfig(R1, F2, THETA_PSUM), PSI_SQUARE)
+        config = EntropyConfig(R1, F2, counting(ThetaCombiner("psum")))
+        assert run_topsis(matrix, config, counting(PsiFunction("sq"))) == expected
+        assert sorted(calls) == ["psum"] * 3 + ["sq"] * 2
 
     def test_cache_leaves_equality_and_hash_alone(self):
         used, fresh = _case_study_matrix(), _case_study_matrix()

@@ -69,7 +69,7 @@ WITNESSES = {
     ),
     "psi_endpoint_agreement": (("ALL_PSI", (PSI_IDENTITY, lambda z: z / 2)), (_HALF, _HALF, 1.0)),
     "pi_symmetry": (("pi", lambda p, q: pi(p, q) + 1e-15 * (p > q)), (0.4, 0.2)),
-    "theta_contract": (("_THETA", {"max": min}), (0.3, 0.5, 0.8)),
+    "theta_contract": (("_THETA", {"max": lambda xs, ys: list(map(min, xs, ys))}), (0.3, 0.5, 0.8)),
     "singleton_self_distance": (("entropy_distance", _offset_distance), (_HALF,)),
     "weights_and_closeness": (("comprehensive_entropy", lambda a: 0.5), (_UNIT_MATRIX,)),
     "boundary_exactness": (("fuzziness_entropy", lambda a, kernel=None: 0.5), ()),
