@@ -12,7 +12,8 @@ probabilities come from random simplexes.  A fixed seed always reproduces
 the same verdicts and counterexamples.  Draws come from the standard
 library's ``random.Random`` with a string seed, through ``random()`` and
 ``getrandbits`` only.  Suites that share inputs are checked in one pass
-over a common corpus, with the base entropies of each element computed once.
+over a common corpus, where each element's record (see :func:`base_entropies`)
+holds its 23 entropies by measure id, each computed once.
 """
 
 from __future__ import annotations
@@ -63,18 +64,33 @@ class SuiteResult:
 
 _R1_F1 = EntropyConfig(R1, F1)
 _R2_F2 = EntropyConfig(R2, F2)
+#: The six (fuzziness, non-specificity) id pairs a combiner takes, and getters of their columns.
+_BASE_PAIRS = [(fuzz, ns) for fuzz in _FUZZINESS for ns in _NONSPECIFICITY]
+_FUZZ_COLUMN, _NS_COLUMN = (itemgetter(*ids) for ids in zip(*_BASE_PAIRS))
+#: Each combiner's six config ids, as ``all_configs()`` labels them, in ``_BASE_PAIRS`` order.
+_CONFIG_IDS = {theta: [f"{fuzz}:{ns}:{theta}" for fuzz, ns in _BASE_PAIRS] for theta in _THETA}
+#: Each id pair, and a getter of its max, psum and bsum values from a record.
+_ORDERED = [(pair, itemgetter(*ids)) for pair, *ids in zip(_BASE_PAIRS, *_CONFIG_IDS.values())]
+#: The ids an element shares with its complement: r1, f1-f3 and the nine r1 configs.
+_SYMMETRIC_IDS = ["r1", *_NONSPECIFICITY]
+_SYMMETRIC_IDS += [f"r1:{ns}:{theta}" for theta in _THETA for ns in _NONSPECIFICITY]
 
 
 def base_entropies(a: PHFE) -> dict[str, float]:
-    """Base entropies of one element by kernel id, each computed exactly once, in three passes."""
+    """Record of one element's measures by id, each computed once: kernels r1 r2 f1 f2 f3 in
+    three passes, and the 18 ``all_configs()`` labels ``r1:f1:max`` ... in one call per combiner."""
     r1, f1 = entropy_components(a, _R1_F1)
     r2, f2 = entropy_components(a, _R2_F2)
-    return {"r1": r1, "r2": r2, "f1": f1, "f2": f2, "f3": nonspecificity_entropy(a, F3)}
+    base = {"r1": r1, "r2": r2, "f1": f1, "f2": f2, "f3": nonspecificity_entropy(a, F3)}
+    xs, ys = _FUZZ_COLUMN(base), _NS_COLUMN(base)
+    for theta, combine in _THETA.items():
+        base.update(zip(_CONFIG_IDS[theta], combine(xs, ys)))
+    return base
 
 
 # ---------------------------------------------------------------------------
 # Predicates.  Arguments named ``c`` are complements of ``a``, and ``base``
-# dicts come from base_entropies.
+# records come from base_entropies.
 # ---------------------------------------------------------------------------
 
 
@@ -96,29 +112,17 @@ def complement_involution(a: PHFE, c: PHFE) -> str | None:
         return f"complement does not reflect the values of {a!r} about 1/2"
 
 
-#: The six (fuzziness, non-specificity) id pairs a combiner takes, and getters of their columns.
-_BASE_PAIRS = [(fuzz, ns) for fuzz in _FUZZINESS for ns in _NONSPECIFICITY]
-_FUZZ_COLUMN, _NS_COLUMN = (itemgetter(*ids) for ids in zip(*_BASE_PAIRS))
-
-
 def entropy_range(a: PHFE, base: dict[str, float]) -> str | None:
-    """Each base entropy, and each theta of a fuzziness and a non-specificity one, is in [0, 1]."""
+    """Each measure of the record ``base``, kernel and config alike, is in [0, 1]."""
     for key, value in base.items():
         if not 0.0 <= value <= 1.0:
             return f"{key} entropy of {a!r} = {value!r}"
-    xs, ys = _FUZZ_COLUMN(base), _NS_COLUMN(base)
-    columns = {theta: combine(xs, ys) for theta, combine in _THETA.items()}
-    for k, (fuzz, ns) in enumerate(_BASE_PAIRS):
-        for theta, es in columns.items():
-            if not 0.0 <= (e := es[k]) <= 1.0:
-                return f"comprehensive[{fuzz}:{ns}:{theta}]({a!r}) = {e!r}"
 
 
 def combiner_ordering(a: PHFE, base: dict[str, float]) -> str | None:
     """max <= probabilistic sum <= bounded sum for every pair of base entropies."""
-    xs, ys = _FUZZ_COLUMN(base), _NS_COLUMN(base)
-    columns = [combine(xs, ys) for combine in _THETA.values()]  # max, psum, bsum
-    for (fuzz, ns), e_max, e_psum, e_bsum in zip(_BASE_PAIRS, *columns):
+    for (fuzz, ns), values in _ORDERED:
+        e_max, e_psum, e_bsum = values(base)
         if not e_max <= e_psum <= e_bsum:
             return (
                 f"combiner ordering broken on {a!r} [{fuzz}:{ns}]: "
@@ -135,18 +139,9 @@ def complement_symmetry(
     the r1 family, all non-specificity kernels, their combinations, and the
     baselines (see the documented-deviations section of the report).
     """
-    for key in ("r1", *_NONSPECIFICITY):
+    for key in _SYMMETRIC_IDS:
         if abs(base_a[key] - base_c[key]) > _EXACT_TOL:
             return f"{key} entropy: {a!r} -> {base_a[key]!r} vs complement {base_c[key]!r}"
-    # One column per combiner: r1 with each non-specificity of a, then the same of c.
-    k, ys = len(_NONSPECIFICITY), [base[ns] for base in (base_a, base_c) for ns in _NONSPECIFICITY]
-    xs = [base_a["r1"]] * k + [base_c["r1"]] * k
-    columns = {theta: combine(xs, ys) for theta, combine in _THETA.items()}
-    for i, ns in enumerate(_NONSPECIFICITY):
-        for theta, es in columns.items():
-            x, y = es[i], es[i + k]
-            if abs(x - y) > _EXACT_TOL:
-                return f"comprehensive[r1:{ns}:{theta}]: {x!r} vs {y!r} on {a!r}"
     for fn in (baselines.su_entropy_p1, baselines.su_entropy_p2, baselines.su_entropy_d):
         if abs((x := fn(a)) - (y := fn(c))) > _EXACT_TOL:
             return f"{fn.__name__}: {a!r} -> {x!r} vs complement {y!r}"
