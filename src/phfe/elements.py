@@ -183,6 +183,10 @@ def _pi_fast(p_i: float, p_j: float) -> float:
     return d
 
 
+def _pi_column(ps: Sequence[float], qs: Sequence[float]) -> list[float]:  # _pi_fast written inline
+    return [(p + q) / 2.0 if d <= PI_EQ_TOL else d for p, q in zip(ps, qs) for d in (abs(p - q),)]
+
+
 def format_number(x: float) -> str:
     """Six significant digits: the precision of every reported number."""
     return format(x, ".6g")

@@ -8,9 +8,9 @@ commutative, monotone combiner.
 
 All three measures are pairwise double sums over the element, weighted by
 the probability functional :func:`phfe.elements.pi`.  Every pass sums one fuzziness
-and one non-specificity kernel (a twin runs three lists of one length in one loop); a
-single measure keeps its half.  :func:`weighted_comprehensive` runs it over any checked
-(value, weight) list, such as a hybrid form, whose weights need not sum to one.
+and one non-specificity kernel (a batched twin runs many lists of one length as columns,
+kernels inline); a single measure keeps its half.  :func:`weighted_comprehensive` runs it
+over any checked (value, weight) list, such as a hybrid form, whose weights need not sum to one.
 Combiners act on whole columns; one element's combination is a column of one.
 """
 
@@ -21,7 +21,7 @@ from collections.abc import Callable, Sequence
 from operator import add
 
 from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
-from .elements import PHFE, Frozen, _pi_fast, format_number
+from .elements import PHFE, Frozen, _pi_column, _pi_fast, format_number
 from .errors import EmptyInputError, OutOfRangeError, UnknownMeasureError
 
 # Each family is one table from id to function, the only list of its ids.  Kernels take scalars
@@ -75,8 +75,39 @@ def _bsum(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
     return [1.0 if 1.0 < s else s for s in map(add, xs, ys)]  # min(x + y, 1.0), the same way
 
 
+# Column twins of the kernels for the batched pass: each returns ts[k] + kernel(xs[k], ys[k])
+# * ws[k] (** ws[k] for non-specificity) with the kernel inline, the same floats bit for bit.
+def _r1_step(ts, xs, ys, ws, r):
+    if r == 1.0:
+        return [t + (1.0 - abs(1.0 - 4.0 * p) / 3.0) * (1.0 - abs(4.0 * (x + y - p) - 3.0) / 3.0)
+                * w for t, x, y, w in zip(ts, xs, ys, ws) for p in (x * y,)]
+    return [t + (1.0 - (abs(1.0 - 4.0 * p) / 3.0) ** r)
+            * (1.0 - (abs(4.0 * (x + y - p) - 3.0) / 3.0) ** r) * w
+            for t, x, y, w in zip(ts, xs, ys, ws) for p in (x * y,)]
+
+
+def _r2_step(ts, xs, ys, ws, r):  # min(a, b) is b if b < a else a, signed zeros too; q is 2s
+    return [t + (2.0 / 3.0) * ((p if p < 1.0 - 2.0 * p else 1.0 - 2.0 * p) + 1.0)
+            * ((2.0 / 3.0) * ((2.0 - q if 2.0 - q < q - 1.0 else q - 1.0) + 1.0)) * w
+            for t, x, y, w in zip(ts, xs, ys, ws) for p in (x * y,) for q in (2.0 * (x + y - p),)]
+
+
+def _f1_step(ts, xs, ys, ws):
+    return [t + (2.0 * d / (1.0 + d)) ** w
+            for t, x, y, w in zip(ts, xs, ys, ws) for d in (abs(x - y),)]
+
+
+def _f2_step(ts, xs, ys, ws, log=math.log):
+    return [t + (log(1.0 + abs(x - y)) / _LN2) ** w for t, x, y, w in zip(ts, xs, ys, ws)]
+
+
+def _f3_step(ts, xs, ys, ws, exp=math.exp):
+    return [t + (d * exp(d - 1.0)) ** w for t, x, y, w in zip(ts, xs, ys, ws) for d in (abs(x - y),)]
+
+
 _FUZZINESS = {"r1": _r1, "r2": _r2}
 _NONSPECIFICITY = {"f1": _f1, "f2": _f2, "f3": _f3}
+_STEPS = {"r1": _r1_step, "r2": _r2_step, "f1": _f1_step, "f2": _f2_step, "f3": _f3_step}
 _THETA = {"max": _max, "psum": _psum, "bsum": _bsum}
 
 
@@ -257,30 +288,21 @@ def _pairwise(
     return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
 
 
-def _pairwise3(lanes, fuzz: FuzzinessKernel, nonspec: NonSpecificityKernel) -> tuple[float, ...]:
-    """_pairwise of three (values, weights) lanes of one length in one loop, bit for bit: each
-    lane adds its terms in _pairwise's order, and the six sums come back lane by lane."""
-    r_fn, r, f_fn = fuzz._fn, fuzz.r, nonspec._fn
-    (v0, w0), (v1, w1), (v2, w2) = lanes
-    l = len(v0)
-    f0 = f1 = f2 = n0 = n1 = n2 = 0.0
-    for i in range(l):
-        x0, x1, x2, p0, p1, p2 = v0[i], v1[i], v2[i], w0[i], w1[i], w2[i]
-        f0 += r_fn(x0, x0, r) * p0
-        f1 += r_fn(x1, x1, r) * p1
-        f2 += r_fn(x2, x2, r) * p2
+def _pairwise_columns(vs, ws, fuzz: FuzzinessKernel, nonspec: NonSpecificityKernel):
+    """_pairwise of many lanes of one length l, as l value and l weight columns: ([fuzziness],
+    [non-specificity]) by lane.  Each step of _pairwise's walk maps every lane at once, so each
+    lane adds the same terms in the same order from 0.0, and every sum keeps its bits."""
+    r_step, r, f_step = _STEPS[fuzz.variant], fuzz.r, _STEPS[nonspec.variant]
+    l = len(vs)
+    fuzz_totals = ns_totals = [0.0] * len(vs[0])
+    for i, (xs, ps) in enumerate(zip(vs, ws)):
+        fuzz_totals = r_step(fuzz_totals, xs, xs, ps, r)  # j == i, as in _pairwise
         for j in range(i + 1, l):
-            y, w = v0[j], _pi_fast(p0, w0[j])
-            f0 += r_fn(x0, y, r) * w
-            n0 += f_fn(x0, y) ** w
-            y, w = v1[j], _pi_fast(p1, w1[j])
-            f1 += r_fn(x1, y, r) * w
-            n1 += f_fn(x1, y) ** w
-            y, w = v2[j], _pi_fast(p2, w2[j])
-            f2 += r_fn(x2, y, r) * w
-            n2 += f_fn(x2, y) ** w
+            w = _pi_column(ps, ws[j])
+            fuzz_totals = r_step(fuzz_totals, xs, vs[j], w, r)
+            ns_totals = f_step(ns_totals, xs, vs[j], w)
     fd, nd = l * (l + 1), max(2, l * (l - 1))
-    return 2.0 * f0 / fd, 2.0 * n0 / nd, 2.0 * f1 / fd, 2.0 * n1 / nd, 2.0 * f2 / fd, 2.0 * n2 / nd
+    return [2.0 * t / fd for t in fuzz_totals], [2.0 * t / nd for t in ns_totals]
 
 
 def weighted_comprehensive(

@@ -13,7 +13,7 @@ from collections.abc import Mapping, Sequence
 from itertools import repeat
 from operator import add, mul
 
-from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy, topsis_components
+from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy, topsis_columns
 from .elements import PHFE, Frozen, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
@@ -60,13 +60,13 @@ class DecisionMatrix(Frozen):
 
 
 def _columns(matrix: DecisionMatrix, config: EntropyConfig):
-    """Row-major arrays of ``topsis_components(cell, config)``: the cell's 2 sums, then its
-    hybrids' with {1|1} and {0|1}.  Kept on the matrix per kernel pair (per r too), so 18
-    configs cost 6 passes; the first call, weights alone included, fills all 6 columns."""
+    """Row-major arrays of ``topsis_columns``: the cells' 2 sums, then their hybrids' with
+    {1|1} and {0|1}.  Kept on the matrix per kernel pair (per r too), so 18 configs cost 6
+    batched passes; the first call, weights alone included, fills all 6 columns."""
     key = (config.fuzziness, config.nonspecificity)
     if key not in matrix._tables:
-        table = [topsis_components(c, config) for row in matrix.cells for c in row]
-        matrix._tables[key] = tuple(array("d", column) for column in zip(*table))
+        cells = [c for row in matrix.cells for c in row]
+        matrix._tables[key] = tuple(array("d", column) for column in topsis_columns(cells, config))
     return matrix._tables[key]
 
 
@@ -160,7 +160,12 @@ def run_topsis(
     """
     weights = entropy_weights(matrix, config)
     d_plus, d_minus = ideal_distances(matrix, weights, psi, config)
-    scores = tuple(map(closeness, d_plus, d_minus))
+    try:
+        scores = tuple(map(closeness, d_plus, d_minus))
+    except ZeroDenominatorError:  # name the first alternative at zero distance from both
+        name = matrix.alternatives[list(map(add, d_plus, d_minus)).index(0.0)]
+        message = f"alternative {name!r:.40} has zero distance to both ideals"
+        raise ZeroDenominatorError(message) from None
     return TopsisResult(weights, d_plus, d_minus, scores, _ranking(scores))
 
 

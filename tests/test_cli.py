@@ -342,6 +342,22 @@ class TestTopsisCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "alternative names" in captured.err
 
+    def test_bsum_refusal_names_the_alternative(self, tmp_path, capsys):
+        # bsum saturates at 1 on both ideal hybrids of x1, so d+ = d- = 0 there.
+        path = tmp_path / "saturated.json"
+        cells = [
+            [{"pairs": [{"v": 0.41, "p": 0.44}, {"v": 0.95, "p": 0.56}]}],
+            [{"pairs": [{"v": 0.03, "p": 1}]}],
+        ]
+        document = {"criteria": [{"name": "c1", "kind": "cost"}], "alternatives": ["x1", "x2"]}
+        path.write_text(json.dumps({**document, "cells": cells}))
+        assert main(["topsis", "--input", str(path), "--config", "r1:f1:max"]) == 0
+        capsys.readouterr()
+        assert main(["topsis", "--input", str(path), "--config", "r1:f1:bsum"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: alternative 'x1' has zero distance to both ideals\n"
+        )
+
     @pytest.mark.parametrize(
         "field, patch",
         [

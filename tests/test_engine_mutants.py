@@ -1,0 +1,102 @@
+"""Wrong engines must fail a named gate.
+
+Each mutant is patched into the batched TOPSIS pass (``phfe.entropy._STEPS``) for one
+test, in-process; the gates are the oracle pipeline check and the pinned ``phfe
+reproduce`` digest.  The unpatched engine passes every gate, and each mutant is
+pinned to the gates it fails.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+
+import pytest
+
+import oracle
+import phfe.entropy
+from phfe import CriterionSpec, DecisionMatrix, EntropyConfig, parse_decision_matrix, run_topsis
+from phfe.cli import main
+from phfe.reproduce import load_table
+from phfe.verify import random_phfe
+from support import oracle_config
+
+REPRODUCE_SHA256 = "360748d3c6c862c9e19afaedf0e43c9a4047afdcb9d364083eefee7ee1012514"
+
+
+def _seeded_matrix():
+    rng = random.Random("mutants")
+    return DecisionMatrix(
+        tuple(f"x{i}" for i in range(6)),
+        (CriterionSpec("c1"), CriterionSpec("c2", "cost"), CriterionSpec("c3")),
+        tuple(tuple(random_phfe(rng) for _ in range(3)) for _ in range(6)),
+    )
+
+
+def _oracle_gate():
+    """run_topsis within 1e-12 of tests/oracle.py on the case study and a seeded matrix."""
+    for matrix in (parse_decision_matrix(load_table(9)["matrix"]), _seeded_matrix()):
+        cells = [[list(cell) for cell in row] for row in matrix.cells]
+        kinds = [c.kind for c in matrix.criteria]
+        for label in ("r1:f1:max", "r1:f2:psum@r=2", "r2:f3:max"):
+            config = EntropyConfig.from_string(label)
+            result = run_topsis(matrix, config)
+            want = oracle.topsis(cells, kinds, *oracle_config(config))
+            got = (result.weights.raw, result.weights.normalized, result.d_plus,
+                   result.d_minus, result.closeness)
+            for xs, ys in zip(got, want):
+                if any(abs(x - y) > 1e-12 for x, y in zip(xs, ys)):
+                    return False
+    return True
+
+
+def _reproduce_gate():
+    """`phfe reproduce` prints the pinned report, byte for byte."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["reproduce"])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest() == REPRODUCE_SHA256
+
+
+GATES = {"oracle": _oracle_gate, "reproduce digest": _reproduce_gate}
+
+
+def _r1_sign_flipped(totals, xs, ys, ws, r):
+    # The column r1 with 1.0 + 4.0 * p where the kernel has 1.0 - 4.0 * p.
+    return [t + (1.0 - (abs(1.0 + 4.0 * p) / 3.0) ** r) * (1.0 - (abs(4.0 * (x + y - p) - 3.0) / 3.0) ** r)
+            * w for t, x, y, w in zip(totals, xs, ys, ws) for p in (x * y,)]
+
+
+def _without_diagonal(step):
+    # The diagonal step is the only one that passes one value column as both xs and ys.
+    def mutant(totals, xs, ys, ws, r):
+        return totals if xs is ys else step(totals, xs, ys, ws, r)
+
+    return mutant
+
+
+MUTANTS = {
+    "r1-sign": lambda: {"r1": _r1_sign_flipped},
+    "no-diagonal": lambda: {k: _without_diagonal(phfe.entropy._STEPS[k]) for k in ("r1", "r2")},
+}
+
+
+def _failing_gates():
+    return [name for name, gate in GATES.items() if not gate()]
+
+
+def test_the_engine_passes_every_gate():
+    assert _failing_gates() == []
+
+
+@pytest.mark.parametrize(
+    "mutant, caught_by",
+    [
+        ("r1-sign", ["oracle", "reproduce digest"]),
+        ("no-diagonal", ["oracle", "reproduce digest"]),
+    ],
+)
+def test_a_named_gate_fails_on_each_mutant(monkeypatch, mutant, caught_by):
+    for kernel, step in MUTANTS[mutant]().items():
+        monkeypatch.setitem(phfe.entropy._STEPS, kernel, step)
+    assert _failing_gates() == caught_by

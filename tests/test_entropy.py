@@ -39,8 +39,8 @@ from phfe import (
     weighted_comprehensive,
 )
 from phfe.distance import _PSI
-from phfe.elements import _pi_fast
-from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _THETA, _pairwise, _pairwise3
+from phfe.elements import _pi_column, _pi_fast
+from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _STEPS, _THETA, _pairwise, _pairwise_columns
 from support import configs_at, oracle_fn
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
@@ -516,11 +516,67 @@ class TestPairwiseDiagonal:
                         want = (oracle.fuzziness(values, weights, r_fn),
                                 oracle.nonspecificity(values, weights, f_fn))
                         assert [x.hex() for x in got] == [x.hex() for x in want]
-        # The three-lane loop equals three _pairwise calls on unrelated lanes of one length.
+        # The batched pass equals one _pairwise call per lane on unrelated lanes of one length.
         for _ in range(10):
             for lanes in zip(*(_weighted_lists(rng, tied) for _ in range(3))):
+                values, weights = ([list(col) for col in zip(*half)] for half in zip(*lanes))
                 for fuzz in fuzz_kernels:
                     for nonspec in ns_kernels:
-                        got = _pairwise3(lanes, fuzz, nonspec)
-                        want = sum((_pairwise(*lane, fuzz, nonspec) for lane in lanes), ())
-                        assert [x.hex() for x in got] == [x.hex() for x in want]
+                        got = _pairwise_columns(values, weights, fuzz, nonspec)
+                        want = zip(*(_pairwise(*lane, fuzz, nonspec) for lane in lanes))
+                        assert [[x.hex() for x in s] for s in got] == [
+                            [x.hex() for x in s] for s in want]
+
+
+#: Membership values where the kernels' branches and roundings meet.
+_EDGE_VALUES = [0.0, 1.0, 0.5, 0.25, 0.75, 1.0 / 3.0, 2.0 / 3.0, 1e-17, 5e-324, 1.0 - 2**-53]
+
+
+def _kernel_points(seed):
+    """(totals, xs, ys, ws) columns: every ordered pair of _EDGE_VALUES, then 2000 random
+    pairs, under edge and random weights and running totals."""
+    rng = random.Random(seed)
+    pairs = list(itertools.product(_EDGE_VALUES, repeat=2))
+    pairs += [(rng.random(), rng.random()) for _ in range(2000)]
+    xs, ys = map(list, zip(*pairs))
+    ws = [_EDGE_WEIGHTS[k % len(_EDGE_WEIGHTS)] if k % 3 else rng.uniform(1e-9, 1.0)
+          for k in range(len(pairs))]
+    totals = [0.0 if k % 4 == 0 else rng.uniform(0.0, 10.0) for k in range(len(pairs))]
+    return totals, xs, ys, ws
+
+
+class TestColumnKernelTwins:
+    """Each column kernel of the batched pass writes its scalar twin inline; every entry must
+    be the scalar form's running sum, bit for bit."""
+
+    @pytest.mark.parametrize("r", [1.0, 1.7, 2.0])
+    def test_r1_step_is_the_scalar_kernel(self, r):
+        totals, xs, ys, ws = _kernel_points(f"r1:{r}")
+        got = _STEPS["r1"](totals, xs, ys, ws, r)
+        want = [t + _FUZZINESS["r1"](x, y, r) * w for t, x, y, w in zip(totals, xs, ys, ws)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_r2_step_is_the_scalar_kernel(self):
+        totals, xs, ys, ws = _kernel_points("r2")
+        got = _STEPS["r2"](totals, xs, ys, ws, 1.0)
+        want = [t + _FUZZINESS["r2"](x, y, 1.0) * w for t, x, y, w in zip(totals, xs, ys, ws)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("name", sorted(_NONSPECIFICITY))
+    def test_f_step_is_the_scalar_kernel(self, name):
+        totals, xs, ys, ws = _kernel_points(name)
+        got = _STEPS[name](totals, xs, ys, ws)
+        want = [t + _NONSPECIFICITY[name](x, y) ** w for t, x, y, w in zip(totals, xs, ys, ws)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_pi_column_is_pi(self):
+        # Differences of 1e-13 and 4e-13 take the equality branch; 1e-12 is its edge.
+        rng = random.Random("pi")
+        ps = _EDGE_WEIGHTS + [rng.uniform(1e-9, 1.0) for _ in range(2000)]
+        pairs = [(p, q) for p in _EDGE_WEIGHTS for q in _EDGE_WEIGHTS]
+        pairs += [(p, rng.uniform(1e-9, 1.0)) for p in ps]
+        pairs += [(p, p + d) for p in ps for d in (1e-13, -1e-13, 4e-13, -4e-13, 1e-12, 2e-12)
+                  if 0.0 < p + d <= 1.0]
+        assert sum(abs(p - q) <= 1e-12 and p != q for p, q in pairs) > 4000
+        got = _pi_column(*zip(*pairs))
+        assert [x.hex() for x in got] == [_pi_fast(p, q).hex() for p, q in pairs]

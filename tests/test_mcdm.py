@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import phfe.distance
 import phfe.entropy
+import phfe.mcdm
 from phfe import (
     ALL_PSI,
     F2,
@@ -38,9 +39,11 @@ from phfe import (
     result_to_dict,
     run_topsis,
 )
+from phfe.distance import topsis_components
 from phfe.mcdm import _ranking
 from phfe.reproduce import load_table
-from support import _compensated_sum, configs_at
+from phfe.verify import random_phfe
+from support import KERNEL_PAIRS, _compensated_sum, configs_at
 
 
 def _case_study_matrix():
@@ -352,20 +355,25 @@ class TestComponentTable:
                 assert run_topsis(matrix, config, psi) == run_topsis(build(), config, psi)
 
     def test_one_pass_per_cell_input_and_kernel_pair(self, monkeypatch):
-        # One three-lane loop per cell and kernel pair sums the cell and both its
-        # ideal hybrids, a cell whose values collide under 1 - v included; no
-        # cell enters _pairwise.
-        passes = []
-        original = phfe.distance._pairwise3
+        # One batched pass per matrix and kernel pair sums every cell and both its
+        # ideal hybrids, a cell whose values collide under 1 - v included, with one
+        # walk per cell length; no cell enters _pairwise.
+        passes, walks = [], []
+        original, walk = phfe.mcdm.topsis_columns, phfe.distance._pairwise_columns
 
-        def counting(*args):
-            passes.append(args[1:])
-            return original(*args)
+        def counting(cells, config):
+            passes.append((len(cells), config.fuzziness, config.nonspecificity))
+            return original(cells, config)
+
+        def counting_walks(vs, ws, fuzz, nonspec):
+            walks.append(len(vs))
+            return walk(vs, ws, fuzz, nonspec)
 
         def refuse(*args):
             raise AssertionError("_pairwise entered")
 
-        monkeypatch.setattr(phfe.distance, "_pairwise3", counting)
+        monkeypatch.setattr(phfe.mcdm, "topsis_columns", counting)
+        monkeypatch.setattr(phfe.distance, "_pairwise_columns", counting_walks)
         monkeypatch.setattr(phfe.entropy, "_pairwise", refuse)
         seeded = _seeded_matrix()
         rows = [list(row) for row in seeded.cells]
@@ -373,17 +381,43 @@ class TestComponentTable:
         matrix = DecisionMatrix(seeded.alternatives, seeded.criteria, rows)
         m, n = matrix.shape
         entropy_weights(matrix)  # weights alone fill all six columns of the pair
-        assert len(passes) == m * n
+        assert len(passes) == 1
         for config in all_configs():
             run_topsis(matrix, config)
-        assert len(passes) == 6 * m * n
-        assert len(set(passes)) == 6
+        assert len(passes) == 6
+        assert len(set(passes)) == 6 and {p[0] for p in passes} == {m * n}
+        lengths = sorted({len(c) for row in rows for c in row})
+        assert sorted(walks) == sorted(lengths * 6)
         for config in all_configs():
             run_topsis(matrix, config)
-        assert len(passes) == 6 * m * n
+        assert len(passes) == 6
         run_topsis(matrix, EntropyConfig.from_string("r1:f1:max@r=2"))
         run_topsis(matrix, EntropyConfig.from_string("r1:f1:bsum@r=2"))
-        assert len(passes) == 7 * m * n
+        assert len(passes) == 7
+
+    def test_batched_columns_equal_one_cell_batches(self):
+        # Lengths 1-8 in one matrix, cells whose values collide under 1 - v among them:
+        # grouping lanes by length and scattering them back moves no cell's sums.
+        rng = random.Random("batch")
+        cells = [
+            canonicalize([(1e-17, 0.3), (2e-17, 0.7)]),
+            canonicalize([(1e-17, 0.5 + 4e-13), (2e-17, 0.5 - 4e-13)]),
+            canonicalize([(0.0, 0.2), (1e-17, 0.3), (2e-17, 0.1), (0.4, 0.4)]),
+            canonicalize([(v, 0.125) for v in (0.0, 1e-17, 2e-17, 0.25, 0.5, 0.75, 0.9, 1.0)]),
+        ]
+        cells += [random_phfe(rng, 8) for _ in range(60)]
+        rng.shuffle(cells)
+        assert {len(c) for c in cells} == set(range(1, 9))
+        rows = [cells[i:i + 8] for i in range(0, len(cells), 8)]
+        for config in KERNEL_PAIRS:
+            matrix = DecisionMatrix(
+                tuple(f"x{i}" for i in range(len(rows))),
+                tuple(CriterionSpec(f"c{j}") for j in range(8)),
+                rows,
+            )
+            got = [[x.hex() for x in column] for column in phfe.mcdm._columns(matrix, config)]
+            single = [topsis_components(c, config) for c in cells]
+            assert got == [[x.hex() for x in column] for column in zip(*single)], config.label
 
     def test_ideal_columns_build_no_hybrid(self, monkeypatch):
         # One in-place construction of the ideal lanes, also where 1 - v rounds values together.
