@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .elements import PHFE, _pi_column, _pi_fast, canonicalize
+from .elements import PHFE, _pi_fast, canonicalize
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _Variant, weighted_comprehensive
-from .entropy import _pairwise_columns
 
 
 def hybrid(a: PHFE, b: PHFE) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -90,33 +89,6 @@ def entropy_distance(
 #: Ideal elements for a benefit criterion; a cost criterion swaps them.
 FULL_ELEMENT = canonicalize([(1.0, 1.0)])
 EMPTY_ELEMENT = canonicalize([(0.0, 1.0)])
-
-
-def topsis_columns(cells: Sequence[PHFE], config: EntropyConfig) -> list[tuple[float, ...]]:
-    """Six sums of each cell, as six columns: entropy_components of the cell, then of its
-    hybrids with FULL_ELEMENT and EMPTY_ELEMENT, built in place a column at a time: values
-    (1 - |v - 1|) / 2 in the cell's order and (1 - v) / 2 in reverse, under the weights pi(p, 1).
-    That is the sorted ``hybrid`` bit for bit unless 1 - v rounds two values together (below
-    1/2, less than about 1.1e-16 apart), where a sum may move by an ulp.  Cells of one length
-    make one batch for _pairwise_columns."""
-    groups, rows = {}, []
-    for k, a in enumerate(cells):
-        groups.setdefault(len(a.values), []).append(k)
-    for ks in groups.values():  # column i: entry i of every cell's lane, then {1|1}'s, {0|1}'s
-        vs = list(map(list, zip(*[cells[k].values for k in ks])))
-        ps = list(map(list, zip(*[cells[k].probs for k in ks])))
-        ws = [_pi_column(p, [1.0] * len(ks)) for p in ps]
-        sums = _pairwise_columns(
-            [v + [(1.0 - abs(x - 1.0)) / 2.0 for x in v] + [(1.0 - x) / 2.0 for x in e]
-             for v, e in zip(vs, vs[::-1])],
-            [p + w + e for p, w, e in zip(ps, ws, ws[::-1])], config.fuzziness, config.nonspecificity)
-        rows += zip(ks, *(s[c * len(ks):] for c in range(3) for s in sums))
-    return list(zip(*sorted(rows)))[1:]
-
-
-def topsis_components(a: PHFE, config: EntropyConfig) -> tuple[float, ...]:
-    """The six sums of :func:`topsis_columns` for one cell: a batch of one."""
-    return tuple(column[0] for column in topsis_columns((a,), config))
 
 
 def distance_from_entropy(es: Sequence[float], psi: PsiFunction) -> list[float]:

@@ -13,9 +13,10 @@ from collections.abc import Mapping, Sequence
 from itertools import repeat
 from operator import add, mul
 
-from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy, topsis_columns
-from .elements import PHFE, Frozen, _ltr_sum, format_number, json_number, parse_phfe, phfe_to_dict
-from .entropy import DEFAULT_CONFIG, EntropyConfig
+from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy
+from .elements import PHFE, Frozen, _ltr_sum, _pi_column, format_number, json_number
+from .elements import parse_phfe, phfe_to_dict
+from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise_columns
 from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
 
 _KINDS = ("benefit", "cost")
@@ -60,13 +61,33 @@ class DecisionMatrix(Frozen):
 
 
 def _columns(matrix: DecisionMatrix, config: EntropyConfig):
-    """Row-major arrays of ``topsis_columns``: the cells' 2 sums, then their hybrids' with
+    """(fuzziness, non-specificity) arrays, row-major, of the cells, then of their hybrids with
     {1|1} and {0|1}.  Kept on the matrix per kernel pair (per r too), so 18 configs cost 6
-    batched passes; the first call, weights alone included, fills all 6 columns."""
+    batched passes; the first call, weights alone included, fills all three pairs.
+
+    The hybrids are built in place a column at a time: values (1 - |v - 1|) / 2 in the cell's
+    order and (1 - v) / 2 in reverse, under the weights pi(p, 1).  That is the sorted
+    ``hybrid`` bit for bit unless 1 - v rounds two values together (below 1/2, less than about
+    1.1e-16 apart), where a sum may move by an ulp.  Cells of one length make one batch for
+    _pairwise_columns."""
     key = (config.fuzziness, config.nonspecificity)
     if key not in matrix._tables:
         cells = [c for row in matrix.cells for c in row]
-        matrix._tables[key] = tuple(array("d", column) for column in topsis_columns(cells, config))
+        groups, columns = {}, [array("d", [0.0]) * len(cells) for _ in range(6)]
+        for k, a in enumerate(cells):
+            groups.setdefault(len(a.values), []).append(k)
+        for ks in groups.values():  # column i: entry i of every cell's lane, then {1|1}'s, {0|1}'s
+            vs = list(map(list, zip(*[cells[k].values for k in ks])))
+            ps = list(map(list, zip(*[cells[k].probs for k in ks])))
+            ws = [_pi_column(p, [1.0] * len(ks)) for p in ps]
+            sums = _pairwise_columns(
+                [v + [(1.0 - abs(x - 1.0)) / 2.0 for x in v] + [(1.0 - x) / 2.0 for x in e]
+                 for v, e in zip(vs, vs[::-1])],
+                [p + w + e for p, w, e in zip(ps, ws, ws[::-1])], *key)
+            for column, lanes in zip(columns, (s[c * len(ks):] for c in range(3) for s in sums)):
+                for k, x in zip(ks, lanes):
+                    column[k] = x
+        matrix._tables[key] = tuple(zip(columns[::2], columns[1::2]))
     return matrix._tables[key]
 
 
@@ -107,8 +128,8 @@ def entropy_weights(
     every cell has entropy one.
     """
     m, n = matrix.shape
-    fuzz, nonspec = _columns(matrix, config)[:2]
-    entropies = config.theta._fn(fuzz, nonspec)
+    cell, _, _ = _columns(matrix, config)
+    entropies = config.theta._fn(*cell)
     raw = [1.0 - _ltr_sum(entropies[j::n]) / m for j in range(n)]
     denom = _ltr_sum(raw)
     if denom <= 0.0:
@@ -130,8 +151,8 @@ def ideal_distances(
     so the result does not depend on evaluation order.
     """
     m, n = matrix.shape
-    combine, sums = config.theta._fn, _columns(matrix, config)[2:]  # two columns per ideal
-    to_full, to_empty = (distance_from_entropy(combine(*s), psi) for s in (sums[:2], sums[2:]))
+    _, full, empty = _columns(matrix, config)
+    to_full, to_empty = (distance_from_entropy(config.theta._fn(*s), psi) for s in (full, empty))
     plus, minus = [0.0] * m, [0.0] * m
     for j, (w, c) in enumerate(zip(weights.normalized, matrix.criteria)):
         pos, neg = (to_full, to_empty) if c.kind == "benefit" else (to_empty, to_full)

@@ -39,7 +39,6 @@ from .entropy import (
     _FUZZINESS,
     _NONSPECIFICITY,
     _THETA,
-    _r1,
 )
 from .errors import DegenerateWeightsError
 from .mcdm import CriterionSpec, DecisionMatrix, run_topsis
@@ -246,9 +245,9 @@ def boundary_exactness() -> str | None:
         if got != want:
             return f"{label} = {got!r}"
     # The split element must sit strictly between the crisp extremes in
-    # fuzziness; its exact value is the 0-1 kernel value over six.
+    # fuzziness; its exact value is r1(0, 1) = (2/3)**2 over six: 2/27.
     split_fuzz = fuzziness_entropy(split)
-    if not 0.0 < split_fuzz < 1.0 or abs(split_fuzz - _r1(0.0, 1.0, 1.0) / 6.0) > _EXACT_TOL:
+    if not 0.0 < split_fuzz < 1.0 or abs(split_fuzz - 2.0 / 27.0) > _EXACT_TOL:
         return f"fuzziness({split!r}) = {split_fuzz!r}"
 
 

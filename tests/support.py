@@ -1,7 +1,8 @@
 """Helpers shared by the test modules; no test module imports another.
 
 ``KERNEL_PAIRS`` is one config per kernel pair, the oracle lookup turns a
-library kernel or combiner into its transcription in ``oracle.py``, and
+library kernel or combiner into its transcription in ``oracle.py``,
+``cell_sums`` reads one cell's TOPSIS sums off a one-cell matrix, and
 ``_compensated_sum`` stands in for the built-in ``sum`` of Python 3.12 on.
 """
 
@@ -10,7 +11,8 @@ import functools
 import math
 
 import oracle
-from phfe import EntropyConfig, all_configs
+from phfe import CriterionSpec, DecisionMatrix, EntropyConfig, all_configs
+from phfe.mcdm import _columns
 
 
 def configs_at(r):
@@ -25,6 +27,13 @@ def configs_at(r):
 KERNEL_PAIRS = list(
     {(c.fuzziness, c.nonspecificity): c for c in all_configs() + configs_at(2.0)}.values()
 )
+
+def cell_sums(a, config):
+    """The six sums ``mcdm._columns`` keeps for the one-cell matrix of ``a``: the cell's
+    (fuzziness, non-specificity), then its hybrid's with {1|1}, then with {0|1}."""
+    matrix = DecisionMatrix(("x",), (CriterionSpec("c"),), ((a,),))
+    return tuple(column[0] for pair in _columns(matrix, config) for column in pair)
+
 
 _ORACLE = {
     "r2": oracle.r2,

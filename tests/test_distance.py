@@ -21,10 +21,9 @@ from phfe import (
     hybrid,
     weighted_comprehensive,
 )
-from phfe.distance import topsis_components
 from phfe.entropy import F1, F2, F3, R1, _pairwise
 from phfe.verify import random_phfe
-from support import KERNEL_PAIRS, oracle_fn
+from support import KERNEL_PAIRS, cell_sums, oracle_fn
 
 ONE = canonicalize([(1.0, 1.0)])
 ZERO = canonicalize([(0.0, 1.0)])
@@ -135,7 +134,7 @@ def _near_equal_weights(rng):
 
 
 class TestIdealComponents:
-    """topsis_components sums the cell and its two ideal hybrids built in place, never
+    """A one-cell matrix sums the cell and its two ideal hybrids built in place, never
     through hybrid(); that equals the oracle's sorted hybrids bit for bit, unless 1 - v
     rounds two of the cell's values together."""
 
@@ -148,7 +147,7 @@ class TestIdealComponents:
         for a in elements:
             for config in KERNEL_PAIRS:
                 expected = _oracle_sums(a, config, _sorted_hybrids(a))
-                assert _hex(topsis_components(a, config)) == _hex(expected), (a, config.label)
+                assert _hex(cell_sums(a, config)) == _hex(expected), (a, config.label)
 
     @pytest.mark.parametrize(
         "a",
@@ -171,7 +170,7 @@ class TestIdealComponents:
 
         monkeypatch.setattr(phfe.distance, "hybrid", refuse)
         for config in KERNEL_PAIRS:
-            got = topsis_components(a, config)
+            got = cell_sums(a, config)
             assert _hex(got) == _hex(_oracle_sums(a, config, _in_place_lanes(a))), config.label
             sorted_sums = _oracle_sums(a, config, _sorted_hybrids(a))
             assert list(got) == pytest.approx(sorted_sums, rel=0, abs=1e-12), config.label

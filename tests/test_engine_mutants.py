@@ -1,9 +1,10 @@
 """Wrong engines must fail a named gate.
 
-Each mutant is patched into the batched TOPSIS pass (``phfe.entropy._STEPS``) for one
-test, in-process; the gates are the oracle pipeline check and the pinned ``phfe
-reproduce`` digest.  The unpatched engine passes every gate, and each mutant is
-pinned to the gates it fails.
+Each mutant is patched for one test, in-process, into the batched TOPSIS pass
+(``phfe.entropy._STEPS``) or into the scalar element pass (the r1 kernel, or
+``phfe.entropy._pairwise``).  The gates are the oracle pipeline check, the pinned
+``phfe reproduce`` digest, a 300-sample axiom run and the closed-form boundary check.
+The unpatched engine passes every gate, and each mutant is pinned to the gates it fails.
 """
 
 import contextlib
@@ -15,10 +16,11 @@ import pytest
 
 import oracle
 import phfe.entropy
-from phfe import CriterionSpec, DecisionMatrix, EntropyConfig, parse_decision_matrix, run_topsis
+from phfe import R1, CriterionSpec, DecisionMatrix, EntropyConfig, parse_decision_matrix, run_topsis
 from phfe.cli import main
+from phfe.elements import _pi_fast
 from phfe.reproduce import load_table
-from phfe.verify import random_phfe
+from phfe.verify import boundary_exactness, random_phfe, run_axiom_suites
 from support import oracle_config
 
 REPRODUCE_SHA256 = "360748d3c6c862c9e19afaedf0e43c9a4047afdcb9d364083eefee7ee1012514"
@@ -58,7 +60,22 @@ def _reproduce_gate():
     return hashlib.sha256(out.getvalue().encode()).hexdigest() == REPRODUCE_SHA256
 
 
-GATES = {"oracle": _oracle_gate, "reproduce digest": _reproduce_gate}
+def _axioms_gate():
+    """`run_axiom_suites(7, 300)` passes every suite: the element-level gate."""
+    return all(suite.passed for suite in run_axiom_suites(7, 300))
+
+
+def _boundary_gate():
+    """The measures hit their closed forms at the distinguished elements."""
+    return boundary_exactness() is None
+
+
+GATES = {
+    "oracle": _oracle_gate,
+    "reproduce digest": _reproduce_gate,
+    "axioms": _axioms_gate,
+    "boundary": _boundary_gate,
+}
 
 
 def _r1_sign_flipped(totals, xs, ys, ws, r):
@@ -75,9 +92,37 @@ def _without_diagonal(step):
     return mutant
 
 
+def _scalar_r1_sign_flipped(x, y, r):
+    # The scalar r1 with 1.0 + 4.0 * p where the kernel has 1.0 - 4.0 * p.
+    p = x * y
+    return (1.0 - (abs(1.0 + 4.0 * p) / 3.0) ** r) * (1.0 - (abs(4.0 * (x + y - p) - 3.0) / 3.0) ** r)
+
+
+def _scalar_without_diagonal(values, weights, fuzz, nonspec):
+    # _pairwise with only its j > i terms: the j == i fuzziness term is gone.
+    r_fn, r, f_fn = fuzz._fn, fuzz.r, nonspec._fn
+    l = len(values)
+    fuzz_total = ns_total = 0.0
+    for i in range(l):
+        for j in range(i + 1, l):
+            w = _pi_fast(weights[i], weights[j])
+            fuzz_total += r_fn(values[i], values[j], r) * w
+            ns_total += f_fn(values[i], values[j]) ** w
+    return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
+
+
+#: name -> (object, key, wrong value) patches; the scalar r1 is read from the R1 kernel
+#: and, for a kernel built by id, from the _FUZZINESS table.
 MUTANTS = {
-    "r1-sign": lambda: {"r1": _r1_sign_flipped},
-    "no-diagonal": lambda: {k: _without_diagonal(phfe.entropy._STEPS[k]) for k in ("r1", "r2")},
+    "r1-sign": lambda: [(phfe.entropy._STEPS, "r1", _r1_sign_flipped)],
+    "no-diagonal": lambda: [
+        (phfe.entropy._STEPS, k, _without_diagonal(phfe.entropy._STEPS[k])) for k in ("r1", "r2")
+    ],
+    "scalar-r1-sign": lambda: [
+        (R1.__dict__, "_fn", _scalar_r1_sign_flipped),
+        (phfe.entropy._FUZZINESS, "r1", _scalar_r1_sign_flipped),
+    ],
+    "scalar-no-diagonal": lambda: [(vars(phfe.entropy), "_pairwise", _scalar_without_diagonal)],
 }
 
 
@@ -94,9 +139,11 @@ def test_the_engine_passes_every_gate():
     [
         ("r1-sign", ["oracle", "reproduce digest"]),
         ("no-diagonal", ["oracle", "reproduce digest"]),
+        ("scalar-r1-sign", ["reproduce digest", "axioms", "boundary"]),
+        ("scalar-no-diagonal", ["reproduce digest", "axioms", "boundary"]),
     ],
 )
 def test_a_named_gate_fails_on_each_mutant(monkeypatch, mutant, caught_by):
-    for kernel, step in MUTANTS[mutant]().items():
-        monkeypatch.setitem(phfe.entropy._STEPS, kernel, step)
+    for table, key, wrong in MUTANTS[mutant]():
+        monkeypatch.setitem(table, key, wrong)
     assert _failing_gates() == caught_by

@@ -12,10 +12,10 @@ import random
 from decimal import Decimal
 
 import decimal_reference as ref
-from phfe.distance import hybrid, topsis_components
+from phfe.distance import hybrid
 from phfe.entropy import _pairwise, entropy_components
 from phfe.verify import random_phfe
-from support import KERNEL_PAIRS
+from support import KERNEL_PAIRS, cell_sums
 
 BOUND = 2 * 2.0**-52
 
@@ -49,7 +49,7 @@ def _topsis_reference(values, probs, *kernels):
 
 def test_ideal_hybrid_sums_within_the_bound():
     # The six sums of a TOPSIS cell: its own two, then its two ideal hybrids' four.
-    assert _max_error(topsis_components, _topsis_reference, 20, "error-bound") <= BOUND
+    assert _max_error(cell_sums, _topsis_reference, 20, "error-bound") <= BOUND
 
 
 #: General hybrids sum up to 16 entries here, so their error is larger: at

@@ -39,11 +39,10 @@ from phfe import (
     result_to_dict,
     run_topsis,
 )
-from phfe.distance import topsis_components
 from phfe.mcdm import _ranking
 from phfe.reproduce import load_table
 from phfe.verify import random_phfe
-from support import KERNEL_PAIRS, _compensated_sum, configs_at
+from support import KERNEL_PAIRS, _compensated_sum, cell_sums, configs_at
 
 
 def _case_study_matrix():
@@ -359,11 +358,12 @@ class TestComponentTable:
         # ideal hybrids, a cell whose values collide under 1 - v included, with one
         # walk per cell length; no cell enters _pairwise.
         passes, walks = [], []
-        original, walk = phfe.mcdm.topsis_columns, phfe.distance._pairwise_columns
+        walk = phfe.mcdm._pairwise_columns
 
-        def counting(cells, config):
-            passes.append((len(cells), config.fuzziness, config.nonspecificity))
-            return original(cells, config)
+        class CountingFills(dict):
+            def __setitem__(self, key, pairs):
+                passes.append((tuple(len(c) for pair in pairs for c in pair),) + key)
+                super().__setitem__(key, pairs)
 
         def counting_walks(vs, ws, fuzz, nonspec):
             walks.append(len(vs))
@@ -372,20 +372,20 @@ class TestComponentTable:
         def refuse(*args):
             raise AssertionError("_pairwise entered")
 
-        monkeypatch.setattr(phfe.mcdm, "topsis_columns", counting)
-        monkeypatch.setattr(phfe.distance, "_pairwise_columns", counting_walks)
+        monkeypatch.setattr(phfe.mcdm, "_pairwise_columns", counting_walks)
         monkeypatch.setattr(phfe.entropy, "_pairwise", refuse)
         seeded = _seeded_matrix()
         rows = [list(row) for row in seeded.cells]
         rows[1][2] = canonicalize([(1e-17, 0.3), (2e-17, 0.7)])  # 1 - v is 1.0 for both
         matrix = DecisionMatrix(seeded.alternatives, seeded.criteria, rows)
+        matrix.__dict__["_tables"] = CountingFills()
         m, n = matrix.shape
-        entropy_weights(matrix)  # weights alone fill all six columns of the pair
+        entropy_weights(matrix)  # weights alone fill all three column pairs of the kernel pair
         assert len(passes) == 1
         for config in all_configs():
             run_topsis(matrix, config)
         assert len(passes) == 6
-        assert len(set(passes)) == 6 and {p[0] for p in passes} == {m * n}
+        assert len(set(passes)) == 6 and {p[0] for p in passes} == {(m * n,) * 6}
         lengths = sorted({len(c) for row in rows for c in row})
         assert sorted(walks) == sorted(lengths * 6)
         for config in all_configs():
@@ -415,8 +415,9 @@ class TestComponentTable:
                 tuple(CriterionSpec(f"c{j}") for j in range(8)),
                 rows,
             )
-            got = [[x.hex() for x in column] for column in phfe.mcdm._columns(matrix, config)]
-            single = [topsis_components(c, config) for c in cells]
+            pairs = phfe.mcdm._columns(matrix, config)
+            got = [[x.hex() for x in column] for pair in pairs for column in pair]
+            single = [cell_sums(c, config) for c in cells]
             assert got == [[x.hex() for x in column] for column in zip(*single)], config.label
 
     def test_ideal_columns_build_no_hybrid(self, monkeypatch):
