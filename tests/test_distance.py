@@ -7,6 +7,7 @@ import pytest
 
 import oracle
 import phfe.distance
+import phfe.mcdm
 from phfe import (
     ALL_PSI,
     PSI_EXP_TILT,
@@ -134,9 +135,10 @@ def _near_equal_weights(rng):
 
 
 class TestIdealComponents:
-    """A one-cell matrix sums the cell and its two ideal hybrids built in place, never
-    through hybrid(); that equals the oracle's sorted hybrids bit for bit, unless 1 - v
-    rounds two of the cell's values together."""
+    """``mcdm._columns`` on a one-cell matrix sums the cell and its two ideal hybrids built
+    in place, never through hybrid(); that equals the oracle's sorted hybrids bit for bit,
+    unless 1 - v rounds two of the cell's values together.  They stay beside the element
+    distance, whose hybrid() they are checked against."""
 
     def test_random_elements_equal_the_sorted_hybrids(self):
         rng = random.Random("ideal")
@@ -169,6 +171,7 @@ class TestIdealComponents:
             raise AssertionError(f"hybrid({a}, {b}) built")
 
         monkeypatch.setattr(phfe.distance, "hybrid", refuse)
+        monkeypatch.setattr(phfe.mcdm, "hybrid", refuse, raising=False)
         for config in KERNEL_PAIRS:
             got = cell_sums(a, config)
             assert _hex(got) == _hex(_oracle_sums(a, config, _in_place_lanes(a))), config.label

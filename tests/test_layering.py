@@ -4,6 +4,8 @@
 kernels, ``elements._pi_column``) belong to the pass that ``mcdm._columns`` runs over a
 decision matrix.  Only ``phfe.entropy`` and ``phfe.mcdm`` name ``_pairwise_columns``, and
 ``phfe.distance`` stays the element-to-element distance: it imports none of the pass.
+``mcdm._columns`` builds the ideal hybrids in place, so ``phfe.mcdm`` never names
+``hybrid``; the tests that refuse ``hybrid()`` during a pass rely on that.
 """
 
 import ast
@@ -47,3 +49,8 @@ def test_distance_imports_nothing_of_the_batched_pass():
         for alias in node.names
     ]
     assert imported and not [name for name in imported if _batched(name)]
+
+
+def test_mcdm_names_no_hybrid():
+    tree = ast.parse((SRC / "mcdm.py").read_text())
+    assert "hybrid" not in set(_names(tree))

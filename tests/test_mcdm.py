@@ -426,6 +426,7 @@ class TestComponentTable:
             raise AssertionError(f"hybrid({a}, {b}) built")
 
         monkeypatch.setattr(phfe.distance, "hybrid", refuse)
+        monkeypatch.setattr(phfe.mcdm, "hybrid", refuse, raising=False)
         seeded = _seeded_matrix(seed=12, m=100, kinds=("benefit", "cost") * 5)
         rows = [list(row) for row in seeded.cells]
         rows[7][3] = canonicalize([(0.0, 0.2), (1e-17, 0.3), (2e-17, 0.1), (0.4, 0.4)])
