@@ -211,7 +211,10 @@ def singleton_self_distance(s: PHFE) -> str | None:
 
 def weights_and_closeness(matrix: DecisionMatrix) -> str | None:
     """Weights are non-negative and sum to one, closeness lies in [0, 1], and the
-    ranking sorts it; the weights may be refused only if every cell has entropy one."""
+    ranking sorts it; the weights may be refused only if every cell has entropy one.
+    Then the batched pass of ``run_topsis`` agrees with the scalar engine: each raw
+    weight is one minus the column's mean ``comprehensive_entropy``, bit for bit, and each
+    d+ and d- is the weighted sum of ``entropy_distance`` to the ideals, within 1e-12."""
     try:
         result = run_topsis(matrix)
     except DegenerateWeightsError:
@@ -228,6 +231,21 @@ def weights_and_closeness(matrix: DecisionMatrix) -> str | None:
     ordered = [result.closeness[i] for i in result.ranking]
     if any(x < y for x, y in zip(ordered, ordered[1:])):
         return f"ranking not sorted by closeness: {result.ranking!r}"
+    m, _ = matrix.shape
+    for j, (c, raw) in enumerate(zip(matrix.criteria, result.weights.raw)):
+        want = 1.0 - _ltr_sum(comprehensive_entropy(row[j]) for row in matrix.cells) / m
+        if raw != want:
+            return f"raw weight of {c.name!r} is {raw!r}, the scalar engine gives {want!r}"
+    ideals = [
+        (FULL_ELEMENT, EMPTY_ELEMENT) if c.kind == "benefit" else (EMPTY_ELEMENT, FULL_ELEMENT)
+        for c in matrix.criteria
+    ]
+    for k, (sign, ds) in enumerate((("+", result.d_plus), ("-", result.d_minus))):
+        for name, row, got in zip(matrix.alternatives, matrix.cells, ds):
+            want = _ltr_sum(w * entropy_distance(cell, ideal[k])
+                            for w, cell, ideal in zip(result.weights.normalized, row, ideals))
+            if abs(got - want) > _EXACT_TOL:
+                return f"d{sign} of {name!r} is {got!r}, the scalar engine gives {want!r}"
 
 
 def boundary_exactness() -> str | None:

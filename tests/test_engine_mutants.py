@@ -1,10 +1,14 @@
 """Wrong engines must fail a named gate.
 
 Each mutant is patched for one test, in-process, into the batched TOPSIS pass
-(``phfe.entropy._STEPS``) or into the scalar element pass (the r1 kernel, or
-``phfe.entropy._pairwise``).  The gates are the oracle pipeline check, the pinned
+(``phfe.entropy._STEPS``), into the scalar element pass (the r1 kernel, or
+``phfe.entropy._pairwise``), into the combiners (psum and bsum swapped) or into
+``pi`` (its equality branch dropped wherever the engine reads ``_pi_fast`` or
+``_pi_column``).  The gates are the oracle pipeline check, the pinned
 ``phfe reproduce`` digest, a 300-sample axiom run and the closed-form boundary check.
-The unpatched engine passes every gate, and each mutant is pinned to the gates it fails.
+A gate fails by returning False, or where the library refuses a value the wrong engine
+made.  The unpatched engine passes every gate, and each mutant is pinned to the gates
+it fails.
 """
 
 import contextlib
@@ -15,10 +19,17 @@ import random
 import pytest
 
 import oracle
+import phfe.distance
+import phfe.elements
 import phfe.entropy
-from phfe import R1, CriterionSpec, DecisionMatrix, EntropyConfig, parse_decision_matrix, run_topsis
+import phfe.mcdm
+from phfe import (
+    R1, THETA_BSUM, THETA_PSUM, CriterionSpec, DecisionMatrix, EntropyConfig, parse_decision_matrix,
+    run_topsis,
+)
 from phfe.cli import main
 from phfe.elements import _pi_fast
+from phfe.errors import PhfeError
 from phfe.reproduce import load_table
 from phfe.verify import boundary_exactness, random_phfe, run_axiom_suites
 from support import oracle_config
@@ -111,6 +122,15 @@ def _scalar_without_diagonal(values, weights, fuzz, nonspec):
     return 2.0 * fuzz_total / (l * (l + 1)), 2.0 * ns_total / max(2, l * (l - 1))
 
 
+def _pi_without_equality(p, q):
+    # pi's |p - q| alone: probabilities within 1e-12 of each other weigh 0, not their mean.
+    return abs(p - q)
+
+
+def _pi_column_without_equality(ps, qs):
+    return [abs(p - q) for p, q in zip(ps, qs)]
+
+
 #: name -> (object, key, wrong value) patches; the scalar r1 is read from the R1 kernel
 #: and, for a kernel built by id, from the _FUZZINESS table.
 MUTANTS = {
@@ -123,11 +143,32 @@ MUTANTS = {
         (phfe.entropy._FUZZINESS, "r1", _scalar_r1_sign_flipped),
     ],
     "scalar-no-diagonal": lambda: [(vars(phfe.entropy), "_pairwise", _scalar_without_diagonal)],
+    "psum-bsum-swapped": lambda: [
+        (phfe.entropy._THETA, "psum", phfe.entropy._bsum),
+        (phfe.entropy._THETA, "bsum", phfe.entropy._psum),
+        (THETA_PSUM.__dict__, "_fn", phfe.entropy._bsum),
+        (THETA_BSUM.__dict__, "_fn", phfe.entropy._psum),
+    ],
+    "pi-no-equality": lambda: [
+        (vars(module), name, wrong)
+        for module in (phfe.elements, phfe.entropy, phfe.distance, phfe.mcdm)
+        for name, wrong in (("_pi_fast", _pi_without_equality),
+                            ("_pi_column", _pi_column_without_equality))
+        if name in vars(module)
+    ],
 }
 
 
+def _fails(gate):
+    """A gate fails by returning False, or where the library refuses what a wrong engine made."""
+    try:
+        return not gate()
+    except PhfeError:
+        return True
+
+
 def _failing_gates():
-    return [name for name, gate in GATES.items() if not gate()]
+    return [name for name, gate in GATES.items() if _fails(gate)]
 
 
 def test_the_engine_passes_every_gate():
@@ -137,10 +178,12 @@ def test_the_engine_passes_every_gate():
 @pytest.mark.parametrize(
     "mutant, caught_by",
     [
-        ("r1-sign", ["oracle", "reproduce digest"]),
-        ("no-diagonal", ["oracle", "reproduce digest"]),
+        ("r1-sign", ["oracle", "reproduce digest", "axioms"]),
+        ("no-diagonal", ["oracle", "reproduce digest", "axioms"]),
         ("scalar-r1-sign", ["reproduce digest", "axioms", "boundary"]),
         ("scalar-no-diagonal", ["reproduce digest", "axioms", "boundary"]),
+        ("psum-bsum-swapped", ["oracle", "reproduce digest", "axioms"]),
+        ("pi-no-equality", ["oracle", "reproduce digest", "axioms", "boundary"]),
     ],
 )
 def test_a_named_gate_fails_on_each_mutant(monkeypatch, mutant, caught_by):

@@ -6,7 +6,9 @@ probability vector is a composition of quarters, then compares all
 entropy measures against the direct-summation reference in oracle.py.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,21 @@ ELEMENTS = list(grid_elements())
 
 def test_grid_is_nontrivial():
     assert len(ELEMENTS) == 5 * 1 + 10 * 3 + 10 * 3
+
+
+def test_the_oracle_imports_only_math_and_decimal():
+    # The reference stays independent of the package under test: it imports no
+    # phfe module, directly or relatively, and loads nothing by name at run time.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "decimal"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"__import__", "importlib", "exec", "eval", "phfe"}
 
 
 @pytest.mark.parametrize("kernel_id", ["r1", "r1@r=2", "r2"])

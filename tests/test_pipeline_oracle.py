@@ -5,6 +5,8 @@ Rebuilds weights, distances, and closeness from ``oracle.topsis`` alone
 library end to end.
 """
 
+from decimal import Decimal, localcontext
+
 import pytest
 
 import oracle
@@ -58,3 +60,27 @@ def test_two_by_two_pipeline_matches_reference():
     matrix = parse_decision_matrix(payload)
     config = EntropyConfig.from_string("r1:f1:max")
     _assert_matches(matrix, config, oracle.topsis(*_oracle_input(matrix), *oracle_config(config)))
+
+
+#: Case-study alternatives (by index) at closeness 1/2 in exact arithmetic, under each max
+#: config (README deviation 4): x1 under the f1 and f2 configs, x2 under all but r1:f2:max.
+EXACT_TIES = {
+    "r1:f1:max": [0, 1], "r1:f2:max": [0], "r1:f3:max": [],
+    "r2:f1:max": [0, 1], "r2:f2:max": [0, 1], "r2:f3:max": [],
+}
+
+
+@pytest.mark.parametrize("label, tied", EXACT_TIES.items(), ids=EXACT_TIES)
+def test_case_study_ties_hold_at_40_digits(label, tied):
+    # The oracle in 40-digit decimal arithmetic on the exact values of the case study's floats:
+    # a tie is exact, not two roundings that meet, and the float closeness is that exact value.
+    matrix = parse_decision_matrix(load_table(9)["matrix"])
+    cells, kinds = _oracle_input(matrix)
+    config = EntropyConfig.from_string(label)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        cells = [[[(Decimal(v), Decimal(p)) for v, p in cell] for cell in row] for row in cells]
+        exact = oracle.topsis(cells, kinds, *oracle_config(config))[4]
+    assert [i for i, c in enumerate(exact) if abs(c - Decimal("0.5")) < Decimal("1e-35")] == tied
+    got = run_topsis(matrix, config).closeness
+    assert max(abs(Decimal(g) - c) for g, c in zip(got, exact)) < Decimal("1e-15")

@@ -71,6 +71,14 @@ def _offset_distance(a, b, *args):
     return entropy_distance(a, b, *args) + 2**-52
 
 
+#: A matrix whose weights are defined, for the rows that reach the checks after them.
+_MATRIX = DecisionMatrix(
+    ("x1", "x2"),
+    (CriterionSpec("c1", "benefit"), CriterionSpec("c2", "cost")),
+    ((_PAIR, _HALF), (_CRISP, _PAIR)),
+)
+
+
 def _topsis(weights, closeness, ranking):
     """A stand-in for run_topsis that returns the given weights, closeness and ranking."""
     return lambda matrix: TopsisResult(
@@ -156,6 +164,14 @@ WITNESSES = {
     "weights_and_closeness-ranking": (
         ("run_topsis", _topsis((0.5, 0.5), (0.2, 0.8), (0, 1))), (_UNIT_MATRIX,),
         "ranking not sorted",
+    ),
+    "weights_and_closeness-raw": (
+        ("comprehensive_entropy", lambda a: comprehensive_entropy(a) + 2**-52), (_MATRIX,),
+        "raw weight of 'c1'",
+    ),
+    "weights_and_closeness-distance": (
+        ("entropy_distance", lambda a, b: entropy_distance(a, b) + 1e-9), (_MATRIX,),
+        "d+ of 'x1'",
     ),
     "boundary_exactness": (
         ("fuzziness_entropy", lambda a, kernel=None: 0.5), (), "fuzziness({0|1})"
