@@ -16,23 +16,33 @@ elements apart and that its framework fixes this.  The demo counts it:
    ``round(x, 12)``.  ``tests/test_discrimination.py`` pins these counts;
 2. the baselines' failure cases named in the paper;
 3. on the 1/4 grid, the pairs of distinct elements that
-   ``su_like_distance`` puts at 0, against ``entropy_distance``.
+   ``su_like_distance`` puts at 0, against ``entropy_distance``;
+4. which distance axioms hold there: the triangle inequality fails.  The
+   ordered triples (a, b, c) of distinct elements with d(a, c) > d(a, b) +
+   d(b, c) + 1e-12 are counted under ``r1:f1:max`` for each psi, from the
+   hybrid entropies computed once; ``tests/test_distance_axioms.py`` pins
+   six such counts.
 """
 
 import collections
 import itertools
+import math
 
 from phfe import (
+    ALL_PSI,
     all_configs,
     canonicalize,
     complement,
     entropy_distance,
+    hybrid,
     measure_value,
     parse_measure,
     su_entropy_d,
     su_entropy_p1,
     su_like_distance,
+    weighted_comprehensive,
 )
+from phfe.distance import distance_from_entropy
 
 
 def grid_elements(step):
@@ -86,3 +96,24 @@ least = min(entropy_distance(a, b) for a, b in like_zero)
 print(f"\n1/4 grid: {len(quarter)} elements, {len(pairs)} pairs of distinct elements")
 print(f"  su_like_distance = 0 on {len(like_zero)} pairs (equal expectations)")
 print(f"  entropy_distance = 0 on {entropy_zero} pairs; on the su-like zeros it is at least {least:.4f}")
+
+print("\nwhich distance axioms hold on the 1/4 grid, under r1:f1:max:")
+index = {a: k for k, a in enumerate(quarter)}
+entropies = [weighted_comprehensive(*hybrid(a, b)) for a, b in pairs]  # once; psi maps the column
+for psi in ALL_PSI:
+    d = [[math.inf] * len(quarter) for _ in quarter]  # inf diagonal: b = a or b = c never counts
+    for (a, b), x in zip(pairs, distance_from_entropy(entropies, psi)):
+        d[index[a]][index[b]] = d[index[b]][index[a]] = x
+    broken = sum(
+        d_ac > d_ab + d_bc + 1e-12
+        for i, row in enumerate(d) for k, d_ac in enumerate(row) if i != k
+        for d_ab, d_bc in zip(row, d[k])
+    )
+    n = len(quarter)
+    print(f"  psi = {psi.label:<4s} triangle inequality broken by {broken:>4d} of"
+          f" {n * (n - 1) * (n - 2)} ordered triples")
+empty, full, mixed = (canonicalize(pairs) for pairs in
+                      ([(0.0, 1.0)], [(1.0, 1.0)], [(0.0, 0.25), (1.0, 0.75)]))
+print(f"  d({empty!r}, {full!r}) = {entropy_distance(empty, full)}, yet both are"
+      f" {entropy_distance(empty, mixed):.6f} from {mixed!r}:\n"
+      "  the TOPSIS ideals are the farthest pair, and a mix of 0 and 1 sits close to both")

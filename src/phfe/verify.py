@@ -13,7 +13,9 @@ the same verdicts and counterexamples.  Draws come from the standard
 library's ``random.Random`` with a string seed, through ``random()`` and
 ``getrandbits`` only.  Suites that share inputs are checked in one pass
 over a common corpus, where each element's record (see :func:`base_entropies`)
-holds its 23 entropies by measure id, each computed once.
+holds its 23 entropies under the library's own measure ids, each computed once.
+A check that the library refuses with a ``PhfeError`` is a counterexample of
+every suite of its pass, not an error of the run.
 """
 
 from __future__ import annotations
@@ -31,16 +33,15 @@ from .entropy import (
     R1,
     R2,
     EntropyConfig,
+    all_configs,
     comprehensive_entropy,
     entropy_components,
     fuzziness_entropy,
     nonspecificity_entropy,
     weighted_comprehensive,
-    _FUZZINESS,
-    _NONSPECIFICITY,
     _THETA,
 )
-from .errors import DegenerateWeightsError
+from .errors import DegenerateWeightsError, PhfeError
 from .mcdm import CriterionSpec, DecisionMatrix, run_topsis
 
 #: Grid resolution for membership values; 1 - k/2**20 is exact for all k.
@@ -63,16 +64,21 @@ class SuiteResult:
 
 _R1_F1 = EntropyConfig(R1, F1)
 _R2_F2 = EntropyConfig(R2, F2)
-#: The six (fuzziness, non-specificity) id pairs a combiner takes, and getters of their columns.
-_BASE_PAIRS = [(fuzz, ns) for fuzz in _FUZZINESS for ns in _NONSPECIFICITY]
-_FUZZ_COLUMN, _NS_COLUMN = (itemgetter(*ids) for ids in zip(*_BASE_PAIRS))
-#: Each combiner's six config ids, as ``all_configs()`` labels them, in ``_BASE_PAIRS`` order.
-_CONFIG_IDS = {theta: [f"{fuzz}:{ns}:{theta}" for fuzz, ns in _BASE_PAIRS] for theta in _THETA}
-#: Each id pair, and a getter of its max, psum and bsum values from a record.
-_ORDERED = [(pair, itemgetter(*ids)) for pair, *ids in zip(_BASE_PAIRS, *_CONFIG_IDS.values())]
+_CONFIGS = all_configs()
+_KERNEL_IDS = [kernel.label for kernel in (R1, R2, F1, F2, F3)]
+#: By combiner id: its six configs' labels, and getters of their kernels' values from a record.
+_COMBINED = {
+    theta: ([c.label for c in six], itemgetter(*[c.fuzziness.label for c in six]),
+            itemgetter(*[c.nonspecificity.label for c in six]))
+    for theta in _THETA
+    for six in [[c for c in _CONFIGS if c.theta.label == theta]]
+}
+#: Each kernel pair, and a getter of its max, psum and bsum values from a record.
+_ORDERED = [(ids[0].rpartition(":")[0], itemgetter(*ids))
+            for ids in zip(*[ids for ids, _, _ in _COMBINED.values()])]
 #: The ids an element shares with its complement: r1, f1-f3 and the nine r1 configs.
-_SYMMETRIC_IDS = ["r1", *_NONSPECIFICITY]
-_SYMMETRIC_IDS += [f"r1:{ns}:{theta}" for theta in _THETA for ns in _NONSPECIFICITY]
+_SYMMETRIC_IDS = [k.label for k in (R1, F1, F2, F3)]
+_SYMMETRIC_IDS += [c.label for c in _CONFIGS if c.fuzziness == R1]
 
 
 def base_entropies(a: PHFE) -> dict[str, float]:
@@ -80,10 +86,9 @@ def base_entropies(a: PHFE) -> dict[str, float]:
     three passes, and the 18 ``all_configs()`` labels ``r1:f1:max`` ... in one call per combiner."""
     r1, f1 = entropy_components(a, _R1_F1)
     r2, f2 = entropy_components(a, _R2_F2)
-    base = {"r1": r1, "r2": r2, "f1": f1, "f2": f2, "f3": nonspecificity_entropy(a, F3)}
-    xs, ys = _FUZZ_COLUMN(base), _NS_COLUMN(base)
-    for theta, combine in _THETA.items():
-        base.update(zip(_CONFIG_IDS[theta], combine(xs, ys)))
+    base = dict(zip(_KERNEL_IDS, (r1, r2, f1, f2, nonspecificity_entropy(a, F3))))
+    for theta, (ids, fuzz, nonspec) in _COMBINED.items():
+        base.update(zip(ids, _THETA[theta](fuzz(base), nonspec(base))))
     return base
 
 
@@ -120,11 +125,11 @@ def entropy_range(a: PHFE, base: dict[str, float]) -> str | None:
 
 def combiner_ordering(a: PHFE, base: dict[str, float]) -> str | None:
     """max <= probabilistic sum <= bounded sum for every pair of base entropies."""
-    for (fuzz, ns), values in _ORDERED:
+    for pair, values in _ORDERED:
         e_max, e_psum, e_bsum = values(base)
         if not e_max <= e_psum <= e_bsum:
             return (
-                f"combiner ordering broken on {a!r} [{fuzz}:{ns}]: "
+                f"combiner ordering broken on {a!r} [{pair}]: "
                 f"{e_max!r}, {e_psum!r}, {e_bsum!r}"
             )
 
@@ -333,31 +338,6 @@ def _edge_elements() -> list[PHFE]:
     ]
 
 
-def _corpus(rng: random.Random, samples: int):
-    """Rows of the five suites over one corpus, sharing each element's complement and entropies."""
-    edges = _edge_elements()
-    for index in range(samples):
-        a = edges[index] if index < len(edges) else random_phfe(rng)
-        perm = list(a)
-        rng.shuffle(perm)
-        c = complement(a)
-        base_a, base_c = base_entropies(a), base_entropies(c)
-        yield (
-            canonical_roundtrip(a, perm),
-            complement_involution(a, c),
-            entropy_range(a, base_a),
-            complement_symmetry(a, c, base_a, base_c),
-            combiner_ordering(a, base_a),
-        )
-
-
-def _distance_row(rng: random.Random) -> tuple:
-    """Row of the two distance suites for one random pair."""
-    a, b, psi = random_phfe(rng), random_phfe(rng), rng.choice(ALL_PSI)
-    ec = weighted_comprehensive(*hybrid(a, b))  # the hybrid entropy, once per pair
-    return distance_symmetry(a, b, psi, ec), psi_endpoint_agreement(a, b, ec)
-
-
 def _shrunk_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
     # Upper element B sits in [0, 1/2]; A shrinks B's values by a shared
     # factor and keeps the same probabilities, so every pairwise
@@ -405,51 +385,68 @@ def _matrix(rng: random.Random) -> tuple[DecisionMatrix]:
     return (DecisionMatrix(tuple(f"x{i + 1}" for i in range(m)), criteria, cells),)
 
 
-def _each(predicate, draw, rng: random.Random, count: int):
-    """Rows of one suite: ``(predicate(*args),)`` per draw ``args = draw(rng)`` that is not None."""
-    return ((predicate(*args),) for args in (draw(rng) for _ in range(count)) if args is not None)
+def _with_perm(a: PHFE, rng: random.Random) -> tuple[PHFE, list]:
+    """``a`` and its pairs in a shuffled list."""
+    rng.shuffle(perm := list(a))
+    return a, perm
+
+
+def _corpus_row(a: PHFE, perm: list) -> tuple:
+    """Messages of the five corpus suites, sharing ``a``'s complement and both records."""
+    c = complement(a)
+    base_a, base_c = base_entropies(a), base_entropies(c)
+    return (canonical_roundtrip(a, perm), complement_involution(a, c), entropy_range(a, base_a),
+            complement_symmetry(a, c, base_a, base_c), combiner_ordering(a, base_a))
+
+
+def _distance_row(a: PHFE, b: PHFE, psi: PsiFunction) -> tuple:
+    """Messages of the two distance suites, sharing the hybrid's entropy, computed once."""
+    ec = weighted_comprehensive(*hybrid(a, b))
+    return distance_symmetry(a, b, psi, ec), psi_endpoint_agreement(a, b, ec)
 
 
 def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
-    """Run every suite; pass ``k`` draws from ``random.Random(f"{seed}:{k}")``.
+    """Run every pass ``(suite names, check, draw, count)``; pass ``k`` draws ``count`` times
+    from ``random.Random(f"{seed}:{k}")``.  A draw gives ``check``'s arguments, or None where
+    it voids the premise, uncounted; ``check`` gives a tuple of one message per suite, or one
+    message for every suite.  A check the library refuses with a ``PhfeError`` gives every
+    suite of its pass the counterexample ``refused: <the error> on <the arguments>``.
 
-    Each result counts the draws its suite checked, fewer than ``samples``
-    where a draw voids the suite's premise.  The predicates call these
-    operations by their ``phfe.verify`` names, so a test can patch one with
-    a wrong version and check that the suites catch it: ``canonicalize``,
-    ``complement``, ``pi``, ``entropy_distance``, ``fuzziness_entropy``,
-    ``nonspecificity_entropy``, ``comprehensive_entropy``, ``run_topsis``,
-    ``ALL_PSI`` and ``_THETA``.
+    The predicates call these operations by their ``phfe.verify`` names, so a test can patch
+    one with a wrong version and check that the suites catch it: ``canonicalize``,
+    ``complement``, ``pi``, ``hybrid``, ``entropy_distance``, ``fuzziness_entropy``,
+    ``nonspecificity_entropy``, ``comprehensive_entropy``, ``run_topsis``, ``ALL_PSI`` and
+    ``_THETA``.
     """
-    rng = [random.Random(f"{seed}:{k}") for k in range(8)]
-    passes = {  # suite names: one row of messages per checked draw
-        (
-            "canonical form roundtrip", "complement involution", "entropy range",
-            "complement symmetry", "combiner ordering",
-        ): _corpus(rng[0], samples),
-        ("fuzziness monotonicity",): _each(fuzziness_monotonicity, _shrunk_pair, rng[1], samples),
-        ("nonspecificity monotonicity",): _each(
-            nonspecificity_monotonicity, _contracted_pair, rng[2], samples
-        ),
-        ("distance symmetry and range", "psi endpoint agreement"): (
-            _distance_row(rng[3]) for _ in range(samples)
-        ),
-        ("pi symmetry and range",): _each(pi_symmetry, _probabilities, rng[4], samples),
-        ("theta contract",): _each(theta_contract, _theta_triple, rng[5], samples),
-        ("singleton self-distance",): _each(singleton_self_distance, _singleton, rng[6], samples),
-        ("weights and closeness",): _each(
-            weights_and_closeness, _matrix, rng[7], max(1, samples // 20)
-        ),
-        ("boundary exactness",): [(boundary_exactness(),)],
-        ("multi-valued self-distance stays positive (documented)",): [
-            (multi_valued_self_distance(canonicalize([(0.3, 0.5), (0.7, 0.5)])),)
-        ],
-    }
+    corpus = ("canonical form roundtrip", "complement involution", "entropy range",
+              "complement symmetry", "combiner ordering")
+    edges = iter(_edge_elements())  # the corpus checks these before its random elements
+    passes = [
+        (corpus, _corpus_row,
+         lambda rng: _with_perm(next(edges, None) or random_phfe(rng), rng), samples),
+        (("fuzziness monotonicity",), fuzziness_monotonicity, _shrunk_pair, samples),
+        (("nonspecificity monotonicity",), nonspecificity_monotonicity, _contracted_pair, samples),
+        (("distance symmetry and range", "psi endpoint agreement"), _distance_row,
+         lambda rng: (random_phfe(rng), random_phfe(rng), rng.choice(ALL_PSI)), samples),
+        (("pi symmetry and range",), pi_symmetry, _probabilities, samples),
+        (("theta contract",), theta_contract, _theta_triple, samples),
+        (("singleton self-distance",), singleton_self_distance, _singleton, samples),
+        (("weights and closeness",), weights_and_closeness, _matrix, max(1, samples // 20)),
+        (("boundary exactness",), boundary_exactness, lambda rng: (), 1),
+        (("multi-valued self-distance stays positive (documented)",), multi_valued_self_distance,
+         lambda rng: (canonicalize([(0.3, 0.5), (0.7, 0.5)]),), 1),
+    ]
     results: list[SuiteResult] = []
-    for names, rows in passes.items():
-        suites = [SuiteResult(name) for name in names]
-        for row in rows:
-            for suite, message in zip(suites, row):
+    for k, (names, check, draw, count) in enumerate(passes):
+        rng, suites = random.Random(f"{seed}:{k}"), [SuiteResult(name) for name in names]
+        for args in (draw(rng) for _ in range(count)):
+            if args is None:
+                continue
+            try:
+                row = check(*args)
+            except PhfeError as error:
+                row = f"refused: {error!r} on {args!r}"
+            for suite, message in zip(suites, row if type(row) is tuple else [row] * len(names)):
                 suite.samples += 1
                 if suite.counterexample is None:
                     suite.counterexample = message

@@ -2,16 +2,18 @@
 
 ``KERNEL_PAIRS`` is one config per kernel pair, the oracle lookup turns a
 library kernel or combiner into its transcription in ``oracle.py``,
-``cell_sums`` reads one cell's TOPSIS sums off a one-cell matrix, and
+``cell_sums`` reads one cell's TOPSIS sums off a one-cell matrix,
+``grid_elements`` builds an exhaustive grid of small elements, and
 ``_compensated_sum`` stands in for the built-in ``sum`` of Python 3.12 on.
 """
 
 import builtins
 import functools
+import itertools
 import math
 
 import oracle
-from phfe import CriterionSpec, DecisionMatrix, EntropyConfig, all_configs
+from phfe import CriterionSpec, DecisionMatrix, EntropyConfig, all_configs, canonicalize
 from phfe.mcdm import _columns
 
 
@@ -33,6 +35,19 @@ def cell_sums(a, config):
     (fuzziness, non-specificity), then its hybrid's with {1|1}, then with {0|1}."""
     matrix = DecisionMatrix(("x",), (CriterionSpec("c"),), ((a,),))
     return tuple(column[0] for pair in _columns(matrix, config) for column in pair)
+
+
+def grid_elements(step):
+    """Every canonical element of one to three values on the ``1/step`` grid with probabilities
+    in quarters, by length, then values, then probabilities: 65 on the 1/4 grid, 369 on the 1/8."""
+    grid = [k / step for k in range(step + 1)]
+    return [
+        canonicalize(zip(values, [p / 4 for p in parts]))
+        for length in (1, 2, 3)
+        for values in itertools.combinations(grid, length)
+        for parts in itertools.product(range(1, 5), repeat=length)
+        if sum(parts) == 4
+    ]
 
 
 _ORACLE = {

@@ -11,27 +11,13 @@ elements apart" states these counts.
 """
 
 import collections
-import itertools
 
 import pytest
 
-from phfe import all_configs, canonicalize, complement, measure_value, parse_measure
+from phfe import all_configs, complement, measure_value, parse_measure
+from support import grid_elements
 
-GRID = [k / 8 for k in range(9)]
-
-
-def _quarters(length):
-    for parts in itertools.product(range(1, 5), repeat=length):
-        if sum(parts) == 4:
-            yield [p / 4 for p in parts]
-
-
-ELEMENTS = [
-    canonicalize(zip(values, probs))
-    for length in (1, 2, 3)
-    for values in itertools.combinations(GRID, length)
-    for probs in _quarters(length)
-]
+ELEMENTS = grid_elements(8)
 
 
 def _representative(a):

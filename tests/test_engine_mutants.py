@@ -1,19 +1,24 @@
 """Wrong engines must fail a named gate.
 
 Each mutant is patched for one test, in-process, into the batched TOPSIS pass
-(``phfe.entropy._STEPS``), into the scalar element pass (the r1 kernel, or
-``phfe.entropy._pairwise``), into the combiners (psum and bsum swapped) or into
-``pi`` (its equality branch dropped wherever the engine reads ``_pi_fast`` or
-``_pi_column``).  The gates are the oracle pipeline check, the pinned
-``phfe reproduce`` digest, a 300-sample axiom run and the closed-form boundary check.
-A gate fails by returning False, or where the library refuses a value the wrong engine
-made.  The unpatched engine passes every gate, and each mutant is pinned to the gates
-it fails.
+(``phfe.entropy._STEPS``, or ``mcdm._columns`` without the {0|1} lane's weight
+reversal), into the scalar element pass (the r1 kernel, or ``phfe.entropy._pairwise``),
+into both passes (the ``l(l+1)`` non-specificity divisor), into the combiners (psum and
+bsum swapped), into ``pi`` (its equality branch dropped wherever the engine reads
+``_pi_fast`` or ``_pi_column``) or into ``hybrid`` (sorted by value only).  A mutant of
+one expression recompiles the engine's function from its source with that expression
+replaced.  The gates are the oracle pipeline check, the pinned ``phfe reproduce``
+digest, a 300-sample axiom run, the closed-form boundary check and bit symmetry of
+``entropy_distance`` on the 1/4 grid.  A gate fails by returning False, or where the
+library refuses a value the wrong engine made.  The unpatched engine passes every gate,
+and each mutant is pinned to the gates it fails.
 """
 
 import contextlib
 import hashlib
+import inspect
 import io
+import itertools
 import random
 
 import pytest
@@ -23,16 +28,17 @@ import phfe.distance
 import phfe.elements
 import phfe.entropy
 import phfe.mcdm
+import phfe.verify
 from phfe import (
-    R1, THETA_BSUM, THETA_PSUM, CriterionSpec, DecisionMatrix, EntropyConfig, parse_decision_matrix,
-    run_topsis,
+    R1, THETA_BSUM, THETA_PSUM, CriterionSpec, DecisionMatrix, EntropyConfig, entropy_distance,
+    parse_decision_matrix, run_topsis,
 )
 from phfe.cli import main
 from phfe.elements import _pi_fast
 from phfe.errors import PhfeError
 from phfe.reproduce import load_table
 from phfe.verify import boundary_exactness, random_phfe, run_axiom_suites
-from support import oracle_config
+from support import grid_elements, oracle_config
 
 REPRODUCE_SHA256 = "360748d3c6c862c9e19afaedf0e43c9a4047afdcb9d364083eefee7ee1012514"
 
@@ -81,11 +87,26 @@ def _boundary_gate():
     return boundary_exactness() is None
 
 
+QUARTER_PAIRS = list(itertools.combinations(grid_elements(4), 2))
+SYMMETRY_CONFIGS = [EntropyConfig.from_string(label) for label in ("r1:f1:max", "r1:f2:psum")]
+
+
+def _symmetry_gate():
+    """entropy_distance(a, b) == entropy_distance(b, a) bit for bit on the 2 080 pairs of the
+    1/4 grid under r1:f1:max and r1:f2:psum."""
+    return all(
+        entropy_distance(a, b, config=config) == entropy_distance(b, a, config=config)
+        for config in SYMMETRY_CONFIGS
+        for a, b in QUARTER_PAIRS
+    )
+
+
 GATES = {
     "oracle": _oracle_gate,
     "reproduce digest": _reproduce_gate,
     "axioms": _axioms_gate,
     "boundary": _boundary_gate,
+    "symmetry": _symmetry_gate,
 }
 
 
@@ -131,6 +152,34 @@ def _pi_column_without_equality(ps, qs):
     return [abs(p - q) for p, q in zip(ps, qs)]
 
 
+def _rewritten(module, name, old, new):
+    """``module.<name>`` recompiled from its source with the one ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    scope = {}
+    exec(source.replace(old, new), vars(module), scope)
+    return scope[name]
+
+
+def _divisor_l_l_plus_1():
+    # Non-specificity scaled by 2 / (l (l + 1)), the fuzziness divisor, in both passes.
+    scalar, batched = (
+        _rewritten(phfe.entropy, name, "max(2, l * (l - 1))", "(l * (l + 1))")
+        for name in ("_pairwise", "_pairwise_columns")
+    )
+    return [
+        (vars(phfe.entropy), "_pairwise", scalar),
+        (vars(phfe.entropy), "_pairwise_columns", batched),
+        (vars(phfe.mcdm), "_pairwise_columns", batched),
+    ]
+
+
+def _hybrid_by_value():
+    # sorted() keyed on the value alone: entries of one value keep the order they were built in.
+    by_value = _rewritten(phfe.distance, "hybrid", "    ))))", "    ), key=lambda e: e[0])))")
+    return [(vars(module), "hybrid", by_value) for module in (phfe.distance, phfe.verify)]
+
+
 #: name -> (object, key, wrong value) patches; the scalar r1 is read from the R1 kernel
 #: and, for a kernel built by id, from the _FUZZINESS table.
 MUTANTS = {
@@ -156,6 +205,12 @@ MUTANTS = {
                             ("_pi_column", _pi_column_without_equality))
         if name in vars(module)
     ],
+    "ideal-weights-not-reversed": lambda: [
+        (vars(phfe.mcdm), "_columns",
+         _rewritten(phfe.mcdm, "_columns", "zip(ps, ws, ws[::-1])", "zip(ps, ws, ws)")),
+    ],
+    "ns-divisor-l(l+1)": _divisor_l_l_plus_1,
+    "hybrid-by-value": _hybrid_by_value,
 }
 
 
@@ -183,10 +238,43 @@ def test_the_engine_passes_every_gate():
         ("scalar-r1-sign", ["reproduce digest", "axioms", "boundary"]),
         ("scalar-no-diagonal", ["reproduce digest", "axioms", "boundary"]),
         ("psum-bsum-swapped", ["oracle", "reproduce digest", "axioms"]),
-        ("pi-no-equality", ["oracle", "reproduce digest", "axioms", "boundary"]),
+        ("pi-no-equality", ["oracle", "reproduce digest", "axioms", "boundary", "symmetry"]),
+        ("ideal-weights-not-reversed", ["oracle", "reproduce digest", "axioms"]),
+        ("ns-divisor-l(l+1)", ["oracle", "reproduce digest", "axioms", "boundary"]),
+        ("hybrid-by-value", ["symmetry"]),
     ],
 )
 def test_a_named_gate_fails_on_each_mutant(monkeypatch, mutant, caught_by):
     for table, key, wrong in MUTANTS[mutant]():
         monkeypatch.setitem(table, key, wrong)
     assert _failing_gates() == caught_by
+
+
+#: The suites whose checks the library refuses under pi-no-equality: pi(p, p) is 0, a
+#: hybrid or TOPSIS weight of 0 is refused, and each suite reports the refusal.
+REFUSED_SUITES = [
+    "distance symmetry and range",
+    "psi endpoint agreement",
+    "singleton self-distance",
+    "weights and closeness",
+    "multi-valued self-distance stays positive (documented)",
+]
+
+
+def test_a_refused_check_fails_its_suites(monkeypatch, capsys):
+    for table, key, wrong in MUTANTS["pi-no-equality"]():
+        monkeypatch.setitem(table, key, wrong)
+    refusal = "refused: OutOfRangeError('weight 0.0 outside (0, 1]') on ("
+    results = run_axiom_suites(7, 300)  # returns: the refusal does not escape the run
+    refused = [r.name for r in results if (r.counterexample or "").startswith(refusal)]
+    assert refused == REFUSED_SUITES
+    assert main(["axioms", "--seed", "7", "--samples", "60"]) == 1  # not 2: no error escapes
+    lines = capsys.readouterr().out.splitlines()
+    failed = {  # suite name -> the counterexample printed under its [FAIL] line
+        line.removeprefix("[FAIL] ").rpartition(" (")[0]: text.split("counterexample: ")[1]
+        for line, text in zip(lines, lines[1:])
+        if line.startswith("[FAIL]")
+    }
+    assert [name for name, text in failed.items() if text.startswith(refusal)] == REFUSED_SUITES
+    # The boundary suite fails on its own value, with nothing refused.
+    assert failed["boundary exactness"] == "fuzziness({0|0.5, 1|0.5}) = 0.0"

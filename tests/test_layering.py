@@ -5,7 +5,8 @@ kernels, ``elements._pi_column``) belong to the pass that ``mcdm._columns`` runs
 decision matrix.  Only ``phfe.entropy`` and ``phfe.mcdm`` name ``_pairwise_columns``, and
 ``phfe.distance`` stays the element-to-element distance: it imports none of the pass.
 ``mcdm._columns`` builds the ideal hybrids in place, so ``phfe.mcdm`` never names
-``hybrid``; the tests that refuse ``hybrid()`` during a pass rely on that.
+``hybrid``; the tests that refuse ``hybrid()`` during a pass rely on that.  ``phfe.verify``
+keys its records by the library's own measure labels, so it names neither kernel table.
 """
 
 import ast
@@ -54,3 +55,8 @@ def test_distance_imports_nothing_of_the_batched_pass():
 def test_mcdm_names_no_hybrid():
     tree = ast.parse((SRC / "mcdm.py").read_text())
     assert "hybrid" not in set(_names(tree))
+
+
+def test_verify_reads_the_library_labels():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert not {"_FUZZINESS", "_NONSPECIFICITY"} & set(_names(tree))

@@ -28,6 +28,7 @@ from phfe import (
     verify,
     weighted_comprehensive,
 )
+from phfe.errors import OutOfRangeError
 
 #: Non-specificity exactly 1, so its comprehensive entropy is exactly 1.
 _UNIT_ENTROPY = canonicalize([(0.0, 0.5), (1.0, 0.5)])
@@ -241,6 +242,50 @@ def test_every_counterexample_branch_has_one_witness():
         assert sorted(line for line, _, _ in rows) == returns[name], name
         for line, fragment, _ in rows:  # each fragment is only in its own branch's message
             assert [other for other, _, message in rows if fragment in message] == [line], name
+
+
+def _refusing_pi(p, q):
+    raise OutOfRangeError("no pi here")
+
+
+#: The one refusal branch of run_axiom_suites: (a refusing operation patched in, the suite
+#: whose pass it refuses, the seed of that pass in a run with seed 7).
+REFUSAL_WITNESS = (("pi", _refusing_pi), "pi symmetry and range", "7:4")
+
+
+def _refusal_handlers() -> list[int]:
+    """First lines of the ``except PhfeError`` handlers in phfe/verify.py, read with ``ast``."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    return [
+        node.body[0].lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and ast.unparse(node.type) == "PhfeError"
+    ]
+
+
+def test_the_refusal_branch_has_its_witness(monkeypatch):
+    # A check the library refuses becomes the counterexample of its pass's suites, quoting
+    # the refusal and the drawn inputs; the witness run must reach the one handler.
+    (name, wrong), suite, seed = REFUSAL_WITNESS
+    monkeypatch.setattr(verify, name, wrong)
+    code, lines = verify.run_axiom_suites.__code__, set()
+
+    def local(frame, event, arg):
+        lines.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        results = verify.run_axiom_suites(7, 5)
+    finally:
+        sys.settrace(previous)
+    handlers = _refusal_handlers()
+    assert len(handlers) == 1 and set(handlers) <= lines
+    rng = random.Random(seed)
+    first_draw = (rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0))
+    failed = {r.name: r.counterexample for r in results if not r.passed}
+    assert failed == {suite: f"refused: OutOfRangeError('no pi here') on {first_draw!r}"}
 
 
 #: Rows that move a config id of the record, so the record's config ids are checked too.
