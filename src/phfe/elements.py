@@ -136,7 +136,7 @@ def canonicalize(raw_pairs: Iterable[tuple[float, float]]) -> PHFE:
 
     values = tuple(sorted(merged))
     # Summing may overshoot 1 by the declared input tolerance; the clamp can move the total.
-    probs = tuple([min(merged[v], 1.0) for v in values])
+    probs = tuple([p if (p := merged[v]) <= 1.0 else 1.0 for v in values])
     _check_total(_ltr_sum(probs))
     a = object.__new__(PHFE)  # canonical by construction: skip __init__'s second pass
     a.__dict__.update(values=values, probs=probs)
@@ -269,24 +269,28 @@ def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
     if not isinstance(obj, Mapping):
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     if "pairs" in obj:
-        try:
-            raw = [(json_number(item, "v"), json_number(item, "p")) for item in obj["pairs"]]
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"malformed pair list: {exc}") from exc
-        return canonicalize(raw)
-    if "terms" in obj:
+        key, kind, items, tau = "v", "pair", obj["pairs"], None
+    elif "terms" in obj:
+        key, kind, items = "t", "term", obj["terms"]
         tau = json_number(obj, "tau", integral=True) if "tau" in obj else default_tau
         if tau is None:
             raise ParseError('linguistic element without "tau"')
-        try:
-            raw = [
-                (json_number(item, "t", integral=True), json_number(item, "p"))
-                for item in obj["terms"]
-            ]
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"malformed term list: {exc}") from exc
-        return from_linguistic(raw, LinguisticScale(tau))
-    raise ParseError('element object needs "pairs" or "terms"')
+    else:
+        raise ParseError('element object needs "pairs" or "terms"')
+    raw, big = [], sys.float_info.max
+    try:  # json_number's checks written inline, item by item: v (or t), then p
+        for item in items:
+            x = item[key]
+            if type(x) is not float or tau is not None:
+                if type(x) is not int or not -big <= x <= big:
+                    x = json_number(item, key, tau is not None)  # refuses, or makes t an int
+            p = item["p"]
+            if type(p) is not float and (type(p) is not int or not -big <= p <= big):
+                json_number(item, "p")  # refuses
+            raw.append((x, p))
+    except (TypeError, KeyError) as exc:
+        raise ParseError(f"malformed {kind} list: {exc}") from exc
+    return canonicalize(raw) if tau is None else from_linguistic(raw, LinguisticScale(tau))
 
 
 def parse_phfe_list(obj) -> list[PHFE]:

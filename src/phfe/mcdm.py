@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping, Sequence
-from itertools import repeat
-from operator import add, mul
+from operator import add
 
 from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy
 from .elements import PHFE, Frozen, _ltr_sum, _pi_column, format_number, json_number
 from .elements import parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise_columns
-from .errors import DegenerateWeightsError, ParseError, ZeroDenominatorError
+from .errors import DegenerateWeightsError, ParseError, PhfeError, ZeroDenominatorError
 
 _KINDS = ("benefit", "cost")
 
@@ -73,20 +72,23 @@ def _columns(matrix: DecisionMatrix, config: EntropyConfig):
     key = (config.fuzziness, config.nonspecificity)
     if key not in matrix._tables:
         cells = [c for row in matrix.cells for c in row]
-        groups, columns = {}, [array("d", [0.0]) * len(cells) for _ in range(6)]
+        groups, order, lists = {}, [], [[] for _ in range(6)]
         for k, a in enumerate(cells):
             groups.setdefault(len(a.values), []).append(k)
         for ks in groups.values():  # column i: entry i of every cell's lane, then {1|1}'s, {0|1}'s
+            n = len(ks)
             vs = list(map(list, zip(*[cells[k].values for k in ks])))
             ps = list(map(list, zip(*[cells[k].probs for k in ks])))
-            ws = [_pi_column(p, [1.0] * len(ks)) for p in ps]
+            ws = [_pi_column(p, [1.0] * n) for p in ps]
             sums = _pairwise_columns(
                 [v + [(1.0 - abs(x - 1.0)) / 2.0 for x in v] + [(1.0 - x) / 2.0 for x in e]
                  for v, e in zip(vs, vs[::-1])],
                 [p + w + e for p, w, e in zip(ps, ws, ws[::-1])], *key)
-            for column, lanes in zip(columns, (s[c * len(ks):] for c in range(3) for s in sums)):
-                for k, x in zip(ks, lanes):
-                    column[k] = x
+            for out, lanes in zip(lists, (s[c * n:(c + 1) * n] for c in range(3) for s in sums)):
+                out += lanes
+            order += ks
+        place = sorted(range(len(cells)), key=order.__getitem__)  # cell k's sums: out[place[k]]
+        columns = [array("d", [out[k] for k in place]) for out in lists]
         matrix._tables[key] = tuple(zip(columns[::2], columns[1::2]))
     return matrix._tables[key]
 
@@ -156,9 +158,8 @@ def ideal_distances(
     plus, minus = [0.0] * m, [0.0] * m
     for j, (w, c) in enumerate(zip(weights.normalized, matrix.criteria)):
         pos, neg = (to_full, to_empty) if c.kind == "benefit" else (to_empty, to_full)
-        # A list each step: lazy maps would nest one C level per criterion.
-        plus = list(map(add, plus, map(mul, repeat(w), pos[j::n])))
-        minus = list(map(add, minus, map(mul, repeat(w), neg[j::n])))
+        plus = [t + w * d for t, d in zip(plus, pos[j::n])]
+        minus = [t + w * d for t, d in zip(minus, neg[j::n])]
     return tuple(plus), tuple(minus)
 
 
@@ -235,9 +236,16 @@ def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
     if not isinstance(rows, Sequence) or not all(isinstance(row, Sequence) for row in rows):
         raise ParseError("decision matrix cells must be a list of rows, each a list of elements")
     default_tau = json_number(obj, "tau", integral=True) if "tau" in obj else None
-    cells = tuple(
-        tuple(parse_phfe(cell, default_tau) for cell in row) for row in rows
-    )
+    try:
+        cells = tuple(tuple(parse_phfe(cell, default_tau) for cell in row) for row in rows)
+    except PhfeError as exc:  # on the error path only: parse cell by cell again to name it
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                try:
+                    parse_phfe(cell, default_tau)
+                except PhfeError:
+                    raise type(exc)(f"cells[{i}][{j}]: {exc}") from None
+        raise
     return DecisionMatrix(tuple(text(a, "alternative name") for a in names), criteria, cells)
 
 

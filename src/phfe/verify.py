@@ -14,8 +14,10 @@ library's ``random.Random`` with a string seed, through ``random()`` and
 ``getrandbits`` only.  Suites that share inputs are checked in one pass
 over a common corpus, where each element's record (see :func:`base_entropies`)
 holds its 23 entropies under the library's own measure ids, each computed once.
-A check that the library refuses with a ``PhfeError`` is a counterexample of
-every suite of its pass, not an error of the run.
+A check that the library refuses with a ``PhfeError``, or that fails with an
+``ArithmeticError`` (a wrong engine's entropy far outside [0, 1] can overflow
+``math.exp``), is a counterexample of every suite of its pass, not an error of
+the run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from operator import itemgetter
 
 from . import baselines
 from .distance import ALL_PSI, EMPTY_ELEMENT, FULL_ELEMENT, PsiFunction, entropy_distance, hybrid
-from .elements import PHFE, _ltr_sum, canonicalize, complement, pi
+from .elements import PI_EQ_TOL, PHFE, _ltr_sum, canonicalize, complement, pi
 from .entropy import (
     F1,
     F2,
@@ -363,8 +365,15 @@ def _contracted_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
     return canonicalize(zip(a_values, b.probs)), b
 
 
-def _probabilities(rng: random.Random) -> tuple[float, float]:
-    return rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0)
+def _probabilities(rng: random.Random, k: int) -> tuple[float, float]:
+    # Independent draws never come within PI_EQ_TOL, so draws 1 and 2 of every ten test pi's
+    # equality branch: q is p, then p moved by less than PI_EQ_TOL / 2.
+    p, q = rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0)
+    if k % 10 == 1:
+        return p, p
+    if k % 10 == 2:
+        return p, min(1.0, p + (q - 0.5) * PI_EQ_TOL)
+    return p, q
 
 
 def _theta_triple(rng: random.Random) -> tuple[float, float, float]:
@@ -409,8 +418,9 @@ def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
     """Run every pass ``(suite names, check, draw, count)``; pass ``k`` draws ``count`` times
     from ``random.Random(f"{seed}:{k}")``.  A draw gives ``check``'s arguments, or None where
     it voids the premise, uncounted; ``check`` gives a tuple of one message per suite, or one
-    message for every suite.  A check the library refuses with a ``PhfeError`` gives every
-    suite of its pass the counterexample ``refused: <the error> on <the arguments>``.
+    message for every suite.  A check the library refuses with a ``PhfeError``, or that fails
+    with an ``ArithmeticError``, gives every suite of its pass the counterexample
+    ``refused: <the error> on <the arguments>``.
 
     The predicates call these operations by their ``phfe.verify`` names, so a test can patch
     one with a wrong version and check that the suites catch it: ``canonicalize``,
@@ -421,6 +431,7 @@ def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
     corpus = ("canonical form roundtrip", "complement involution", "entropy range",
               "complement symmetry", "combiner ordering")
     edges = iter(_edge_elements())  # the corpus checks these before its random elements
+    ticks = iter(range(samples))  # the pi pass's draw index
     passes = [
         (corpus, _corpus_row,
          lambda rng: _with_perm(next(edges, None) or random_phfe(rng), rng), samples),
@@ -428,7 +439,8 @@ def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
         (("nonspecificity monotonicity",), nonspecificity_monotonicity, _contracted_pair, samples),
         (("distance symmetry and range", "psi endpoint agreement"), _distance_row,
          lambda rng: (random_phfe(rng), random_phfe(rng), rng.choice(ALL_PSI)), samples),
-        (("pi symmetry and range",), pi_symmetry, _probabilities, samples),
+        (("pi symmetry and range",), pi_symmetry, lambda rng: _probabilities(rng, next(ticks)),
+         samples),
         (("theta contract",), theta_contract, _theta_triple, samples),
         (("singleton self-distance",), singleton_self_distance, _singleton, samples),
         (("weights and closeness",), weights_and_closeness, _matrix, max(1, samples // 20)),
@@ -444,7 +456,7 @@ def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
                 continue
             try:
                 row = check(*args)
-            except PhfeError as error:
+            except (PhfeError, ArithmeticError) as error:
                 row = f"refused: {error!r} on {args!r}"
             for suite, message in zip(suites, row if type(row) is tuple else [row] * len(names)):
                 suite.samples += 1

@@ -296,6 +296,19 @@ class TestCanonicalFormIsAValidElement:
          '"v" must be a number, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1'),
         (lambda: parse_phfe({"terms": [{"t": 1, "p": 1}], "tau": "x" * 4000}), ParseError,
          '"tau" must be a number, got "' + "x" * 39),
+        # One row per branch of parse_phfe's number checks; the first fault reported wins.
+        (lambda: parse_phfe({"pairs": [{"v": 0.5, "p": True}]}), ParseError,
+         '"p" must be a number, got true'),
+        (lambda: parse_phfe({"pairs": [{"v": None, "p": 1}]}), ParseError,
+         '"v" must be a number, got null'),
+        (lambda: parse_phfe({"terms": [{"t": "2", "p": 1}], "tau": 3}), ParseError,
+         '"t" must be a number, got "2"'),
+        (lambda: parse_phfe({"pairs": [{"v": 0.5, "p": 1}, 5]}), ParseError,
+         "malformed pair list: 'int' object is not subscriptable"),
+        (lambda: parse_phfe({"pairs": [{"v": "x"}]}), ParseError,
+         '"v" must be a number, got "x"'),
+        (lambda: parse_phfe({"pairs": [{"v": 0.5, "p": 10**400}]}), ParseError,
+         '"p" is an integer beyond the float range'),
         (lambda: parse_phfe([1]), ParseError, "expected an object, got list"),
         (lambda: parse_phfe({"pairs": [{"v": 0.5}]}), ParseError, "malformed pair list: 'p'"),
         (lambda: parse_phfe({"terms": [{"t": 7, "p": 1}], "tau": 3}), TermOutOfRangeError,

@@ -278,3 +278,25 @@ def test_a_refused_check_fails_its_suites(monkeypatch, capsys):
     assert [name for name, text in failed.items() if text.startswith(refusal)] == REFUSED_SUITES
     # The boundary suite fails on its own value, with nothing refused.
     assert failed["boundary exactness"] == "fuzziness({0|0.5, 1|0.5}) = 0.0"
+    # The pi suite draws equal probabilities too, so the missing equality branch shows there.
+    assert failed["pi symmetry and range"] == (
+        "pi(0.792426189801151, 0.792426189801151) = 0.0 outside (0, 1]"
+    )
+
+
+def test_an_arithmetic_error_fails_its_suites(monkeypatch):
+    # _pairwise's non-specificity divisor without its parentheses: a hybrid's entropy far
+    # above 1 makes PSI_EXP_TILT overflow math.exp inside the distance pass.
+    wrong = _rewritten(phfe.entropy, "_pairwise", "2.0 * ns_total / max(2, l * (l - 1))",
+                       "2.0 * ns_total / l * (l + 1)")
+    monkeypatch.setitem(vars(phfe.entropy), "_pairwise", wrong)
+    results = run_axiom_suites(7, 300)  # returns: the OverflowError does not escape the run
+    failed = {r.name: r.counterexample for r in results if not r.passed}
+    assert list(failed) == [
+        "entropy range", "combiner ordering", "distance symmetry and range",
+        "psi endpoint agreement", "weights and closeness", "boundary exactness",
+        "multi-valued self-distance stays positive (documented)",
+    ]
+    assert failed["psi endpoint agreement"].startswith(
+        "refused: OverflowError('math range error') on ("
+    )

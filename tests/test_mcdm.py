@@ -21,7 +21,9 @@ from phfe import (
     EMPTY_ELEMENT,
     EntropyConfig,
     FULL_ELEMENT,
+    OutOfRangeError,
     ParseError,
+    ProbabilitySumError,
     PsiFunction,
     ThetaCombiner,
     WeightVector,
@@ -89,6 +91,30 @@ class TestDecisionMatrix:
     def test_bad_kind_rejected(self):
         with pytest.raises(ParseError):
             CriterionSpec("c1", "neutral")
+
+    @pytest.mark.parametrize(
+        "cell, error, message",
+        [
+            ({"pairs": [{"v": 0.5, "p": "x"}]}, ParseError,
+             'cells[2][1]: "p" must be a number, got "x"'),
+            ({"pairs": [{"v": 1.5, "p": 1}]}, OutOfRangeError,
+             "cells[2][1]: membership value 1.5 outside [0, 1]"),
+            ({"terms": [{"t": 1, "p": 0.5}]}, ProbabilitySumError,
+             "cells[2][1]: probabilities sum to 0.5, expected 1"),
+        ],
+    )
+    def test_a_refused_cell_is_named(self, cell, error, message):
+        # Only the cell at row 2, column 1 is bad; the refusal keeps its type.
+        good = {"pairs": [{"v": 0.5, "p": 1}]}
+        document = {
+            "criteria": [{"name": "c1"}, {"name": "c2"}],
+            "alternatives": ["x1", "x2", "x3", "x4"],
+            "cells": [[good, good], [good, good], [good, cell], [good, good]],
+            "tau": 3,
+        }
+        with pytest.raises(error) as caught:
+            parse_decision_matrix(document)
+        assert type(caught.value) is error and str(caught.value) == message
 
     def test_json_roundtrip(self, case_study):
         again = parse_decision_matrix(matrix_to_dict(case_study) | {"tau": 3})
@@ -397,7 +423,7 @@ class TestComponentTable:
 
     def test_batched_columns_equal_one_cell_batches(self):
         # Lengths 1-8 in one matrix, cells whose values collide under 1 - v among them:
-        # grouping lanes by length and scattering them back moves no cell's sums.
+        # grouping lanes by length and placing them back moves no cell's sums.
         rng = random.Random("batch")
         cells = [
             canonicalize([(1e-17, 0.3), (2e-17, 0.7)]),

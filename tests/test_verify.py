@@ -248,44 +248,58 @@ def _refusing_pi(p, q):
     raise OutOfRangeError("no pi here")
 
 
-#: The one refusal branch of run_axiom_suites: (a refusing operation patched in, the suite
-#: whose pass it refuses, the seed of that pass in a run with seed 7).
-REFUSAL_WITNESS = (("pi", _refusing_pi), "pi symmetry and range", "7:4")
+def _overflowing_pi(p, q):
+    raise OverflowError("math range error")
+
+
+#: The one handler of run_axiom_suites, for a refusal and for an arithmetic error: (an
+#: operation patched in that raises, the suite whose pass it fails, the seed of that pass in
+#: a run with seed 7, the error's repr).
+REFUSAL_WITNESSES = [
+    (("pi", _refusing_pi), "pi symmetry and range", "7:4", "OutOfRangeError('no pi here')"),
+    (("pi", _overflowing_pi), "pi symmetry and range", "7:4",
+     "OverflowError('math range error')"),
+]
 
 
 def _refusal_handlers() -> list[int]:
-    """First lines of the ``except PhfeError`` handlers in phfe/verify.py, read with ``ast``."""
+    """First lines of the ``except (PhfeError, ArithmeticError)`` handlers in phfe/verify.py,
+    read with ``ast``."""
     tree = ast.parse(Path(verify.__file__).read_text())
     return [
         node.body[0].lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.ExceptHandler) and ast.unparse(node.type) == "PhfeError"
+        if isinstance(node, ast.ExceptHandler)
+        and ast.unparse(node.type) == "(PhfeError, ArithmeticError)"
     ]
 
 
-def test_the_refusal_branch_has_its_witness(monkeypatch):
-    # A check the library refuses becomes the counterexample of its pass's suites, quoting
-    # the refusal and the drawn inputs; the witness run must reach the one handler.
-    (name, wrong), suite, seed = REFUSAL_WITNESS
-    monkeypatch.setattr(verify, name, wrong)
-    code, lines = verify.run_axiom_suites.__code__, set()
-
-    def local(frame, event, arg):
-        lines.add(frame.f_lineno)
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        results = verify.run_axiom_suites(7, 5)
-    finally:
-        sys.settrace(previous)
+def test_the_refusal_branch_has_its_witness():
+    # A check the library refuses, or one that fails with an arithmetic error, becomes the
+    # counterexample of its pass's suites, quoting the error and the drawn inputs; each
+    # witness run must reach the one handler.
     handlers = _refusal_handlers()
-    assert len(handlers) == 1 and set(handlers) <= lines
-    rng = random.Random(seed)
-    first_draw = (rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0))
-    failed = {r.name: r.counterexample for r in results if not r.passed}
-    assert failed == {suite: f"refused: OutOfRangeError('no pi here') on {first_draw!r}"}
+    assert len(handlers) == 1
+    for (name, wrong), suite, seed, error in REFUSAL_WITNESSES:
+        code, lines = verify.run_axiom_suites.__code__, set()
+
+        def local(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+        try:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(verify, name, wrong)
+                results = verify.run_axiom_suites(7, 5)
+        finally:
+            sys.settrace(previous)
+        assert set(handlers) <= lines
+        rng = random.Random(seed)
+        first_draw = (rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0))
+        failed = {r.name: r.counterexample for r in results if not r.passed}
+        assert failed == {suite: f"refused: {error} on {first_draw!r}"}
 
 
 #: Rows that move a config id of the record, so the record's config ids are checked too.
