@@ -248,6 +248,8 @@ def json_number(obj: Mapping, key: str, integral: bool = False) -> int | float:
     ``2.0`` pass, ``2.7`` does not) and is returned as an ``int``.
     """
     value = obj[key]
+    if type(value) is float and not integral:  # the common case, first
+        return value
     # json.load yields exactly these two types for numbers; bool is refused.
     if type(value) not in (float, int):
         raise ParseError(f'"{key}" must be a number, got {json.dumps(value, default=repr):.40}')
@@ -277,17 +279,9 @@ def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
             raise ParseError('linguistic element without "tau"')
     else:
         raise ParseError('element object needs "pairs" or "terms"')
-    raw, big = [], sys.float_info.max
-    try:  # json_number's checks written inline, item by item: v (or t), then p
-        for item in items:
-            x = item[key]
-            if type(x) is not float or tau is not None:
-                if type(x) is not int or not -big <= x <= big:
-                    x = json_number(item, key, tau is not None)  # refuses, or makes t an int
-            p = item["p"]
-            if type(p) is not float and (type(p) is not int or not -big <= p <= big):
-                json_number(item, "p")  # refuses
-            raw.append((x, p))
+    integral = tau is not None
+    try:  # item by item: v (or t), then p
+        raw = [(json_number(item, key, integral), json_number(item, "p")) for item in items]
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed {kind} list: {exc}") from exc
     return canonicalize(raw) if tau is None else from_linguistic(raw, LinguisticScale(tau))

@@ -365,13 +365,13 @@ def _contracted_pair(rng: random.Random) -> tuple[PHFE, PHFE] | None:
     return canonicalize(zip(a_values, b.probs)), b
 
 
-def _probabilities(rng: random.Random, k: int) -> tuple[float, float]:
-    # Independent draws never come within PI_EQ_TOL, so draws 1 and 2 of every ten test pi's
-    # equality branch: q is p, then p moved by less than PI_EQ_TOL / 2.
-    p, q = rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0)
-    if k % 10 == 1:
+def _probabilities(rng: random.Random) -> tuple[float, float]:
+    # Independent draws never come within PI_EQ_TOL, so one draw in five tests pi's equality
+    # branch: q is p, or p moved by less than PI_EQ_TOL / 2.
+    p, q, u = rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0), rng.random()
+    if u < 0.1:
         return p, p
-    if k % 10 == 2:
+    if u < 0.2:
         return p, min(1.0, p + (q - 0.5) * PI_EQ_TOL)
     return p, q
 
@@ -431,7 +431,6 @@ def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
     corpus = ("canonical form roundtrip", "complement involution", "entropy range",
               "complement symmetry", "combiner ordering")
     edges = iter(_edge_elements())  # the corpus checks these before its random elements
-    ticks = iter(range(samples))  # the pi pass's draw index
     passes = [
         (corpus, _corpus_row,
          lambda rng: _with_perm(next(edges, None) or random_phfe(rng), rng), samples),
@@ -439,8 +438,7 @@ def run_axiom_suites(seed: int, samples: int) -> list[SuiteResult]:
         (("nonspecificity monotonicity",), nonspecificity_monotonicity, _contracted_pair, samples),
         (("distance symmetry and range", "psi endpoint agreement"), _distance_row,
          lambda rng: (random_phfe(rng), random_phfe(rng), rng.choice(ALL_PSI)), samples),
-        (("pi symmetry and range",), pi_symmetry, lambda rng: _probabilities(rng, next(ticks)),
-         samples),
+        (("pi symmetry and range",), pi_symmetry, _probabilities, samples),
         (("theta contract",), theta_contract, _theta_triple, samples),
         (("singleton self-distance",), singleton_self_distance, _singleton, samples),
         (("weights and closeness",), weights_and_closeness, _matrix, max(1, samples // 20)),

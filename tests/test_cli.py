@@ -1,21 +1,15 @@
-import argparse
 import builtins
 import contextlib
 import csv
 import hashlib
 import io
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import phfe.cli
 import phfe.verify
 from phfe.baselines import expectation
 from phfe.cli import build_parser, main
@@ -437,41 +431,6 @@ class TestTopsisCommand:
         sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
         psi = next(a for a in sub._actions if a.dest == "psi")
         assert list(psi.choices) == sorted(p.label for p in ALL_PSI)
-
-
-def test_calls_in_a_row_print_what_fresh_processes_print(elements_file, matrix_file, capsys):
-    # main() reuses one parser: no flag or default of one call may reach the next.
-    calls = [
-        ["topsis", "--input", matrix_file, "--format", "csv", "--config", "r2:f3:bsum",
-         "--psi", "harm"],
-        ["topsis", "--input", matrix_file],
-        ["entropy", "--input", elements_file, "--measure", "r1", "--format", "json"],
-        ["entropy", "--input", elements_file],
-    ]
-    env = dict(os.environ, PYTHONPATH=str(Path(phfe.cli.__file__).parents[1]))
-    fresh = [  # started together, one process per call
-        subprocess.Popen([sys.executable, "-m", "phfe.cli", *argv], env=env,
-                         stdout=subprocess.PIPE, text=True)
-        for argv in calls
-    ]
-    for argv, proc in zip(calls, fresh):
-        assert main(argv) == 0
-        assert capsys.readouterr().out == proc.communicate(timeout=120)[0]
-
-
-def test_one_parser_per_process(monkeypatch, elements_file, matrix_file, capsys):
-    progs = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        progs.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(phfe.cli, "_parser", None)  # as in a fresh process
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for argv in (["topsis", "--input", matrix_file], ["entropy", "--input", elements_file]) * 2:
-        assert main(argv) == 0
-    assert progs.count("phfe") == 1
 
 
 _NUMBERS = st.sampled_from([0, 0.5, 1]) | st.integers() | st.floats()
