@@ -8,10 +8,12 @@ commutative, monotone combiner.
 
 All three measures are pairwise double sums over the element, weighted by
 the probability functional :func:`phfe.elements.pi`.  Every pass sums one fuzziness
-and one non-specificity kernel (a batched twin runs many lists of one length as columns,
-kernels inline); a single measure keeps its half.  :func:`weighted_comprehensive` runs it
-over any checked (value, weight) list, such as a hybrid form, whose weights need not sum to one.
-Combiners act on whole columns; one element's combination is a column of one.
+and one non-specificity kernel (a batched twin runs many lists of one length as columns);
+a single measure keeps its half.  :func:`weighted_comprehensive` runs it over any checked
+(value, weight) list, such as a hybrid form, whose weights need not sum to one.  Each kernel
+is one expression in ``_KERNELS``, compiled into the scalar kernel of the one-list pass and
+the column step of the batched twin.  Combiners act on whole columns; one element's
+combination is a column of one.
 """
 
 from __future__ import annotations
@@ -20,46 +22,50 @@ import math
 from collections.abc import Callable, Sequence
 from operator import add
 
-from .baselines import su_entropy_d, su_entropy_p1, su_entropy_p2
+from .baselines import _LN2, su_entropy_d, su_entropy_p1, su_entropy_p2
 from .elements import PHFE, Frozen, _pi_column, _pi_fast, format_number
 from .errors import EmptyInputError, OutOfRangeError, UnknownMeasureError
 
-# Each family is one table from id to function, the only list of its ids.  Kernels take scalars
-# (r1's exponent third, which r2 ignores); a combiner maps two columns to one list.
+# Each kernel is written once in _KERNELS, the only list of its ids: id -> (bindings, expression
+# over x and y).  _compile makes of an entry the scalar kernel _<id> of _pairwise and the column
+# step _<id>_step of _pairwise_columns: ts[k] + expr * ws[k] for fuzziness (r1 and r2 take the
+# exponent r, which r2 ignores), ts[k] + expr ** ws[k] for non-specificity.  One source gives the
+# same floats bit for bit.  r2 writes min(a, b) as b if b < a else a, signed zeros too.
+_BINDINGS = {"p": "x * y", "q": "2.0 * (x + y - p)", "d": "abs(x - y)"}
+_KERNELS = {
+    "r1": ("p", "(1.0 - (abs(1.0 - 4.0 * p) / 3.0) ** r)"
+                " * (1.0 - (abs(4.0 * (x + y - p) - 3.0) / 3.0) ** r)"),
+    "r2": ("pq", "(2.0 / 3.0) * ((p if p < 1.0 - 2.0 * p else 1.0 - 2.0 * p) + 1.0)"
+                 " * ((2.0 / 3.0) * ((2.0 - q if 2.0 - q < q - 1.0 else q - 1.0) + 1.0))"),
+    "f1": ("d", "2.0 * d / (1.0 + d)"),
+    "f2": ("", "log(1.0 + abs(x - y)) / _LN2"),
+    "f3": ("d", "d * exp(d - 1.0)"),
+}
 
 
-def _r1(x: float, y: float, r: float) -> float:
-    prod = x * y
-    a = abs(1.0 - 4.0 * prod) / 3.0
-    b = abs(4.0 * (x + y - prod) - 3.0) / 3.0
-    if r != 1.0:  # t ** 1.0 is t exactly; the power is most of the kernel's cost
-        a, b = a**r, b**r
-    return (1.0 - a) * (1.0 - b)
+def _compile(kid: str, bindings: str, expression: str) -> tuple[Callable, Callable]:
+    """(scalar kernel, column step) of one entry in code named ``<phfe kernel {kid}>``, unbound."""
+    lets = [(name, _BINDINGS[name]) for name in bindings]
+    exponent, term = (", r", "t + ({}) * w") if kid[0] == "r" else ("", "t + ({}) ** w")
+    libs = "".join(f", {f}=math.{f}" for f in ("log", "exp") if f + "(" in expression)
+    loop = "for t, x, y, w in zip(ts, xs, ys, ws)" + "".join(f" for {n} in ({e},)" for n, e in lets)
+    scalar = [f"def _{kid}(x, y{exponent}{libs}):", *(f"    {n} = {e}" for n, e in lets)]
+    step = [f"def _{kid}_step(ts, xs, ys, ws{exponent}{libs}):"]
+    bodies = [("", expression)]
+    if "** r" in expression:  # t ** 1.0 is t exactly; the power is most of the kernel's cost
+        bodies.insert(0, ("    if r == 1.0:\n    ", expression.replace(" ** r", "")))
+    for guard, body in bodies:
+        scalar.append(f"{guard}    return {body}")
+        step.append(f"{guard}    return [{term.format(body)} {loop}]")
+    exec(compile("\n".join(scalar + step), f"<phfe kernel {kid}>", "exec"), globals(), scope := {})
+    return scope[f"_{kid}"], scope[f"_{kid}_step"]
 
 
-def _r2(x: float, y: float, r: float) -> float:
-    prod = x * y
-    s = x + y - prod
-    a = (2.0 / 3.0) * (min(1.0 - 2.0 * prod, prod) + 1.0)
-    b = (2.0 / 3.0) * (min(2.0 * s - 1.0, 2.0 - 2.0 * s) + 1.0)
-    return a * b
-
-
-def _f1(x: float, y: float) -> float:
-    d = abs(x - y)
-    return 2.0 * d / (1.0 + d)
-
-
-_LN2 = math.log(2.0)
-
-
-def _f2(x: float, y: float) -> float:
-    return math.log(1.0 + abs(x - y)) / _LN2
-
-
-def _f3(x: float, y: float) -> float:
-    d = abs(x - y)
-    return d * math.exp(d - 1.0)
+_COMPILED = {kid: _compile(kid, *entry) for kid, entry in _KERNELS.items()}
+globals().update((fn.__name__, fn) for fns in _COMPILED.values() for fn in fns)  # pickle's names
+_FUZZINESS = {kid: scalar for kid, (scalar, _) in _COMPILED.items() if kid[0] == "r"}
+_NONSPECIFICITY = {kid: scalar for kid, (scalar, _) in _COMPILED.items() if kid[0] == "f"}
+_STEPS = {kid: step for kid, (_, step) in _COMPILED.items()}
 
 
 def _psum(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
@@ -75,40 +81,7 @@ def _bsum(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
     return [1.0 if 1.0 < s else s for s in map(add, xs, ys)]  # min(x + y, 1.0), the same way
 
 
-# Column twins of the kernels for the batched pass: each returns ts[k] + kernel(xs[k], ys[k])
-# * ws[k] (** ws[k] for non-specificity) with the kernel inline, the same floats bit for bit.
-def _r1_step(ts, xs, ys, ws, r):
-    if r == 1.0:
-        return [t + (1.0 - abs(1.0 - 4.0 * p) / 3.0) * (1.0 - abs(4.0 * (x + y - p) - 3.0) / 3.0)
-                * w for t, x, y, w in zip(ts, xs, ys, ws) for p in (x * y,)]
-    return [t + (1.0 - (abs(1.0 - 4.0 * p) / 3.0) ** r)
-            * (1.0 - (abs(4.0 * (x + y - p) - 3.0) / 3.0) ** r) * w
-            for t, x, y, w in zip(ts, xs, ys, ws) for p in (x * y,)]
-
-
-def _r2_step(ts, xs, ys, ws, r):  # min(a, b) is b if b < a else a, signed zeros too; q is 2s
-    return [t + (2.0 / 3.0) * ((p if p < 1.0 - 2.0 * p else 1.0 - 2.0 * p) + 1.0)
-            * ((2.0 / 3.0) * ((2.0 - q if 2.0 - q < q - 1.0 else q - 1.0) + 1.0)) * w
-            for t, x, y, w in zip(ts, xs, ys, ws) for p in (x * y,) for q in (2.0 * (x + y - p),)]
-
-
-def _f1_step(ts, xs, ys, ws):
-    return [t + (2.0 * d / (1.0 + d)) ** w
-            for t, x, y, w in zip(ts, xs, ys, ws) for d in (abs(x - y),)]
-
-
-def _f2_step(ts, xs, ys, ws, log=math.log):
-    return [t + (log(1.0 + abs(x - y)) / _LN2) ** w for t, x, y, w in zip(ts, xs, ys, ws)]
-
-
-def _f3_step(ts, xs, ys, ws, exp=math.exp):
-    return [t + (d * exp(d - 1.0)) ** w for t, x, y, w in zip(ts, xs, ys, ws) for d in (abs(x - y),)]
-
-
-_FUZZINESS = {"r1": _r1, "r2": _r2}
-_NONSPECIFICITY = {"f1": _f1, "f2": _f2, "f3": _f3}
-_STEPS = {"r1": _r1_step, "r2": _r2_step, "f1": _f1_step, "f2": _f2_step, "f3": _f3_step}
-_THETA = {"max": _max, "psum": _psum, "bsum": _bsum}
+_THETA = {"max": _max, "psum": _psum, "bsum": _bsum}  # the only list of the combiner ids
 
 
 class _Variant(Frozen):

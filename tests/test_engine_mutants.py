@@ -110,10 +110,13 @@ GATES = {
 }
 
 
-def _r1_sign_flipped(totals, xs, ys, ws, r):
-    # The column r1 with 1.0 + 4.0 * p where the kernel has 1.0 - 4.0 * p.
-    return [t + (1.0 - (abs(1.0 + 4.0 * p) / 3.0) ** r) * (1.0 - (abs(4.0 * (x + y - p) - 3.0) / 3.0) ** r)
-            * w for t, x, y, w in zip(totals, xs, ys, ws) for p in (x * y,)]
+def _r1_sign_flipped():
+    """(scalar kernel, column step) compiled from the table's r1 with 1.0 + 4.0 * p where the
+    kernel has 1.0 - 4.0 * p; the module's own _r1 and _r1_step stay bound."""
+    bindings, expression = phfe.entropy._KERNELS["r1"]
+    assert expression.count("1.0 - 4.0 * p") == 1
+    flipped = expression.replace("1.0 - 4.0 * p", "1.0 + 4.0 * p")
+    return phfe.entropy._compile("r1", bindings, flipped)
 
 
 def _without_diagonal(step):
@@ -122,12 +125,6 @@ def _without_diagonal(step):
         return totals if xs is ys else step(totals, xs, ys, ws, r)
 
     return mutant
-
-
-def _scalar_r1_sign_flipped(x, y, r):
-    # The scalar r1 with 1.0 + 4.0 * p where the kernel has 1.0 - 4.0 * p.
-    p = x * y
-    return (1.0 - (abs(1.0 + 4.0 * p) / 3.0) ** r) * (1.0 - (abs(4.0 * (x + y - p) - 3.0) / 3.0) ** r)
 
 
 def _scalar_without_diagonal(values, weights, fuzz, nonspec):
@@ -183,13 +180,13 @@ def _hybrid_by_value():
 #: name -> (object, key, wrong value) patches; the scalar r1 is read from the R1 kernel
 #: and, for a kernel built by id, from the _FUZZINESS table.
 MUTANTS = {
-    "r1-sign": lambda: [(phfe.entropy._STEPS, "r1", _r1_sign_flipped)],
+    "r1-sign": lambda: [(phfe.entropy._STEPS, "r1", _r1_sign_flipped()[1])],
     "no-diagonal": lambda: [
         (phfe.entropy._STEPS, k, _without_diagonal(phfe.entropy._STEPS[k])) for k in ("r1", "r2")
     ],
     "scalar-r1-sign": lambda: [
-        (R1.__dict__, "_fn", _scalar_r1_sign_flipped),
-        (phfe.entropy._FUZZINESS, "r1", _scalar_r1_sign_flipped),
+        (table, key, _r1_sign_flipped()[0])
+        for table, key in ((R1.__dict__, "_fn"), (phfe.entropy._FUZZINESS, "r1"))
     ],
     "scalar-no-diagonal": lambda: [(vars(phfe.entropy), "_pairwise", _scalar_without_diagonal)],
     "psum-bsum-swapped": lambda: [

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracle
+import phfe.entropy
 from phfe import (
     ALL_PSI,
     DEFAULT_CONFIG,
@@ -40,7 +41,9 @@ from phfe import (
 )
 from phfe.distance import _PSI
 from phfe.elements import _pi_column, _pi_fast
-from phfe.entropy import _FUZZINESS, _NONSPECIFICITY, _STEPS, _THETA, _pairwise, _pairwise_columns
+from phfe.entropy import (
+    _FUZZINESS, _KERNELS, _NONSPECIFICITY, _STEPS, _THETA, _pairwise, _pairwise_columns,
+)
 from support import configs_at, oracle_fn
 
 H1 = canonicalize([(0.7, 0.2), (0.9, 0.8)])
@@ -530,6 +533,23 @@ class TestPairwiseDiagonal:
 
 #: Membership values where the kernels' branches and roundings meet.
 _EDGE_VALUES = [0.0, 1.0, 0.5, 0.25, 0.75, 1.0 / 3.0, 2.0 / 3.0, 1e-17, 5e-324, 1.0 - 2**-53]
+
+
+class TestKernelTable:
+    """entropy._KERNELS is the one source of every kernel: each id compiles into a scalar kernel
+    of its family's table and a column step, both module attributes named for the kernel."""
+
+    def test_every_id_has_a_scalar_kernel_and_a_step(self):
+        assert not set(_FUZZINESS) & set(_NONSPECIFICITY)
+        assert set(_KERNELS) == set(_FUZZINESS) | set(_NONSPECIFICITY) == set(_STEPS)
+
+    @pytest.mark.parametrize("kid", sorted(_KERNELS))
+    def test_each_function_names_its_kernel(self, kid):
+        scalar = {**_FUZZINESS, **_NONSPECIFICITY}[kid]
+        for fn, name in ((scalar, f"_{kid}"), (_STEPS[kid], f"_{kid}_step")):
+            assert fn.__name__ == fn.__qualname__ == name
+            assert fn.__code__.co_filename == f"<phfe kernel {kid}>"
+            assert getattr(phfe.entropy, name) is fn  # pickle finds it by that name
 
 
 def _kernel_points(seed):

@@ -7,10 +7,13 @@ decision matrix.  Only ``phfe.entropy`` and ``phfe.mcdm`` name ``_pairwise_colum
 ``mcdm._columns`` builds the ideal hybrids in place, so ``phfe.mcdm`` never names
 ``hybrid``; the tests that refuse ``hybrid()`` during a pass rely on that.  ``phfe.verify``
 keys its records by the library's own measure labels, so it names neither kernel table.
+Every kernel and column step is compiled from ``entropy._KERNELS``; none is written by hand.
 """
 
 import ast
 from pathlib import Path
+
+from phfe.entropy import _KERNELS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "phfe"
 
@@ -60,3 +63,10 @@ def test_mcdm_names_no_hybrid():
 def test_verify_reads_the_library_labels():
     tree = ast.parse((SRC / "verify.py").read_text())
     assert not {"_FUZZINESS", "_NONSPECIFICITY"} & set(_names(tree))
+
+
+def test_no_kernel_or_step_is_written_by_hand():
+    tree = ast.parse((SRC / "entropy.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_pairwise" in defined and len(_KERNELS) == 5
+    assert not [name for name in defined if name[1:] in _KERNELS or name.endswith("_step")]
