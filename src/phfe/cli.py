@@ -58,10 +58,11 @@ def _read_json(path: str):
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(_round6(obj), indent=1, sort_keys=True))
+    print(json.dumps(obj, indent=1, sort_keys=True))
 
 
 def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> None:
+    rows = _round6(rows)  # the one rounding of every reported number, whatever the format
     if fmt == "json":
         _print_json(rows)
     elif fmt == "csv":  # RFC 4180: a field holding a comma, quote or line feed is quoted
@@ -86,7 +87,7 @@ def _cmd_entropy(args) -> int:
         for text, measure in zip(ids, measures):
             # A kernel or config prints its label, exponent included (r1@r=2); a baseline has none.
             row = {"element": repr(a), "index": index, "measure": getattr(measure, "label", text)}
-            row.update(_round6(_measure_row(measure, a)))
+            row.update(_measure_row(measure, a))
             rows.append(row)
     columns = ["index", "element", "measure", "value", "fuzziness", "nonspecificity"]
     if not any("fuzziness" in r for r in rows):
@@ -108,7 +109,7 @@ def _cmd_distance(args) -> int:
                 {
                     "a": repr(a),
                     "b": repr(b),
-                    "distance": _round6(entropy_distance(a, b, psi, config)),
+                    "distance": entropy_distance(a, b, psi, config),
                     "hybrid_size": len(a) * len(b),
                 }
             )
@@ -122,7 +123,8 @@ def _cmd_topsis(args) -> int:
     psi = PsiFunction(args.psi)
     result = run_topsis(matrix, config, psi)
     if args.format == "json":
-        _print_json({**result_to_dict(result, matrix), "config": config.label, "psi": psi.label})
+        payload = {**result_to_dict(result, matrix), "config": config.label, "psi": psi.label}
+        _print_json(_round6(payload))
     elif args.format == "csv":
         columns = ["alternative", "d_plus", "d_minus", "closeness", "rank"]
         numbers = zip(result.d_plus, result.d_minus, result.closeness)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from operator import add
 
@@ -242,7 +242,7 @@ def from_linguistic(
 # ---------------------------------------------------------------------------
 
 
-def json_number(obj: Mapping, key: str, integral: bool = False) -> int | float:
+def json_number(obj: dict, key: str, integral: bool = False) -> int | float:
     """Field ``key`` of a JSON object, which must hold a JSON number.
 
     Strings, booleans, null and integers beyond the float range are
@@ -264,13 +264,13 @@ def json_number(obj: Mapping, key: str, integral: bool = False) -> int | float:
     return int(value)
 
 
-def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
+def parse_phfe(obj: dict, default_tau: int | None = None) -> PHFE:
     """Parse one element from its JSON object form.
 
     Accepts either the plain pair form or the linguistic form; a
     linguistic object may omit "tau" when ``default_tau`` is given.
     """
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     if "pairs" in obj:
         key, kind, items, tau = "v", "pair", obj["pairs"], None
@@ -291,11 +291,11 @@ def parse_phfe(obj: Mapping, default_tau: int | None = None) -> PHFE:
 
 def parse_phfe_list(obj) -> list[PHFE]:
     """Parse a JSON array of elements, or a single element object."""
-    if isinstance(obj, Mapping):
+    if isinstance(obj, dict):
         if "phfes" not in obj:
             return [parse_phfe(obj)]
         obj = obj["phfes"]
-    if not isinstance(obj, Sequence):
+    if not isinstance(obj, list):
         raise ParseError("expected an element object or an array of them")
     return [parse_phfe(item) for item in obj]
 

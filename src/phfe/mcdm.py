@@ -9,8 +9,7 @@ and ranked by relative closeness, larger is better.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping, Sequence
-from operator import add
+from collections.abc import Sequence
 
 from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy
 from .elements import PHFE, Frozen, _ltr_sum, _pi_column, format_number, json_number
@@ -182,13 +181,14 @@ def run_topsis(
     """
     weights = entropy_weights(matrix, config)
     d_plus, d_minus = ideal_distances(matrix, weights, psi, config)
-    try:
-        scores = tuple(map(closeness, d_plus, d_minus))
-    except ZeroDenominatorError:  # name the first alternative at zero distance from both
-        name = matrix.alternatives[list(map(add, d_plus, d_minus)).index(0.0)]
-        message = f"alternative {name!r:.40} has zero distance to both ideals"
-        raise ZeroDenominatorError(message) from None
-    return TopsisResult(weights, d_plus, d_minus, scores, _ranking(scores))
+    scores = []
+    for name, plus, minus in zip(matrix.alternatives, d_plus, d_minus):
+        try:
+            scores.append(closeness(plus, minus))
+        except ZeroDenominatorError:
+            message = f"alternative {name!r:.40} has zero distance to both ideals"
+            raise ZeroDenominatorError(message) from None
+    return TopsisResult(weights, d_plus, d_minus, tuple(scores), _ranking(scores))
 
 
 def _ranking(values: Sequence[float]) -> tuple[int, ...]:
@@ -206,13 +206,14 @@ def _ranking(values: Sequence[float]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
-    """Parse a decision matrix from its JSON object form.
+def parse_decision_matrix(obj: dict) -> DecisionMatrix:
+    """Parse a decision matrix from its JSON object form, as ``json.load`` yields it.
 
-    Each cell may be a plain element or a linguistic one; linguistic cells
-    without their own "tau" fall back to the matrix-level value.
+    Objects are dicts and arrays lists; a string or a tuple given as the rows or a row is refused.
+    A linguistic cell without its own "tau" falls back to the matrix-level value.  Each cell is
+    parsed once; a refused one is named ``cells[i][j]: <message>`` under its own exception type.
     """
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         raise ParseError("decision matrix must be a JSON object")
 
     def text(value, field: str) -> str:
@@ -233,19 +234,16 @@ def parse_decision_matrix(obj: Mapping) -> DecisionMatrix:
         raise ParseError(f"malformed decision matrix: {exc}") from exc
     if not isinstance(names, list):
         raise ParseError("decision matrix alternatives must be a list of names")
-    if not isinstance(rows, Sequence) or not all(isinstance(row, Sequence) for row in rows):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("decision matrix cells must be a list of rows, each a list of elements")
     default_tau = json_number(obj, "tau", integral=True) if "tau" in obj else None
-    try:
-        cells = tuple(tuple(parse_phfe(cell, default_tau) for cell in row) for row in rows)
-    except PhfeError as exc:  # on the error path only: parse cell by cell again to name it
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                try:
-                    parse_phfe(cell, default_tau)
-                except PhfeError:
-                    raise type(exc)(f"cells[{i}][{j}]: {exc}") from None
-        raise
+    cells = [[None] * len(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                cells[i][j] = parse_phfe(cell, default_tau)
+            except PhfeError as exc:
+                raise type(exc)(f"cells[{i}][{j}]: {exc}") from None
     return DecisionMatrix(tuple(text(a, "alternative name") for a in names), criteria, cells)
 
 

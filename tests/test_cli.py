@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phfe.cli
 import phfe.verify
 from phfe.baselines import expectation
 from phfe.cli import build_parser, main
 from phfe.distance import ALL_PSI, entropy_distance
-from phfe.elements import canonicalize, pi
+from phfe.elements import canonicalize, format_number, pi
 from phfe.mcdm import parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
 from phfe.verify import random_phfe
@@ -237,6 +238,34 @@ class TestEntropyCommand:
             assert main(["entropy", "--input", str(path), "--format", fmt]) == 0
             assert capsys.readouterr() == (expected, "")
 
+    @pytest.mark.parametrize("document", ["ab", {"phfes": "ab"}], ids=["string", "string-phfes"])
+    def test_a_string_of_elements_exits_2(self, tmp_path, capsys, document):
+        # A string is not read letter by letter, one refused element per letter.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        for command in ("entropy", "distance"):
+            assert main([command, "--input", str(path)]) == 2
+            assert capsys.readouterr() == (
+                "", "error: expected an element object or an array of them\n"
+            )
+
+    @pytest.mark.parametrize("command, floats", [("entropy", 15), ("distance", 3)])
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_each_number_is_rounded_once(
+        self, elements_file, capsys, monkeypatch, command, floats, fmt
+    ):
+        # Three elements: three measures each (the config with its two components), or three pairs.
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return format_number(x)
+
+        monkeypatch.setattr(phfe.cli, "format_number", counting)
+        assert main([command, "--input", elements_file, "--format", fmt]) == 0
+        capsys.readouterr()
+        assert len(calls) == floats
+
     def test_csv_format(self, elements_file, capsys):
         assert main(
             ["entropy", "--input", elements_file, "--measure", "r1", "--format", "csv"]
@@ -306,7 +335,11 @@ class TestTopsisCommand:
         ) == 0
         assert "ranking:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("cells", [5, [5]], ids=["grid-number", "row-number"])
+    @pytest.mark.parametrize(
+        "cells",
+        [5, [5], [[{"pairs": [{"v": 0.5, "p": 1}]}], "ab"]],  # a string row, not one cell a letter
+        ids=["grid-number", "row-number", "row-string"],
+    )
     def test_non_list_cells_exit_2(self, tmp_path, capsys, cells):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -315,8 +348,24 @@ class TestTopsisCommand:
         assert main(["topsis", "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "cells" in captured.err
+        assert captured.err.startswith("error: decision matrix cells must be a list of rows")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"criteria": [{"name": "c1"}], "alternatives": [], "cells": []},
+            {"criteria": [], "alternatives": ["x1"], "cells": [[]]},
+        ],
+        ids=["no-alternatives", "no-criteria"],
+    )
+    def test_an_empty_matrix_exits_2(self, tmp_path, capsys, document):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(document))
+        assert main(["topsis", "--input", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: matrix needs at least one alternative and one criterion\n"
+        )
 
     def test_non_list_alternatives_exit_2(self, tmp_path, capsys):
         # A string would otherwise run as one alternative per letter.

@@ -217,6 +217,17 @@ class TestJsonForms:
         ])
         assert [a.values for a in many] == [(0.5,), (1.0,)]
 
+    @pytest.mark.parametrize(
+        "document",
+        ["ab", {"phfes": "ab"}, ({"pairs": [{"v": 0.5, "p": 1.0}]},), 5],
+        ids=["string", "string-phfes", "tuple", "number"],
+    )
+    def test_a_list_of_elements_is_a_list(self, document):
+        # A JSON array is a list: a string is not read letter by letter as elements.
+        with pytest.raises(ParseError) as caught:
+            parse_phfe_list(document)
+        assert str(caught.value) == "expected an element object or an array of them"
+
 
 def test_repr_is_compact():
     a = canonicalize([(0.5, 0.4), (0.66, 0.6)])

@@ -8,6 +8,9 @@ decision matrix.  Only ``phfe.entropy`` and ``phfe.mcdm`` name ``_pairwise_colum
 ``hybrid``; the tests that refuse ``hybrid()`` during a pass rely on that.  ``phfe.verify``
 keys its records by the library's own measure labels, so it names neither kernel table.
 Every kernel and column step is compiled from ``entropy._KERNELS``; none is written by hand.
+JSON containers are checked by one rule: an object is a ``dict`` and an array a ``list``, the
+two containers ``json.load`` yields, so no shape check asks for an abstract ``Mapping`` or
+``Sequence``.
 """
 
 import ast
@@ -70,3 +73,13 @@ def test_no_kernel_or_step_is_written_by_hand():
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_pairwise" in defined and len(_KERNELS) == 5
     assert not [name for name in defined if name[1:] in _KERNELS or name.endswith("_step")]
+
+
+def test_no_shape_check_names_an_abstract_container():
+    checked = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                checked.append((path.stem, set(_names(node.args[1]))))
+    assert [stem for stem, names in checked if {"dict", "list"} & names]
+    assert not [(stem, names) for stem, names in checked if {"Mapping", "Sequence"} & names]

@@ -116,6 +116,61 @@ class TestDecisionMatrix:
             parse_decision_matrix(document)
         assert type(caught.value) is error and str(caught.value) == message
 
+    @pytest.mark.parametrize("bad", [None, (2, 1)], ids=["good", "refused-2-1"])
+    def test_each_cell_is_parsed_once(self, monkeypatch, bad):
+        # One pass names the refused cell: parse_phfe meets each cell up to it once, and no cell
+        # is parsed again on the error path.
+        calls = []
+
+        def counting(cell, default_tau=None):
+            calls.append(cell["pairs"][0]["v"])
+            return parse(cell, default_tau)
+
+        parse = phfe.mcdm.parse_phfe
+        monkeypatch.setattr(phfe.mcdm, "parse_phfe", counting)
+        cells = [[{"pairs": [{"v": (2 * i + j) / 10, "p": 1}]} for j in range(2)] for i in range(4)]
+        if bad:
+            cells[2][1]["pairs"][0]["p"] = "x"
+        document = {
+            "criteria": [{"name": "c1"}, {"name": "c2"}],
+            "alternatives": ["x1", "x2", "x3", "x4"],
+            "cells": cells,
+        }
+        if bad is None:
+            assert parse_decision_matrix(document).shape == (4, 2)
+            assert calls == [k / 10 for k in range(8)]
+        else:
+            with pytest.raises(ParseError, match=r"^cells\[2\]\[1\]: "):
+                parse_decision_matrix(document)
+            assert calls == [k / 10 for k in range(6)]
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"cells": [[{"pairs": [{"v": 0.5, "p": 1}]}], "ab"]},
+             "decision matrix cells must be a list of rows, each a list of elements"),
+            ({"cells": "ab"},
+             "decision matrix cells must be a list of rows, each a list of elements"),
+            ({"cells": (({"pairs": [{"v": 0.5, "p": 1}]},), ({"pairs": [{"v": 0.5, "p": 1}]},))},
+             "decision matrix cells must be a list of rows, each a list of elements"),
+            ({"cells": [({"pairs": [{"v": 0.5, "p": 1}]},), [{"pairs": [{"v": 0.5, "p": 1}]}]]},
+             "decision matrix cells must be a list of rows, each a list of elements"),
+        ],
+        ids=["string-row", "string-rows", "tuple-of-rows", "tuple-row"],
+    )
+    def test_a_row_is_a_list(self, patch, message):
+        # A JSON array is a list: a string is not read letter by letter as a row.
+        document = {"criteria": [{"name": "c1"}], "alternatives": ["x1", "x2"]} | patch
+        with pytest.raises(ParseError) as caught:
+            parse_decision_matrix(document)
+        assert type(caught.value) is ParseError and str(caught.value) == message
+
+    @pytest.mark.parametrize("document", ["ab", ["ab"], ("a",)], ids=["string", "list", "tuple"])
+    def test_a_matrix_is_a_dict(self, document):
+        with pytest.raises(ParseError) as caught:
+            parse_decision_matrix(document)
+        assert str(caught.value) == "decision matrix must be a JSON object"
+
     def test_json_roundtrip(self, case_study):
         again = parse_decision_matrix(matrix_to_dict(case_study) | {"tau": 3})
         assert again == case_study
@@ -190,6 +245,30 @@ class TestCloseness:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominatorError):
             closeness(0.0, 0.0)
+
+    def test_one_closeness_per_alternative_up_to_the_named_one(self, monkeypatch):
+        # bsum saturates at 1 on both ideal hybrids of x3 alone, so d+ = d- = 0 there; the walk
+        # over the alternatives stops at x3 and names it.
+        calls = []
+
+        def counting(d_plus, d_minus):
+            calls.append((d_plus, d_minus))
+            return closeness(d_plus, d_minus)
+
+        monkeypatch.setattr(phfe.mcdm, "closeness", counting)
+        saturated = canonicalize([(0.41, 0.44), (0.95, 0.56)])
+        cells = [(canonicalize([(v, 1.0)]),) for v in (0.03, 0.3, 0.6)]
+        cells.insert(2, (saturated,))
+        matrix = DecisionMatrix(("x1", "x2", "x3", "x4"), (CriterionSpec("c1", "cost"),), cells)
+        config = EntropyConfig.from_string("r1:f1:bsum")
+        with pytest.raises(ZeroDenominatorError) as caught:
+            run_topsis(matrix, config)
+        assert str(caught.value) == "alternative 'x3' has zero distance to both ideals"
+        d_plus, d_minus = ideal_distances(matrix, entropy_weights(matrix, config), config=config)
+        assert calls == list(zip(d_plus, d_minus))[:3] and calls[2] == (0.0, 0.0)
+        calls.clear()
+        assert run_topsis(matrix, EntropyConfig.from_string("r1:f1:max")).ranking
+        assert len(calls) == 4
 
 
 class TestRunTopsis:
