@@ -88,12 +88,7 @@ class PHFE(Frozen):
             raise EmptyInputError("an element needs at least one pair")
         if len(probs) != len(values):
             raise OutOfRangeError(f"{len(values)} values but {len(probs)} probabilities")
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise OutOfRangeError(f"membership value {v!r} outside [0, 1]")
-        for p in probs:
-            if not 0.0 < p <= 1.0:
-                raise OutOfRangeError(f"probability {p!r} outside (0, 1]")
+        _check_weighted(values, probs, "probability")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise OutOfRangeError("values must be strictly increasing")
         _check_total(_ltr_sum(probs))
@@ -143,6 +138,16 @@ def canonicalize(raw_pairs: Iterable[tuple[float, float]]) -> PHFE:
     return a
 
 
+def _check_weighted(values: Iterable[float], weights: Iterable[float], noun: str) -> None:
+    """The range rule of a weighted list: values in [0, 1], then weights in (0, 1]; nan fails."""
+    for v in values:
+        if not 0.0 <= v <= 1.0:
+            raise OutOfRangeError(f"membership value {v!r} outside [0, 1]")
+    for w in weights:
+        if not 0.0 < w <= 1.0:
+            raise OutOfRangeError(f"{noun} {w!r} outside (0, 1]")
+
+
 def _ltr_sum(xs: Iterable[float]) -> float:
     """Float sum added left to right from 0.0, on every Python (3.12's ``sum`` compensates)."""
     return reduce(add, xs, 0.0)
@@ -165,15 +170,13 @@ def complement(a: PHFE) -> PHFE:
 def pi(p_i: float, p_j: float) -> float:
     """Pairwise probability functional: |p_i - p_j|, or the mean when equal.
 
-    Both arguments must lie in (0, 1]; the result then also lies in (0, 1].
+    Both arguments obey the weight half of the one range rule, (0, 1], and so does the result.
     The equality branch fires within an absolute tolerance of ``PI_EQ_TOL``, and the jump at its
     edge is nearly the whole weight: just past it a pair weighs the difference, about 0, not the
     mean, about p.  {0.3|0.5, 0.7|0.5} has fuzziness 0.32767 and non-specificity 0.75593; with
     probabilities 0.5 - 1e-12 and 0.5 + 1e-12 it has 0.17831 and 0.99999999999888.
     """
-    for p in (p_i, p_j):
-        if not 0.0 < p <= 1.0:
-            raise OutOfRangeError(f"probability {p!r} outside (0, 1]")
+    _check_weighted((), (p_i, p_j), "probability")
     return _pi_fast(p_i, p_j)
 
 
@@ -264,6 +267,13 @@ def json_number(obj: dict, key: str, integral: bool = False) -> int | float:
     return int(value)
 
 
+def json_list(value, message: str) -> list:
+    """``value`` if it is a JSON array (a ``list``), else a ParseError carrying ``message``."""
+    if not isinstance(value, list):
+        raise ParseError(message)
+    return value
+
+
 def parse_phfe(obj: dict, default_tau: int | None = None) -> PHFE:
     """Parse one element from its JSON object form.
 
@@ -273,14 +283,15 @@ def parse_phfe(obj: dict, default_tau: int | None = None) -> PHFE:
     if not isinstance(obj, dict):
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     if "pairs" in obj:
-        key, kind, items, tau = "v", "pair", obj["pairs"], None
+        key, kind, tau = "v", "pair", None
     elif "terms" in obj:
-        key, kind, items = "t", "term", obj["terms"]
+        key, kind = "t", "term"
         tau = json_number(obj, "tau", integral=True) if "tau" in obj else default_tau
         if tau is None:
             raise ParseError('linguistic element without "tau"')
     else:
         raise ParseError('element object needs "pairs" or "terms"')
+    items = json_list(obj[kind + "s"], f'"{kind}s" must be a list')
     integral = tau is not None
     try:  # item by item: v (or t), then p
         raw = [(json_number(item, key, integral), json_number(item, "p")) for item in items]
@@ -295,9 +306,7 @@ def parse_phfe_list(obj) -> list[PHFE]:
         if "phfes" not in obj:
             return [parse_phfe(obj)]
         obj = obj["phfes"]
-    if not isinstance(obj, list):
-        raise ParseError("expected an element object or an array of them")
-    return [parse_phfe(item) for item in obj]
+    return list(map(parse_phfe, json_list(obj, "expected an element object or an array of them")))
 
 
 def phfe_to_dict(a: PHFE) -> dict:

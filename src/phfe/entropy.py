@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from operator import add
 
 from .baselines import _LN2, su_entropy_d, su_entropy_p1, su_entropy_p2
-from .elements import PHFE, Frozen, _pi_column, _pi_fast, format_number
+from .elements import PHFE, Frozen, _check_weighted, _pi_column, _pi_fast, format_number
 from .errors import EmptyInputError, OutOfRangeError, UnknownMeasureError
 
 # Each kernel is written once in _KERNELS, the only list of its ids: id -> (bindings, expression
@@ -283,17 +283,13 @@ def weighted_comprehensive(
     weights: Sequence[float],
     config: EntropyConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Comprehensive entropy of a weighted list, such as a hybrid form: at least one
-    value, each in [0, 1] with its own weight in (0, 1]; anything else is refused."""
+    """Comprehensive entropy of a weighted list, such as a hybrid form: at least one value, and
+    values and weights under the one range rule of an element's pairs; anything else is refused."""
     if not values:
         raise EmptyInputError("a weighted list needs at least one entry")
     if len(weights) != len(values):
         raise OutOfRangeError(f"{len(values)} values but {len(weights)} weights")
-    for v, w in zip(values, weights):
-        if not 0.0 <= v <= 1.0:
-            raise OutOfRangeError(f"membership value {v!r} outside [0, 1]")
-        if not 0.0 < w <= 1.0:  # nan fails too
-            raise OutOfRangeError(f"weight {w!r} outside (0, 1]")
+    _check_weighted(values, weights, "weight")
     fuzz, nonspec = config.fuzziness, config.nonspecificity
     return config.theta.combine(*_pairwise(values, weights, fuzz, nonspec))
 

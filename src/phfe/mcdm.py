@@ -12,10 +12,11 @@ from array import array
 from collections.abc import Sequence
 
 from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy
-from .elements import PHFE, Frozen, _ltr_sum, _pi_column, format_number, json_number
+from .elements import PHFE, Frozen, _ltr_sum, _pi_column, format_number, json_list, json_number
 from .elements import parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise_columns
-from .errors import DegenerateWeightsError, ParseError, PhfeError, ZeroDenominatorError
+from .errors import DegenerateWeightsError, OutOfRangeError, ParseError, PhfeError
+from .errors import ZeroDenominatorError
 
 _KINDS = ("benefit", "cost")
 
@@ -152,6 +153,8 @@ def ideal_distances(
     so the result does not depend on evaluation order.
     """
     m, n = matrix.shape
+    if len(weights.normalized) != n:
+        raise OutOfRangeError(f"{n} criteria but {len(weights.normalized)} weights")
     _, full, empty = _columns(matrix, config)
     to_full, to_empty = (distance_from_entropy(config.theta._fn(*s), psi) for s in (full, empty))
     plus, minus = [0.0] * m, [0.0] * m
@@ -209,7 +212,7 @@ def _ranking(values: Sequence[float]) -> tuple[int, ...]:
 def parse_decision_matrix(obj: dict) -> DecisionMatrix:
     """Parse a decision matrix from its JSON object form, as ``json.load`` yields it.
 
-    Objects are dicts and arrays lists; a string or a tuple given as the rows or a row is refused.
+    Objects are dicts and arrays lists (``json_list``): a string, object or tuple there is refused.
     A linguistic cell without its own "tau" falls back to the matrix-level value.  Each cell is
     parsed once; a refused one is named ``cells[i][j]: <message>`` under its own exception type.
     """
@@ -226,18 +229,15 @@ def parse_decision_matrix(obj: dict) -> DecisionMatrix:
     try:
         criteria = tuple(
             CriterionSpec(text(c["name"], "criterion name"), c.get("kind", "benefit"))
-            for c in obj["criteria"]
+            for c in json_list(obj["criteria"], '"criteria" must be a list')
         )
-        names = obj["alternatives"]
-        rows = obj["cells"]
+        names, rows = obj["alternatives"], obj["cells"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed decision matrix: {exc}") from exc
-    if not isinstance(names, list):
-        raise ParseError("decision matrix alternatives must be a list of names")
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ParseError("decision matrix cells must be a list of rows, each a list of elements")
+    names = json_list(names, "decision matrix alternatives must be a list of names")
+    shape = "decision matrix cells must be a list of rows, each a list of elements"
+    cells = [[None] * len(json_list(row, shape)) for row in json_list(rows, shape)]
     default_tau = json_number(obj, "tau", integral=True) if "tau" in obj else None
-    cells = [[None] * len(row) for row in rows]
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             try:
@@ -271,14 +271,11 @@ def result_to_dict(result: TopsisResult, matrix: DecisionMatrix) -> dict:
 
 def format_result_table(result: TopsisResult, matrix: DecisionMatrix) -> str:
     """Aligned text rendering of a TOPSIS run, six significant digits."""
-    lines = []
-    crit_names = [c.name for c in matrix.criteria]
-    lines.append("criterion  " + "  ".join(f"{n:>10s}" for n in crit_names))
+    lines = ["criterion  " + "  ".join(f"{c.name:>10s}" for c in matrix.criteria)]
     for label, weights in (("raw", result.weights.raw), ("weight", result.weights.normalized)):
         lines.append(f"{label:<11s}" + "  ".join(f"{format_number(w):>10s}" for w in weights))
-    lines.append("")
     header = f"{'alternative':<12s} {'d_plus':>10s} {'d_minus':>10s} {'closeness':>10s} {'rank':>5s}"
-    lines.append(header)
+    lines += ["", header]
     position = {alt: k + 1 for k, alt in enumerate(result.ranking)}
     for i, name in enumerate(matrix.alternatives):
         lines.append(

@@ -249,6 +249,18 @@ class TestEntropyCommand:
                 "", "error: expected an element object or an array of them\n"
             )
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [({"pairs": "ab"}, '"pairs" must be a list'),
+         ([{"terms": {"t": 1, "p": 1}, "tau": 2}], '"terms" must be a list')],
+        ids=["string-pairs", "object-terms"],
+    )
+    def test_a_non_list_item_list_exits_2(self, tmp_path, capsys, document, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main(["entropy", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("command, floats", [("entropy", 15), ("distance", 3)])
     @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
     def test_each_number_is_rounded_once(
@@ -350,6 +362,14 @@ class TestTopsisCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: decision matrix cells must be a list of rows")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("criteria", ["ab", {"c1": 1}], ids=["string", "object"])
+    def test_non_list_criteria_exit_2(self, tmp_path, capsys, criteria):
+        # Refused by its shape, not with the TypeError of reading a string or object as criteria.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"criteria": criteria, "alternatives": ["x1"], "cells": [[]]}))
+        assert main(["topsis", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", 'error: "criteria" must be a list\n')
 
     @pytest.mark.parametrize(
         "document",

@@ -228,6 +228,22 @@ class TestJsonForms:
             parse_phfe_list(document)
         assert str(caught.value) == "expected an element object or an array of them"
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"pairs": "ab"}, '"pairs" must be a list'),
+            ({"pairs": {"v": 0.5, "p": 1}}, '"pairs" must be a list'),
+            ({"terms": "ab", "tau": 2}, '"terms" must be a list'),
+            ({"terms": {"t": 1, "p": 1}, "tau": 2}, '"terms" must be a list'),
+        ],
+        ids=["string-pairs", "object-pairs", "string-terms", "object-terms"],
+    )
+    def test_an_item_list_is_a_list(self, document, message):
+        # Refused by its shape, not with the TypeError of reading a string or object as items.
+        with pytest.raises(ParseError) as caught:
+            parse_phfe(document)
+        assert type(caught.value) is ParseError and str(caught.value) == message
+
 
 def test_repr_is_compact():
     a = canonicalize([(0.5, 0.4), (0.66, 0.6)])

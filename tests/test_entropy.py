@@ -348,6 +348,8 @@ class TestWeightedComprehensiveRefusal:
             ([0.2, 1.5], [0.5, 0.5], OutOfRangeError, "membership value 1.5 outside [0, 1]"),
             ([-0.0001, 0.5], [0.5, 0.5], OutOfRangeError, "membership value -0.0001 outside"),
             ([float("nan")], [1.0], OutOfRangeError, "membership value nan outside"),
+            # One range rule: every value is checked before any weight.
+            ([0.2, 1.5], [0.0, 0.5], OutOfRangeError, "membership value 1.5 outside [0, 1]"),
         ],
     )
     def test_refusal_type_and_message(self, values, weights, error, message):

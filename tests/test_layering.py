@@ -10,7 +10,9 @@ keys its records by the library's own measure labels, so it names neither kernel
 Every kernel and column step is compiled from ``entropy._KERNELS``; none is written by hand.
 JSON containers are checked by one rule: an object is a ``dict`` and an array a ``list``, the
 two containers ``json.load`` yields, so no shape check asks for an abstract ``Mapping`` or
-``Sequence``.
+``Sequence``; every JSON array is checked by ``elements.json_list`` alone.  The range rule of a
+weighted list (values in [0, 1], weights in (0, 1]) is raised by ``elements._check_weighted``
+alone; ``canonicalize`` keeps its own, since raw probabilities may be 0.
 """
 
 import ast
@@ -32,6 +34,31 @@ def _names(tree):
             yield node.name
         elif isinstance(node, ast.FunctionDef):
             yield node.name
+
+
+def _scoped(tree, func=None):
+    """(name of the innermost enclosing function, node) for every node below ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        yield func, node
+        yield from _scoped(node, node.name if isinstance(node, ast.FunctionDef) else func)
+
+
+def _message_tail(call):
+    """The constant text that ends a call's first argument, a string or an f-string."""
+    arg = call.args[0] if call.args else None
+    if isinstance(arg, ast.JoinedStr):
+        arg = arg.values[-1]
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+
+
+def _tests_for_list(node):
+    """Whether ``node`` is ``isinstance(x, ...list...)`` or compares ``type(x)`` with list."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        return "list" in set(_names(node.args[1]))
+    if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+        if getattr(node.left.func, "id", None) == "type":
+            return any("list" in set(_names(c)) for c in node.comparators)
+    return False
 
 
 def _batched(name):
@@ -83,3 +110,27 @@ def test_no_shape_check_names_an_abstract_container():
                 checked.append((path.stem, set(_names(node.args[1]))))
     assert [stem for stem, names in checked if {"dict", "list"} & names]
     assert not [(stem, names) for stem, names in checked if {"Mapping", "Sequence"} & names]
+
+
+def test_the_range_rule_is_raised_in_one_place():
+    # verify's predicates compare against the same bounds but raise nothing.
+    raising = {
+        (path.stem, func)
+        for path in SRC.glob("*.py")
+        for func, node in _scoped(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "OutOfRangeError"
+        and _message_tail(node.exc).endswith(("outside [0, 1]", "outside (0, 1]"))
+    }
+    assert raising == {("elements", "_check_weighted"), ("elements", "canonicalize")}
+
+
+def test_json_arrays_are_checked_by_json_list_alone():
+    # cli._round6 tests for lists to round output; it checks no input shape.
+    checking = [
+        (stem, func)
+        for stem in ("elements", "mcdm")
+        for func, node in _scoped(ast.parse((SRC / f"{stem}.py").read_text()))
+        if _tests_for_list(node)
+    ]
+    assert checking == [("elements", "json_list")]

@@ -47,6 +47,9 @@ from phfe.verify import random_phfe
 from support import KERNEL_PAIRS, _compensated_sum, cell_sums, configs_at
 
 
+FULL_ELEMENT_JSON = {"pairs": [{"v": 1.0, "p": 1}]}
+
+
 def _case_study_matrix():
     return parse_decision_matrix(load_table(9)["matrix"])
 
@@ -165,6 +168,14 @@ class TestDecisionMatrix:
             parse_decision_matrix(document)
         assert type(caught.value) is ParseError and str(caught.value) == message
 
+    @pytest.mark.parametrize("criteria", [{"c1": 1}, "ab", 3], ids=["object", "string", "number"])
+    def test_the_criteria_are_a_list(self, criteria):
+        document = {"criteria": criteria, "alternatives": ["x1"], "cells": [[FULL_ELEMENT_JSON]]}
+        with pytest.raises(ParseError) as caught:
+            parse_decision_matrix(document)
+        assert type(caught.value) is ParseError
+        assert str(caught.value) == '"criteria" must be a list'
+
     @pytest.mark.parametrize("document", ["ab", ["ab"], ("a",)], ids=["string", "list", "tuple"])
     def test_a_matrix_is_a_dict(self, document):
         with pytest.raises(ParseError) as caught:
@@ -234,6 +245,14 @@ class TestIdealDistances:
         dp_c, dm_c = ideal_distances(cost, wb)
         assert dp_b == dm_c
         assert dm_b == dp_c
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_weights_must_fit_the_criteria(self, case_study, k):
+        # Four criteria: a shorter vector is not summed over its first criteria alone.
+        weights = WeightVector((1.0 / k,) * k, (1.0 / k,) * k)
+        with pytest.raises(OutOfRangeError) as caught:
+            ideal_distances(case_study, weights)
+        assert str(caught.value) == f"4 criteria but {k} weights"
 
 
 class TestCloseness:
