@@ -19,9 +19,7 @@ _SQRT_E = math.exp(0.5)
 
 def su_entropy_p1(a: PHFE) -> float:
     """Shannon-type membership entropy, probability-weighted over pairs."""
-    total = 0.0
-    for v, p in a:
-        total += (_xlnx(v) + _xlnx(1.0 - v)) * p
+    total = _ltr_sum((_xlnx(v) + _xlnx(1.0 - v)) * p for v, p in a)
     return 0.0 - total / _LN2  # +0.0, not -0.0, where every value is 0 or 1
 
 
@@ -32,9 +30,7 @@ def _xlnx(x: float) -> float:
 
 def su_entropy_p2(a: PHFE) -> float:
     """Exponential-type membership entropy, probability-weighted."""
-    total = 0.0
-    for v, p in a:
-        total += (v * math.exp(1.0 - v) + (1.0 - v) * math.exp(v) - 1.0) * p
+    total = _ltr_sum((v * math.exp(1.0 - v) + (1.0 - v) * math.exp(v) - 1.0) * p for v, p in a)
     return total / (_SQRT_E - 1.0)
 
 

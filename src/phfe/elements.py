@@ -295,8 +295,9 @@ def parse_phfe(obj: dict, default_tau: int | None = None) -> PHFE:
     integral = tau is not None
     try:  # item by item: v (or t), then p
         raw = [(json_number(item, key, integral), json_number(item, "p")) for item in items]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"malformed {kind} list: {exc}") from exc
+    except (TypeError, KeyError):  # the first item that is no object holding both fields
+        k = next(k for k, x in enumerate(items) if not isinstance(x, dict) or {key, "p"} - x.keys())
+        raise ParseError(f'{kind}s[{k}] must be an object with "{key}" and "p"') from None
     return canonicalize(raw) if tau is None else from_linguistic(raw, LinguisticScale(tau))
 
 

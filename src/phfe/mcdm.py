@@ -226,14 +226,17 @@ def parse_decision_matrix(obj: dict) -> DecisionMatrix:
             raise ParseError(f"{field} {value!r:.40} holds a control character")
         return value
 
+    if missing := [f for f in ("criteria", "alternatives", "cells") if f not in obj]:
+        raise ParseError(f'decision matrix needs "{missing[0]}"')
+    specs, names, rows = obj["criteria"], obj["alternatives"], obj["cells"]
     try:
         criteria = tuple(
             CriterionSpec(text(c["name"], "criterion name"), c.get("kind", "benefit"))
-            for c in json_list(obj["criteria"], '"criteria" must be a list')
+            for c in json_list(specs, '"criteria" must be a list')
         )
-        names, rows = obj["alternatives"], obj["cells"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed decision matrix: {exc}") from exc
+    except (KeyError, TypeError):  # the first criterion that is no object holding "name"
+        j = next(j for j, c in enumerate(specs) if not (isinstance(c, dict) and "name" in c))
+        raise ParseError(f'criteria[{j}] must be an object with "name"') from None
     names = json_list(names, "decision matrix alternatives must be a list of names")
     shape = "decision matrix cells must be a list of rows, each a list of elements"
     cells = [[None] * len(json_list(row, shape)) for row in json_list(rows, shape)]

@@ -219,9 +219,9 @@ def singleton_self_distance(s: PHFE) -> str | None:
 def weights_and_closeness(matrix: DecisionMatrix) -> str | None:
     """Weights are non-negative and sum to one, closeness lies in [0, 1], and the
     ranking sorts it; the weights may be refused only if every cell has entropy one.
-    Then the batched pass of ``run_topsis`` agrees with the scalar engine: each raw
-    weight is one minus the column's mean ``comprehensive_entropy``, bit for bit, and each
-    d+ and d- is the weighted sum of ``entropy_distance`` to the ideals, within 1e-12."""
+    Then ``run_topsis``'s batched pass agrees bit for bit with the scalar engine (on the grid,
+    1 - v rounds no two values together): each raw weight is one minus the column's mean
+    ``comprehensive_entropy``, each d+ and d- the weighted ``entropy_distance`` to the ideals."""
     try:
         result = run_topsis(matrix)
     except DegenerateWeightsError:
@@ -251,7 +251,7 @@ def weights_and_closeness(matrix: DecisionMatrix) -> str | None:
         for name, row, got in zip(matrix.alternatives, matrix.cells, ds):
             want = _ltr_sum(w * entropy_distance(cell, ideal[k])
                             for w, cell, ideal in zip(result.weights.normalized, row, ideals))
-            if abs(got - want) > _EXACT_TOL:
+            if got != want:
                 return f"d{sign} of {name!r} is {got!r}, the scalar engine gives {want!r}"
 
 

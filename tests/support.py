@@ -3,17 +3,22 @@
 ``KERNEL_PAIRS`` is one config per kernel pair, the oracle lookup turns a
 library kernel or combiner into its transcription in ``oracle.py``,
 ``cell_sums`` reads one cell's TOPSIS sums off a one-cell matrix,
-``grid_elements`` builds an exhaustive grid of small elements, and
-``_compensated_sum`` stands in for the built-in ``sum`` of Python 3.12 on.
+``grid_elements`` builds an exhaustive grid of small elements,
+``_compensated_sum`` stands in for the built-in ``sum`` of Python 3.12 on, and
+``run_cli``, ``output`` and ``refused`` run ``phfe`` in-process, the last two
+holding a run to success or to the one refusal contract, ``check_refusal``.
 """
 
 import builtins
+import contextlib
 import functools
+import io
 import itertools
 import math
 
 import oracle
 from phfe import CriterionSpec, DecisionMatrix, EntropyConfig, all_configs, canonicalize
+from phfe.cli import main
 from phfe.mcdm import _columns
 
 
@@ -93,3 +98,39 @@ def _compensated_sum(iterable, /, start=0):
             compensation += (x - t) + total
         total = t
     return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def run_cli(argv):
+    """``phfe.cli.main(argv)`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def output(argv):
+    """Stdout of a run that exits 0 with nothing on stderr."""
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, ""), (code, err)
+    return out
+
+
+#: Python's own error phrasings: a refusal speaks in phfe's words instead.
+_PYTHON_PHRASES = (
+    "object is not", "indices must be", "has no attribute", "argument of type", "unhashable type"
+)
+
+
+def check_refusal(code, out, err):
+    """The message of a clean refusal: exit 2, nothing on stdout, and on stderr one line
+    ``error: <message>`` under 200 bytes, with no traceback and no Python phrasing."""
+    assert (code, out) == (2, ""), (code, out, err)
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    assert len(err.encode()) < 200, err
+    assert "Traceback" not in err and not any(p in err for p in _PYTHON_PHRASES), err
+    return err[len("error: "):-1]
+
+
+def refused(argv):
+    """The message with which ``phfe`` refuses ``argv``, held to ``check_refusal``."""
+    return check_refusal(*run_cli(argv))

@@ -1,9 +1,10 @@
+import ast
 import builtins
-import contextlib
 import csv
 import hashlib
 import io
 import json
+import pathlib
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from phfe.elements import canonicalize, format_number, pi
 from phfe.mcdm import parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
 from phfe.verify import random_phfe
-from support import _compensated_sum
+from support import _compensated_sum, check_refusal, output, refused, run_cli
 
 
 @pytest.fixture()
@@ -61,26 +62,28 @@ def _seeded_matrix(seed: int, m: int, n: int) -> dict:
     }
 
 
-def _csv_rows(argv: list, capsys) -> list:
-    assert main(argv) == 0
-    return list(csv.reader(io.StringIO(capsys.readouterr().out)))
+def _json_file(tmp_path, document) -> str:
+    """The path of a file holding ``document``, written as JSON unless it is already text."""
+    path = tmp_path / "input.json"
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    return str(path)
+
+
+def _csv_rows(argv: list) -> list:
+    return list(csv.reader(io.StringIO(output(argv))))
 
 
 class TestEntropyCommand:
-    def test_published_column(self, elements_file, capsys):
-        assert main(["entropy", "--input", elements_file, "--measure", "r1"]) == 0
-        out = capsys.readouterr().out
+    def test_published_column(self, elements_file):
+        out = output(["entropy", "--input", elements_file, "--measure", "r1"])
         assert "0.151324" in out and "0.348782" in out and "0.194471" in out
 
-    def test_exponent_flag(self, elements_file, capsys):
-        assert main(["entropy", "--input", elements_file, "--measure", "r1@r=1"]) == 0
-        assert "0.151324" in capsys.readouterr().out
+    def test_exponent_flag(self, elements_file):
+        assert "0.151324" in output(["entropy", "--input", elements_file, "--measure", "r1@r=1"])
 
-    def test_baseline_contrast_on_split_element(self, tmp_path, capsys):
-        path = tmp_path / "split.json"
-        path.write_text(json.dumps({"pairs": [{"v": 0, "p": 0.5}, {"v": 1, "p": 0.5}]}))
-        assert main(["entropy", "--input", str(path), "--measure", "su-p1,f1"]) == 0
-        out = capsys.readouterr().out.splitlines()
+    def test_baseline_contrast_on_split_element(self, tmp_path):
+        path = _json_file(tmp_path, {"pairs": [{"v": 0, "p": 0.5}, {"v": 1, "p": 0.5}]})
+        out = output(["entropy", "--input", path, "--measure", "su-p1,f1"]).splitlines()
         # The element repr contains a space, so read measure and value
         # from the right-hand end of each row.
         values = {line.split()[-2]: line.split()[-1] for line in out[1:]}
@@ -88,12 +91,10 @@ class TestEntropyCommand:
         assert float(values["f1"]) == 1.0
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-    def test_su_p1_of_crisp_values_prints_positive_zero(self, tmp_path, capsys, fmt):
+    def test_su_p1_of_crisp_values_prints_positive_zero(self, tmp_path, fmt):
         # Every value 0 or 1 sums to 0.0, and -0.0 / ln 2 would print "-0.0".
-        path = tmp_path / "split.json"
-        path.write_text(json.dumps({"pairs": [{"v": 0, "p": 0.5}, {"v": 1, "p": 0.5}]}))
-        assert main(["entropy", "--input", str(path), "--measure", "su-p1", "--format", fmt]) == 0
-        out = capsys.readouterr().out
+        path = _json_file(tmp_path, {"pairs": [{"v": 0, "p": 0.5}, {"v": 1, "p": 0.5}]})
+        out = output(["entropy", "--input", path, "--measure", "su-p1", "--format", fmt])
         if fmt == "json":
             value = repr(json.loads(out)[0]["value"])
         else:
@@ -101,27 +102,22 @@ class TestEntropyCommand:
         assert value == "0.0"
 
     @pytest.mark.parametrize("command, column", [("entropy", 1), ("distance", 0)])
-    def test_negative_zero_value_prints_as_zero(self, tmp_path, capsys, command, column):
-        path = tmp_path / "negative_zero.json"
-        path.write_text(json.dumps([
+    def test_negative_zero_value_prints_as_zero(self, tmp_path, command, column):
+        path = _json_file(tmp_path, [
             {"pairs": [{"v": -0.0, "p": 0.5}, {"v": 0.5, "p": 0.5}]},
             {"pairs": [{"v": 0.25, "p": 1.0}]},
-        ]))
-        rows = _csv_rows([command, "--input", str(path), "--format", "csv"], capsys)
+        ])
+        rows = _csv_rows([command, "--input", path, "--format", "csv"])
         assert rows[1][column] == "{0|0.5, 0.5|0.5}"
 
-    def test_comprehensive_includes_components(self, elements_file, capsys):
-        assert main(
-            ["entropy", "--input", elements_file, "--measure", "r1:f1:max", "--format", "json"]
-        ) == 0
-        rows = json.loads(capsys.readouterr().out)
+    def test_comprehensive_includes_components(self, elements_file):
+        argv = ["entropy", "--input", elements_file, "--measure", "r1:f1:max", "--format", "json"]
+        rows = json.loads(output(argv))
         assert {"fuzziness", "nonspecificity", "value"} <= set(rows[0])
 
-    def test_r_flag_reaches_config_strings(self, elements_file, capsys):
-        assert main(
-            ["entropy", "--input", elements_file, "--measure", "r1:f1:max@r=2", "--format", "json"]
-        ) == 0
-        rows = json.loads(capsys.readouterr().out)
+    def test_r_flag_reaches_config_strings(self, elements_file):
+        argv = ["entropy", "--input", elements_file, "--measure", "r1:f1:max@r=2"]
+        rows = json.loads(output(argv + ["--format", "json"]))
         assert rows[0]["fuzziness"] == pytest.approx(0.298897, abs=1e-5)
 
     def test_no_exponent_flag(self, elements_file):
@@ -131,12 +127,12 @@ class TestEntropyCommand:
             main(["entropy", "--input", elements_file, "--measure", "r1", "--r", "2"])
         assert caught.value.code == 2
 
-    def test_unknown_measure_exits_2(self, elements_file, capsys):
-        assert main(["entropy", "--input", elements_file, "--measure", "bogus"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_unknown_measure_exits_2(self, elements_file):
+        message = refused(["entropy", "--input", elements_file, "--measure", "bogus"])
+        assert message == "unknown measure id 'bogus'"
 
-    def test_missing_file_exits_2(self, capsys):
-        assert main(["entropy", "--input", "/nonexistent.json"]) == 2
+    def test_missing_file_exits_2(self):
+        assert "'/nonexistent.json'" in refused(["entropy", "--input", "/nonexistent.json"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -158,12 +154,8 @@ class TestEntropyCommand:
             ["distance", "--config", "r1:" + "x" * 5000 + ":max"],
         ],
     )
-    def test_bad_measure_id_exits_2(self, elements_file, capsys, argv):
-        assert main(argv + ["--input", elements_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-        assert len(captured.err.encode()) < 200
+    def test_bad_measure_id_exits_2(self, elements_file, argv):
+        refused(argv + ["--input", elements_file])
 
     @pytest.mark.parametrize(
         "command, document",
@@ -213,14 +205,8 @@ class TestEntropyCommand:
             pytest.param("entropy", "[" * 200_000 + "]" * 200_000, id="entropy-deep-nesting"),
         ],
     )
-    def test_non_number_fields_exit_2(self, tmp_path, capsys, command, document):
-        path = tmp_path / "bad.json"
-        path.write_text(document if isinstance(document, str) else json.dumps(document))
-        assert main([command, "--input", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-        assert len(captured.err) < 200
+    def test_non_number_fields_exit_2(self, tmp_path, command, document):
+        refused([command, "--input", _json_file(tmp_path, document)])
 
     @pytest.mark.parametrize(
         "fmt, expected",
@@ -231,23 +217,18 @@ class TestEntropyCommand:
         ],
         ids=["table", "csv", "json"],
     )
-    def test_empty_element_list(self, tmp_path, capsys, fmt, expected):
-        path = tmp_path / "empty.json"
+    def test_empty_element_list(self, tmp_path, fmt, expected):
         for document in ([], {"phfes": []}):
-            path.write_text(json.dumps(document))
-            assert main(["entropy", "--input", str(path), "--format", fmt]) == 0
-            assert capsys.readouterr() == (expected, "")
+            path = _json_file(tmp_path, document)
+            assert output(["entropy", "--input", path, "--format", fmt]) == expected
 
     @pytest.mark.parametrize("document", ["ab", {"phfes": "ab"}], ids=["string", "string-phfes"])
-    def test_a_string_of_elements_exits_2(self, tmp_path, capsys, document):
+    def test_a_string_of_elements_exits_2(self, tmp_path, document):
         # A string is not read letter by letter, one refused element per letter.
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
+        path = _json_file(tmp_path, json.dumps(document))  # "ab" as a JSON string
         for command in ("entropy", "distance"):
-            assert main([command, "--input", str(path)]) == 2
-            assert capsys.readouterr() == (
-                "", "error: expected an element object or an array of them\n"
-            )
+            message = refused([command, "--input", path])
+            assert message == "expected an element object or an array of them"
 
     @pytest.mark.parametrize(
         "document, message",
@@ -255,17 +236,12 @@ class TestEntropyCommand:
          ([{"terms": {"t": 1, "p": 1}, "tau": 2}], '"terms" must be a list')],
         ids=["string-pairs", "object-terms"],
     )
-    def test_a_non_list_item_list_exits_2(self, tmp_path, capsys, document, message):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
-        assert main(["entropy", "--input", str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+    def test_a_non_list_item_list_exits_2(self, tmp_path, document, message):
+        assert refused(["entropy", "--input", _json_file(tmp_path, document)]) == message
 
     @pytest.mark.parametrize("command, floats", [("entropy", 15), ("distance", 3)])
     @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
-    def test_each_number_is_rounded_once(
-        self, elements_file, capsys, monkeypatch, command, floats, fmt
-    ):
+    def test_each_number_is_rounded_once(self, elements_file, monkeypatch, command, floats, fmt):
         # Three elements: three measures each (the config with its two components), or three pairs.
         calls = []
 
@@ -274,24 +250,20 @@ class TestEntropyCommand:
             return format_number(x)
 
         monkeypatch.setattr(phfe.cli, "format_number", counting)
-        assert main([command, "--input", elements_file, "--format", fmt]) == 0
-        capsys.readouterr()
+        output([command, "--input", elements_file, "--format", fmt])
         assert len(calls) == floats
 
-    def test_csv_format(self, elements_file, capsys):
-        assert main(
-            ["entropy", "--input", elements_file, "--measure", "r1", "--format", "csv"]
-        ) == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_csv_format(self, elements_file):
+        argv = ["entropy", "--input", elements_file, "--measure", "r1", "--format", "csv"]
+        lines = output(argv).splitlines()
         assert lines[0].startswith("index,")
         assert len(lines) == 4
 
-    def test_csv_parses_back(self, elements_file, capsys):
+    def test_csv_parses_back(self, elements_file):
         # Multi-valued elements print with a comma; r1 rows leave the component cells empty.
         argv = ["entropy", "--input", elements_file, "--measure", "r1,r1:f1:max"]
-        rows = _csv_rows(argv + ["--format", "csv"], capsys)
-        assert main(argv + ["--format", "json"]) == 0
-        expected = json.loads(capsys.readouterr().out)
+        rows = _csv_rows(argv + ["--format", "csv"])
+        expected = json.loads(output(argv + ["--format", "json"]))
         assert len(rows) == len(expected) + 1
         assert all(len(row) == len(rows[0]) == 6 for row in rows)
         assert [row[1] for row in rows[1:]] == [r["element"] for r in expected]
@@ -305,71 +277,62 @@ class TestEntropyCommand:
         ],
         ids=["r2", "canonical"],
     )
-    def test_measure_column_names_what_was_computed(self, elements_file, capsys, argv, labels):
-        assert main(["entropy", "--input", elements_file, "--format", "json"] + argv) == 0
-        rows = json.loads(capsys.readouterr().out)
+    def test_measure_column_names_what_was_computed(self, elements_file, argv, labels):
+        rows = json.loads(output(["entropy", "--input", elements_file, "--format", "json"] + argv))
         assert [r["measure"] for r in rows[: len(labels)]] == labels
 
 
 class TestDistanceCommand:
-    def test_pairwise_table(self, elements_file, capsys):
-        assert main(["distance", "--input", elements_file, "--psi", "sq"]) == 0
-        out = capsys.readouterr().out
-        assert "hybrid_size" in out
+    def test_pairwise_table(self, elements_file):
+        assert "hybrid_size" in output(["distance", "--input", elements_file, "--psi", "sq"])
 
-    def test_requires_two_elements(self, tmp_path, capsys):
-        path = tmp_path / "one.json"
-        path.write_text(json.dumps({"pairs": [{"v": 0.5, "p": 1.0}]}))
-        assert main(["distance", "--input", str(path)]) == 2
+    def test_requires_two_elements(self, tmp_path):
+        path = _json_file(tmp_path, {"pairs": [{"v": 0.5, "p": 1.0}]})
+        message = refused(["distance", "--input", path])
+        assert message == "distance needs at least two elements in the input"
 
-    def test_csv_parses_back(self, elements_file, capsys):
-        rows = _csv_rows(["distance", "--input", elements_file, "--format", "csv"], capsys)
+    def test_csv_parses_back(self, elements_file):
+        rows = _csv_rows(["distance", "--input", elements_file, "--format", "csv"])
         assert rows[0] == ["a", "b", "distance", "hybrid_size"]
         assert len(rows) == 4 and all(len(row) == 4 for row in rows)
         assert rows[1][:2] == ["{0.7|0.2, 0.9|0.8}", "{0.6|0.9, 0.9|0.1}"]
 
 
 class TestTopsisCommand:
-    def test_case_study_table(self, matrix_file, capsys):
-        assert main(["topsis", "--input", matrix_file]) == 0
-        out = capsys.readouterr().out
-        assert "ranking: x3 > x1 > x2" in out
+    def test_case_study_table(self, matrix_file):
+        assert "ranking: x3 > x1 > x2" in output(["topsis", "--input", matrix_file])
 
-    def test_case_study_json(self, matrix_file, capsys):
-        assert main(["topsis", "--input", matrix_file, "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_case_study_json(self, matrix_file):
+        payload = json.loads(output(["topsis", "--input", matrix_file, "--format", "json"]))
         assert payload["ranking"] == ["x3", "x1", "x2"]
         assert sum(payload["weights"]["normalized"]) == pytest.approx(1.0, abs=1e-5)
 
-    def test_config_flag(self, matrix_file, capsys):
-        assert main(
-            ["topsis", "--input", matrix_file, "--config", "r2:f3:bsum", "--psi", "harm"]
-        ) == 0
-        assert "ranking:" in capsys.readouterr().out
+    def test_config_flag(self, matrix_file):
+        argv = ["topsis", "--input", matrix_file, "--config", "r2:f3:bsum", "--psi", "harm"]
+        assert "ranking:" in output(argv)
 
     @pytest.mark.parametrize(
         "cells",
         [5, [5], [[{"pairs": [{"v": 0.5, "p": 1}]}], "ab"]],  # a string row, not one cell a letter
         ids=["grid-number", "row-number", "row-string"],
     )
-    def test_non_list_cells_exit_2(self, tmp_path, capsys, cells):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps({"criteria": [{"name": "c1"}], "alternatives": ["x1"], "cells": cells})
-        )
-        assert main(["topsis", "--input", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: decision matrix cells must be a list of rows")
-        assert "Traceback" not in captured.err
+    def test_non_list_cells_exit_2(self, tmp_path, cells):
+        document = {"criteria": [{"name": "c1"}], "alternatives": ["x1"], "cells": cells}
+        message = refused(["topsis", "--input", _json_file(tmp_path, document)])
+        assert message.startswith("decision matrix cells must be a list of rows")
 
     @pytest.mark.parametrize("criteria", ["ab", {"c1": 1}], ids=["string", "object"])
-    def test_non_list_criteria_exit_2(self, tmp_path, capsys, criteria):
+    def test_non_list_criteria_exit_2(self, tmp_path, criteria):
         # Refused by its shape, not with the TypeError of reading a string or object as criteria.
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"criteria": criteria, "alternatives": ["x1"], "cells": [[]]}))
-        assert main(["topsis", "--input", str(path)]) == 2
-        assert capsys.readouterr() == ("", 'error: "criteria" must be a list\n')
+        document = {"criteria": criteria, "alternatives": ["x1"], "cells": [[]]}
+        message = refused(["topsis", "--input", _json_file(tmp_path, document)])
+        assert message == '"criteria" must be a list'
+
+    def test_a_non_object_item_in_a_cell_exits_2(self, tmp_path):
+        cells = [[{"pairs": [{"v": 0.5, "p": 1}, 5]}]]
+        document = {"criteria": [{"name": "c1"}], "alternatives": ["x1"], "cells": cells}
+        message = refused(["topsis", "--input", _json_file(tmp_path, document)])
+        assert message == 'cells[0][0]: pairs[1] must be an object with "v" and "p"'
 
     @pytest.mark.parametrize(
         "document",
@@ -379,53 +342,34 @@ class TestTopsisCommand:
         ],
         ids=["no-alternatives", "no-criteria"],
     )
-    def test_an_empty_matrix_exits_2(self, tmp_path, capsys, document):
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps(document))
-        assert main(["topsis", "--input", str(path)]) == 2
-        assert capsys.readouterr() == (
-            "", "error: matrix needs at least one alternative and one criterion\n"
-        )
+    def test_an_empty_matrix_exits_2(self, tmp_path, document):
+        message = refused(["topsis", "--input", _json_file(tmp_path, document)])
+        assert message == "matrix needs at least one alternative and one criterion"
 
-    def test_non_list_alternatives_exit_2(self, tmp_path, capsys):
+    def test_non_list_alternatives_exit_2(self, tmp_path):
         # A string would otherwise run as one alternative per letter.
-        path = tmp_path / "bad.json"
         cell = {"pairs": [{"v": 0.5, "p": 1}]}
-        path.write_text(
-            json.dumps({"criteria": [{"name": "c1"}], "alternatives": "ab", "cells": [[cell], [cell]]})
-        )
-        assert main(["topsis", "--input", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "alternatives" in captured.err
+        document = {"criteria": [{"name": "c1"}], "alternatives": "ab", "cells": [[cell], [cell]]}
+        assert "alternatives" in refused(["topsis", "--input", _json_file(tmp_path, document)])
 
-    def test_duplicate_alternatives_exit_2(self, tmp_path, capsys):
+    def test_duplicate_alternatives_exit_2(self, tmp_path):
         # Otherwise the ranking could not say which "x" is which.
-        path = tmp_path / "bad.json"
         cells = [[{"pairs": [{"v": 0.9, "p": 1}]}], [{"pairs": [{"v": 0.3, "p": 1}]}]]
-        path.write_text(
-            json.dumps({"criteria": [{"name": "c1"}], "alternatives": ["x", "x"], "cells": cells})
-        )
-        assert main(["topsis", "--input", str(path), "--format", "csv"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "alternative names" in captured.err
+        document = {"criteria": [{"name": "c1"}], "alternatives": ["x", "x"], "cells": cells}
+        path = _json_file(tmp_path, document)
+        assert "alternative names" in refused(["topsis", "--input", path, "--format", "csv"])
 
-    def test_bsum_refusal_names_the_alternative(self, tmp_path, capsys):
+    def test_bsum_refusal_names_the_alternative(self, tmp_path):
         # bsum saturates at 1 on both ideal hybrids of x1, so d+ = d- = 0 there.
-        path = tmp_path / "saturated.json"
         cells = [
             [{"pairs": [{"v": 0.41, "p": 0.44}, {"v": 0.95, "p": 0.56}]}],
             [{"pairs": [{"v": 0.03, "p": 1}]}],
         ]
         document = {"criteria": [{"name": "c1", "kind": "cost"}], "alternatives": ["x1", "x2"]}
-        path.write_text(json.dumps({**document, "cells": cells}))
-        assert main(["topsis", "--input", str(path), "--config", "r1:f1:max"]) == 0
-        capsys.readouterr()
-        assert main(["topsis", "--input", str(path), "--config", "r1:f1:bsum"]) == 2
-        assert capsys.readouterr() == (
-            "", "error: alternative 'x1' has zero distance to both ideals\n"
-        )
+        path = _json_file(tmp_path, {**document, "cells": cells})
+        output(["topsis", "--input", path, "--config", "r1:f1:max"])
+        message = refused(["topsis", "--input", path, "--config", "r1:f1:bsum"])
+        assert message == "alternative 'x1' has zero distance to both ideals"
 
     @pytest.mark.parametrize(
         "field, patch",
@@ -442,17 +386,12 @@ class TestTopsisCommand:
             "kind-number", "kind-long",
         ],
     )
-    def test_non_string_names_exit_2(self, tmp_path, capsys, field, patch):
+    def test_non_string_names_exit_2(self, tmp_path, field, patch):
         cell = {"pairs": [{"v": 0.5, "p": 1}]}
         document = {"criteria": [{"name": "c1"}], "alternatives": ["x1", "x2"]}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**document, "cells": [[cell], [cell]], **patch}))
-        assert main(["topsis", "--input", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and field in captured.err
-        assert "'None'" not in captured.err  # null is not the string "None"
-        assert "Traceback" not in captured.err and len(captured.err) < 200
+        path = _json_file(tmp_path, {**document, "cells": [[cell], [cell]], **patch})
+        message = refused(["topsis", "--input", path])
+        assert field in message and "'None'" not in message  # null is not the string "None"
 
     @pytest.mark.parametrize(
         "patch, field",
@@ -464,35 +403,27 @@ class TestTopsisCommand:
         ],
         ids=["carriage-return", "tab", "c1-control", "criterion-line-feed"],
     )
-    def test_control_characters_in_names_exit_2(self, tmp_path, capsys, patch, field):
+    def test_control_characters_in_names_exit_2(self, tmp_path, patch, field):
         cell = {"pairs": [{"v": 0.5, "p": 1}]}
         document = {"criteria": [{"name": "c1"}], "alternatives": ["x1", "x2"]}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**document, "cells": [[cell], [cell]], **patch}))
-        assert main(["topsis", "--input", str(path), "--format", "csv"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {field} ")
-        assert captured.err.rstrip().endswith("holds a control character")
+        path = _json_file(tmp_path, {**document, "cells": [[cell], [cell]], **patch})
+        message = refused(["topsis", "--input", path, "--format", "csv"])
+        assert message.startswith(f"{field} ") and message.endswith("holds a control character")
 
-    def test_csv_parses_back(self, tmp_path, capsys):
+    def test_csv_parses_back(self, tmp_path):
         document = load_table(9)["matrix"]
         document["alternatives"] = ["x, y", 'say "z"', "w"]
-        path = tmp_path / "named.json"
-        path.write_text(json.dumps(document))
-        rows = _csv_rows(["topsis", "--input", str(path), "--format", "csv"], capsys)
+        rows = _csv_rows(["topsis", "--input", _json_file(tmp_path, document), "--format", "csv"])
         assert rows[0] == ["alternative", "d_plus", "d_minus", "closeness", "rank"]
         assert all(len(row) == 5 for row in rows)
         assert [row[0] for row in rows[1:]] == document["alternatives"]
 
-    def test_printable_unicode_names_parse_back(self, tmp_path, capsys):
+    def test_printable_unicode_names_parse_back(self, tmp_path):
         # Only control characters are refused: no-break space, dash and joiner pass.
         document = load_table(9)["matrix"]
         document["alternatives"] = ["w\u00e9", "a\u2014b", "x\u00a0y\u200d"]
         document["criteria"][0]["name"] = "c\u00a01"
-        path = tmp_path / "named.json"
-        path.write_text(json.dumps(document))
-        rows = _csv_rows(["topsis", "--input", str(path), "--format", "csv"], capsys)
+        rows = _csv_rows(["topsis", "--input", _json_file(tmp_path, document), "--format", "csv"])
         assert [row[0] for row in rows[1:]] == document["alternatives"]
 
     @pytest.mark.parametrize("command", ["distance", "topsis"])
@@ -556,7 +487,8 @@ def document_path(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_arbitrary_documents_exit_0_or_2(document_path, data):
-    """Whatever JSON arrives, entropy, distance and topsis answer or refuse it cleanly.
+    """Whatever JSON arrives, entropy, distance and topsis answer it or refuse it cleanly,
+    each refusal held to ``check_refusal``.
 
     A drawn document replaces one node of a valid input, the root included,
     so that a malformed part is met at every depth.
@@ -565,30 +497,23 @@ def test_arbitrary_documents_exit_0_or_2(document_path, data):
     path = data.draw(st.sampled_from(list(_paths(base))))
     document_path.write_text(json.dumps(_spliced(base, path, data.draw(_DOCUMENTS))))
     for command in ("entropy", "distance", "topsis"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--input", str(document_path)])
-        assert code in (0, 2), (command, code, err.getvalue())
-        assert code == 0 or err.getvalue().startswith("error: ")
+        code, out, err = run_cli([command, "--input", str(document_path)])
+        if code != 0:
+            check_refusal(code, out, err)
 
 
 class TestReproduceCommand:
-    def test_default_exit_zero(self, capsys):
-        assert main(["reproduce"]) == 0
-        out = capsys.readouterr().out
+    def test_default_exit_zero(self):
+        out = output(["reproduce"])
         assert "[MATCH] fuzz:r1 values" in out
         assert "MISMATCH (report-only)" in out
         assert "documented deviations:" in out
 
-    def test_strict_exit_one(self, capsys):
-        assert main(["reproduce", "--strict"]) == 1
+    def test_strict_exit_one(self):
+        assert run_cli(["reproduce", "--strict"])[0] == 1
 
-    def test_byte_identical_output(self, capsys):
-        main(["reproduce"])
-        first = capsys.readouterr().out
-        main(["reproduce"])
-        second = capsys.readouterr().out
-        assert first == second
+    def test_byte_identical_output(self):
+        assert output(["reproduce"]) == output(["reproduce"])
 
 
 def corrupted_complement(a):
@@ -611,15 +536,14 @@ def offset_distance(a, b, *args):
 
 
 class TestAxiomsCommand:
-    def test_small_run_passes(self, capsys):
-        assert main(["axioms", "--seed", "7", "--samples", "60"]) == 0
-        out = capsys.readouterr().out
+    def test_small_run_passes(self):
+        out = output(["axioms", "--seed", "7", "--samples", "60"])
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_mutation_mode_fails(self, monkeypatch, capsys):
+    def test_mutation_mode_fails(self, monkeypatch):
         monkeypatch.setattr(phfe.verify, "complement", corrupted_complement)
-        assert main(["axioms", "--seed", "7", "--samples", "60"]) == 1
-        out = capsys.readouterr().out
+        code, out, _ = run_cli(["axioms", "--seed", "7", "--samples", "60"])
+        assert code == 1
         assert "[FAIL] complement involution" in out
         assert "counterexample:" in out
 
@@ -628,12 +552,9 @@ class TestAxiomsCommand:
             main(["axioms", "--samples", "0"])
         assert exc.value.code == 2
 
-    def test_byte_identical_for_seed(self, capsys):
-        main(["axioms", "--seed", "3", "--samples", "40"])
-        first = capsys.readouterr().out
-        main(["axioms", "--seed", "3", "--samples", "40"])
-        second = capsys.readouterr().out
-        assert first == second
+    def test_byte_identical_for_seed(self):
+        argv = ["axioms", "--seed", "3", "--samples", "40"]
+        assert output(argv) == output(argv)
 
 
 @pytest.mark.parametrize(
@@ -674,7 +595,7 @@ class TestAxiomsCommand:
             ["axioms", "--seed", "7", "--samples", "60"],
             ("entropy_distance", offset_distance),
             1,
-            "9b053fa70a128fa107c4a2f1a9d7a778e228eeba818491c7df9f0443d16ab2ab",
+            "970c309a5c0e3db862494e5d9f997f0d07479f43e789182928b54bcc32b47620",
         ),
     ],
     ids=[
@@ -686,7 +607,7 @@ class TestAxiomsCommand:
         "axioms-mutate-distance",
     ],
 )
-def test_stdout_digest(monkeypatch, capsys, argv, mutant, code, digest):
+def test_stdout_digest(monkeypatch, argv, mutant, code, digest):
     """SHA-256 of stdout pins the report and the axiom output byte for byte.
 
     A ``mutant`` ``(name, function)`` replaces ``phfe.verify.<name>`` for the
@@ -695,8 +616,9 @@ def test_stdout_digest(monkeypatch, capsys, argv, mutant, code, digest):
     """
     if mutant is not None:
         monkeypatch.setattr(phfe.verify, *mutant)
-    assert main(argv) == code
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    got, out, _ = run_cli(argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -767,7 +689,7 @@ def test_stdout_digest(monkeypatch, capsys, argv, mutant, code, digest):
         "entropy-kernels-csv", "distance-psum-r2-csv", "entropy-default-measures-table",
     ],
 )
-def test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, argv, digest):
+def test_command_stdout_digest(tmp_path, elements_file, matrix_file, argv, digest):
     """SHA-256 of stdout pins the entropy, distance and topsis output byte for byte.
 
     ELEMENTS is the three-element fixture, CASE the case-study matrix and
@@ -778,8 +700,7 @@ def test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, arg
     seeded.write_text(json.dumps(_seeded_matrix(5, 100, 10)))
     inputs = {"ELEMENTS": elements_file, "CASE": matrix_file, "SEEDED": str(seeded)}
     argv = [argv[0], "--input", inputs[argv[1]], *argv[2:]]
-    assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert hashlib.sha256(output(argv).encode()).hexdigest() == digest
 
 
 def _cases(test):
@@ -789,20 +710,20 @@ def _cases(test):
 
 
 @_cases(test_stdout_digest)
-def test_stdout_digest_on_a_compensating_sum(monkeypatch, capsys, case):
+def test_stdout_digest_on_a_compensating_sum(monkeypatch, case):
     """Output does not depend on how the interpreter's ``sum`` rounds floats."""
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert sum([0.1] * 10) == 1.0  # the left-to-right sum gives 0.9999999999999999
-    test_stdout_digest(monkeypatch, capsys, *case)
+    test_stdout_digest(monkeypatch, *case)
 
 
 @_cases(test_command_stdout_digest)
 def test_command_stdout_digest_on_a_compensating_sum(
-    monkeypatch, tmp_path, elements_file, matrix_file, capsys, case
+    monkeypatch, tmp_path, elements_file, matrix_file, case
 ):
     """Output does not depend on how the interpreter's ``sum`` rounds floats."""
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
-    test_command_stdout_digest(tmp_path, elements_file, matrix_file, capsys, *case)
+    test_command_stdout_digest(tmp_path, elements_file, matrix_file, *case)
 
 
 def _summed_numbers(seed: int):
@@ -822,3 +743,27 @@ def test_numbers_on_a_compensating_sum(monkeypatch, seed):
     plain = _summed_numbers(seed)
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert _summed_numbers(seed) == plain
+
+
+def test_main_runs_only_through_support():
+    """Outside ``support.py`` the tests run ``phfe.cli.main`` only where argparse exits first,
+    inside ``with pytest.raises(SystemExit)``; every other run goes through ``run_cli``."""
+    stray = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        if path.name == "support.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        exits = {  # every node inside a with block that expects SystemExit
+            inner
+            for node in nodes
+            if isinstance(node, ast.With)
+            and "pytest.raises(SystemExit)" in [ast.unparse(item.context_expr) for item in node.items]
+            for inner in ast.walk(node)
+        }
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in nodes
+            if isinstance(node, ast.Call) and node not in exits
+            and "main" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert stray == []

@@ -16,6 +16,7 @@ from phfe import (
     canonicalize,
     complement,
     from_linguistic,
+    parse_decision_matrix,
     parse_phfe,
     parse_phfe_list,
     phfe_to_dict,
@@ -284,6 +285,10 @@ class TestCanonicalFormIsAValidElement:
             a.values = (0.1, 0.9)
 
 
+#: A decision matrix's alternatives and cells, to go with its criteria.
+_MATRIX_REST = {"alternatives": ["x1"], "cells": [[{"pairs": [{"v": 0.5, "p": 1}]}]]}
+
+
 # Type and message of each refusal, as the error line of the CLI prints them.
 @pytest.mark.parametrize(
     "make, error, message",
@@ -330,14 +335,31 @@ class TestCanonicalFormIsAValidElement:
          '"v" must be a number, got null'),
         (lambda: parse_phfe({"terms": [{"t": "2", "p": 1}], "tau": 3}), ParseError,
          '"t" must be a number, got "2"'),
+        # An item that is no object holding both fields is named by its index.
         (lambda: parse_phfe({"pairs": [{"v": 0.5, "p": 1}, 5]}), ParseError,
-         "malformed pair list: 'int' object is not subscriptable"),
+         'pairs[1] must be an object with "v" and "p"'),
+        (lambda: parse_phfe({"pairs": [{"v": 0.2, "p": 0.5}, {"v": 0.4, "p": 0.5}, "ab"]}),
+         ParseError, 'pairs[2] must be an object with "v" and "p"'),
+        (lambda: parse_phfe({"terms": [[2, 1]], "tau": 3}), ParseError,
+         'terms[0] must be an object with "t" and "p"'),
+        (lambda: parse_phfe({"terms": [{"t": 2, "p": 0.5}, {"p": 0.5}], "tau": 3}), ParseError,
+         'terms[1] must be an object with "t" and "p"'),
+        # So is a criterion, and a missing matrix field by its name.
+        (lambda: parse_decision_matrix({"criteria": [{"name": "c0"}, "c1"], **_MATRIX_REST}),
+         ParseError, 'criteria[1] must be an object with "name"'),
+        (lambda: parse_decision_matrix({"criteria": [{"kind": "cost"}], **_MATRIX_REST}),
+         ParseError, 'criteria[0] must be an object with "name"'),
+        (lambda: parse_decision_matrix({"criteria": [{"name": "c1"}], "alternatives": ["x1"]}),
+         ParseError, 'decision matrix needs "cells"'),
+        (lambda: parse_decision_matrix(_MATRIX_REST), ParseError,
+         'decision matrix needs "criteria"'),
         (lambda: parse_phfe({"pairs": [{"v": "x"}]}), ParseError,
          '"v" must be a number, got "x"'),
         (lambda: parse_phfe({"pairs": [{"v": 0.5, "p": 10**400}]}), ParseError,
          '"p" is an integer beyond the float range'),
         (lambda: parse_phfe([1]), ParseError, "expected an object, got list"),
-        (lambda: parse_phfe({"pairs": [{"v": 0.5}]}), ParseError, "malformed pair list: 'p'"),
+        (lambda: parse_phfe({"pairs": [{"v": 0.5}]}), ParseError,
+         'pairs[0] must be an object with "v" and "p"'),
         (lambda: parse_phfe({"terms": [{"t": 7, "p": 1}], "tau": 3}), TermOutOfRangeError,
          "term index 7 outside 0..6"),
         # bool is an int subclass; True would make a scale with top term 2.

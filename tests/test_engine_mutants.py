@@ -14,10 +14,8 @@ library refuses a value the wrong engine made.  The unpatched engine passes ever
 and each mutant is pinned to the gates it fails.
 """
 
-import contextlib
 import hashlib
 import inspect
-import io
 import itertools
 import random
 
@@ -33,12 +31,11 @@ from phfe import (
     R1, THETA_BSUM, THETA_PSUM, CriterionSpec, DecisionMatrix, EntropyConfig, entropy_distance,
     parse_decision_matrix, run_topsis,
 )
-from phfe.cli import main
 from phfe.elements import _pi_fast
 from phfe.errors import PhfeError
 from phfe.reproduce import load_table
 from phfe.verify import boundary_exactness, random_phfe, run_axiom_suites
-from support import grid_elements, oracle_config
+from support import grid_elements, oracle_config, run_cli
 
 REPRODUCE_SHA256 = "360748d3c6c862c9e19afaedf0e43c9a4047afdcb9d364083eefee7ee1012514"
 
@@ -71,10 +68,7 @@ def _oracle_gate():
 
 def _reproduce_gate():
     """`phfe reproduce` prints the pinned report, byte for byte."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(["reproduce"])
-    return hashlib.sha256(out.getvalue().encode()).hexdigest() == REPRODUCE_SHA256
+    return hashlib.sha256(run_cli(["reproduce"])[1].encode()).hexdigest() == REPRODUCE_SHA256
 
 
 def _axioms_gate():
@@ -258,15 +252,16 @@ REFUSED_SUITES = [
 ]
 
 
-def test_a_refused_check_fails_its_suites(monkeypatch, capsys):
+def test_a_refused_check_fails_its_suites(monkeypatch):
     for table, key, wrong in MUTANTS["pi-no-equality"]():
         monkeypatch.setitem(table, key, wrong)
     refusal = "refused: OutOfRangeError('weight 0.0 outside (0, 1]') on ("
     results = run_axiom_suites(7, 300)  # returns: the refusal does not escape the run
     refused = [r.name for r in results if (r.counterexample or "").startswith(refusal)]
     assert refused == REFUSED_SUITES
-    assert main(["axioms", "--seed", "7", "--samples", "60"]) == 1  # not 2: no error escapes
-    lines = capsys.readouterr().out.splitlines()
+    code, out, _ = run_cli(["axioms", "--seed", "7", "--samples", "60"])
+    assert code == 1  # not 2: no error escapes
+    lines = out.splitlines()
     failed = {  # suite name -> the counterexample printed under its [FAIL] line
         line.removeprefix("[FAIL] ").rpartition(" (")[0]: text.split("counterexample: ")[1]
         for line, text in zip(lines, lines[1:])
