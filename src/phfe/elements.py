@@ -19,6 +19,7 @@ from .errors import (
     EmptyInputError,
     OutOfRangeError,
     ParseError,
+    PhfeError,
     ProbabilitySumError,
     TermOutOfRangeError,
 )
@@ -295,19 +296,41 @@ def parse_phfe(obj: dict, default_tau: int | None = None) -> PHFE:
     integral = tau is not None
     try:  # item by item: v (or t), then p
         raw = [(json_number(item, key, integral), json_number(item, "p")) for item in items]
-    except (TypeError, KeyError):  # the first item that is no object holding both fields
-        k = next(k for k, x in enumerate(items) if not isinstance(x, dict) or {key, "p"} - x.keys())
-        raise ParseError(f'{kind}s[{k}] must be an object with "{key}" and "p"') from None
+    except (TypeError, KeyError, ParseError):  # walk again to name the first item refused
+        for k, item in enumerate(items):
+            try:
+                json_number(item, key, integral), json_number(item, "p")
+            except (TypeError, KeyError):  # no object holding both fields
+                raise ParseError(f'{kind}s[{k}] must be an object with "{key}" and "p"') from None
+            except ParseError as exc:
+                raise ParseError(f"{kind}s[{k}]: {exc}") from None
     return canonicalize(raw) if tau is None else from_linguistic(raw, LinguisticScale(tau))
 
 
+def _refused_at(path: str, exc: PhfeError) -> PhfeError:
+    """``exc`` under the name of what was refused, its type kept: ``path: message``, or
+    ``path.pairs[k]...`` where the message starts with an element item's name."""
+    message = str(exc)
+    return type(exc)(path + ("." if message.startswith(("pairs[", "terms[")) else ": ") + message)
+
+
 def parse_phfe_list(obj) -> list[PHFE]:
-    """Parse a JSON array of elements, or a single element object."""
+    """Parse a JSON array of elements, or a single element object.
+
+    A refused item of the array is named by its index: ``phfes[k]: ...``, or ``[k]: ...`` for a
+    bare array."""
+    path = ""
     if isinstance(obj, dict):
         if "phfes" not in obj:
             return [parse_phfe(obj)]
-        obj = obj["phfes"]
-    return list(map(parse_phfe, json_list(obj, "expected an element object or an array of them")))
+        obj, path = obj["phfes"], "phfes"
+    phfes = []
+    for k, item in enumerate(json_list(obj, "expected an element object or an array of them")):
+        try:
+            phfes.append(parse_phfe(item))
+        except PhfeError as exc:
+            raise _refused_at(f"{path}[{k}]", exc) from None
+    return phfes
 
 
 def phfe_to_dict(a: PHFE) -> dict:

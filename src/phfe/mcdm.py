@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from .distance import PSI_IDENTITY, PsiFunction, distance_from_entropy
 from .elements import PHFE, Frozen, _ltr_sum, _pi_column, format_number, json_list, json_number
-from .elements import parse_phfe, phfe_to_dict
+from .elements import _refused_at, parse_phfe, phfe_to_dict
 from .entropy import DEFAULT_CONFIG, EntropyConfig, _pairwise_columns
 from .errors import DegenerateWeightsError, OutOfRangeError, ParseError, PhfeError
 from .errors import ZeroDenominatorError
@@ -61,16 +61,18 @@ class DecisionMatrix(Frozen):
 
 def _columns(matrix: DecisionMatrix, config: EntropyConfig):
     """(fuzziness, non-specificity) arrays, row-major, of the cells, then of their hybrids with
-    {1|1} and {0|1}.  Kept on the matrix per kernel pair (per r too), so 18 configs cost 6
-    batched passes; the first call, weights alone included, fills all three pairs.
+    {1|1} and {0|1}.  Kept on the matrix under (fuzziness id, r, non-specificity id), so 18
+    configs cost 6 batched passes; the first call, weights alone included, fills all three pairs.
 
     The hybrids are built in place a column at a time: values (1 - |v - 1|) / 2 in the cell's
     order and (1 - v) / 2 in reverse, under the weights pi(p, 1).  That is the sorted
     ``hybrid`` bit for bit unless 1 - v rounds two values together (below 1/2, less than about
     1.1e-16 apart), where a sum may move by an ulp.  Cells of one length make one batch for
     _pairwise_columns."""
-    key = (config.fuzziness, config.nonspecificity)
-    if key not in matrix._tables:
+    fuzz, nonspec = config.fuzziness, config.nonspecificity
+    key = (fuzz.variant, fuzz.r, nonspec.variant)
+    pairs = matrix._tables.get(key)
+    if pairs is None:
         cells = [c for row in matrix.cells for c in row]
         groups, order, lists = {}, [], [[] for _ in range(6)]
         for k, a in enumerate(cells):
@@ -83,14 +85,14 @@ def _columns(matrix: DecisionMatrix, config: EntropyConfig):
             sums = _pairwise_columns(
                 [v + [(1.0 - abs(x - 1.0)) / 2.0 for x in v] + [(1.0 - x) / 2.0 for x in e]
                  for v, e in zip(vs, vs[::-1])],
-                [p + w + e for p, w, e in zip(ps, ws, ws[::-1])], *key)
+                [p + w + e for p, w, e in zip(ps, ws, ws[::-1])], fuzz, nonspec)
             for out, lanes in zip(lists, (s[c * n:(c + 1) * n] for c in range(3) for s in sums)):
                 out += lanes
             order += ks
         place = sorted(range(len(cells)), key=order.__getitem__)  # cell k's sums: out[place[k]]
         columns = [array("d", [out[k] for k in place]) for out in lists]
-        matrix._tables[key] = tuple(zip(columns[::2], columns[1::2]))
-    return matrix._tables[key]
+        pairs = matrix._tables[key] = tuple(zip(columns[::2], columns[1::2]))
+    return pairs
 
 
 class WeightVector(Frozen):
@@ -214,7 +216,8 @@ def parse_decision_matrix(obj: dict) -> DecisionMatrix:
 
     Objects are dicts and arrays lists (``json_list``): a string, object or tuple there is refused.
     A linguistic cell without its own "tau" falls back to the matrix-level value.  Each cell is
-    parsed once; a refused one is named ``cells[i][j]: <message>`` under its own exception type.
+    parsed once; a refused one is named ``cells[i][j]: <message>`` under its own exception type,
+    or ``cells[i][j].pairs[k]...`` where an item of it is refused.
     """
     if not isinstance(obj, dict):
         raise ParseError("decision matrix must be a JSON object")
@@ -246,7 +249,7 @@ def parse_decision_matrix(obj: dict) -> DecisionMatrix:
             try:
                 cells[i][j] = parse_phfe(cell, default_tau)
             except PhfeError as exc:
-                raise type(exc)(f"cells[{i}][{j}]: {exc}") from None
+                raise _refused_at(f"cells[{i}][{j}]", exc) from None
     return DecisionMatrix(tuple(text(a, "alternative name") for a in names), criteria, cells)
 
 

@@ -69,6 +69,9 @@ def _json_file(tmp_path, document) -> str:
     return str(path)
 
 
+_ONE = {"pairs": [{"v": 0.5, "p": 1}]}
+
+
 def _csv_rows(argv: list) -> list:
     return list(csv.reader(io.StringIO(output(argv))))
 
@@ -233,11 +236,26 @@ class TestEntropyCommand:
     @pytest.mark.parametrize(
         "document, message",
         [({"pairs": "ab"}, '"pairs" must be a list'),
-         ([{"terms": {"t": 1, "p": 1}, "tau": 2}], '"terms" must be a list')],
+         ([{"terms": {"t": 1, "p": 1}, "tau": 2}], '[0]: "terms" must be a list')],
         ids=["string-pairs", "object-terms"],
     )
     def test_a_non_list_item_list_exits_2(self, tmp_path, document, message):
         assert refused(["entropy", "--input", _json_file(tmp_path, document)]) == message
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [({"phfes": [_ONE, 5]}, "phfes[1]: expected an object, got int"),
+         ([_ONE, 5], "[1]: expected an object, got int"),
+         ({"phfes": [_ONE, {"pairs": [{"v": 0.5, "p": "x"}]}]},
+          'phfes[1].pairs[0]: "p" must be a number, got "x"'),
+         ({"phfes": [{"pairs": [{"v": 1.5, "p": 1}]}]},
+          "phfes[0]: membership value 1.5 outside [0, 1]")],
+        ids=["int-in-phfes", "int-in-array", "string-p-in-phfes", "range"],
+    )
+    def test_a_refused_element_is_named_by_its_index(self, tmp_path, document, message):
+        # An item of the element array by its index, then an item inside it by its own.
+        for command in ("entropy", "distance"):
+            assert refused([command, "--input", _json_file(tmp_path, document)]) == message
 
     @pytest.mark.parametrize("command, floats", [("entropy", 15), ("distance", 3)])
     @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
@@ -332,7 +350,7 @@ class TestTopsisCommand:
         cells = [[{"pairs": [{"v": 0.5, "p": 1}, 5]}]]
         document = {"criteria": [{"name": "c1"}], "alternatives": ["x1"], "cells": cells}
         message = refused(["topsis", "--input", _json_file(tmp_path, document)])
-        assert message == 'cells[0][0]: pairs[1] must be an object with "v" and "p"'
+        assert message == 'cells[0][0].pairs[1] must be an object with "v" and "p"'
 
     @pytest.mark.parametrize(
         "document",

@@ -99,7 +99,7 @@ class TestDecisionMatrix:
         "cell, error, message",
         [
             ({"pairs": [{"v": 0.5, "p": "x"}]}, ParseError,
-             'cells[2][1]: "p" must be a number, got "x"'),
+             'cells[2][1].pairs[0]: "p" must be a number, got "x"'),
             ({"pairs": [{"v": 1.5, "p": 1}]}, OutOfRangeError,
              "cells[2][1]: membership value 1.5 outside [0, 1]"),
             ({"terms": [{"t": 1, "p": 0.5}]}, ProbabilitySumError,
@@ -143,7 +143,7 @@ class TestDecisionMatrix:
             assert parse_decision_matrix(document).shape == (4, 2)
             assert calls == [k / 10 for k in range(8)]
         else:
-            with pytest.raises(ParseError, match=r"^cells\[2\]\[1\]: "):
+            with pytest.raises(ParseError, match=r"^cells\[2\]\[1\]\.pairs\[0\]: "):
                 parse_decision_matrix(document)
             assert calls == [k / 10 for k in range(6)]
 
@@ -518,6 +518,26 @@ class TestComponentTable:
         run_topsis(matrix, EntropyConfig.from_string("r1:f1:max@r=2"))
         run_topsis(matrix, EntropyConfig.from_string("r1:f1:bsum@r=2"))
         assert len(passes) == 7
+
+    def test_a_warm_run_hashes_no_kernel_or_config(self, monkeypatch):
+        # The tables are keyed by the kernels' ids and r: a warm run reads them without hashing
+        # a kernel or a config, and an equal config parsed again finds the table its twin filled.
+        matrix = _seeded_matrix(seed=5, m=8)
+        cold = [run_topsis(matrix, config) for config in all_configs()]
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} hashed")
+
+        monkeypatch.setattr(phfe.entropy._Variant, "__hash__", refuse)
+        monkeypatch.setattr(EntropyConfig, "__hash__", refuse)
+        assert [run_topsis(matrix, config) for config in all_configs()] == cold
+        fresh = _seeded_matrix(seed=5, m=8)
+        first, second = (EntropyConfig.from_string("r1:f2:psum@r=2") for _ in range(2))
+        assert first is not second and first.fuzziness is not second.fuzziness
+        run_topsis(fresh, first)
+        assert len(vars(fresh)["_tables"]) == 1
+        assert run_topsis(fresh, second) == run_topsis(matrix, first)
+        assert len(vars(fresh)["_tables"]) == 1
 
     def test_batched_columns_equal_one_cell_batches(self):
         # Lengths 1-8 in one matrix, cells whose values collide under 1 - v among them:
