@@ -16,7 +16,7 @@ import phfe.verify
 from phfe.baselines import expectation
 from phfe.cli import build_parser, main
 from phfe.distance import ALL_PSI, entropy_distance
-from phfe.elements import canonicalize, format_number, pi
+from phfe.elements import MAX_ELEMENT_ITEMS, canonicalize, format_number, pi
 from phfe.mcdm import parse_decision_matrix, run_topsis
 from phfe.reproduce import load_table
 from phfe.verify import random_phfe
@@ -247,7 +247,7 @@ class TestEntropyCommand:
         [({"phfes": [_ONE, 5]}, "phfes[1]: expected an object, got int"),
          ([_ONE, 5], "[1]: expected an object, got int"),
          ({"phfes": [_ONE, {"pairs": [{"v": 0.5, "p": "x"}]}]},
-          'phfes[1].pairs[0]: "p" must be a number, got "x"'),
+          'phfes[1].pairs[0].p: must be a number, got "x"'),
          ({"phfes": [{"pairs": [{"v": 1.5, "p": 1}]}]},
           "phfes[0]: membership value 1.5 outside [0, 1]")],
         ids=["int-in-phfes", "int-in-array", "string-p-in-phfes", "range"],
@@ -256,6 +256,18 @@ class TestEntropyCommand:
         # An item of the element array by its index, then an item inside it by its own.
         for command in ("entropy", "distance"):
             assert refused([command, "--input", _json_file(tmp_path, document)]) == message
+
+    def test_an_element_longer_than_the_cap_exits_2(self, tmp_path):
+        # MAX_ELEMENT_ITEMS values are read; one more is refused under the element's name.
+        def element(length):
+            return {"pairs": [{"v": k / 64, "p": 1 / length} for k in range(length)]}
+
+        longest = {"phfes": [_ONE, element(MAX_ELEMENT_ITEMS)]}
+        assert "hybrid_size" in output(["distance", "--input", _json_file(tmp_path, longest)])
+        document = {"phfes": [_ONE, element(MAX_ELEMENT_ITEMS + 1)]}
+        for command in ("entropy", "distance"):
+            message = refused([command, "--input", _json_file(tmp_path, document)])
+            assert message == 'phfes[1]: "pairs" has 41 items, more than 40'
 
     @pytest.mark.parametrize("command, floats", [("entropy", 15), ("distance", 3)])
     @pytest.mark.parametrize("fmt", ["json", "table", "csv"])

@@ -322,23 +322,23 @@ _MATRIX_REST = {"alternatives": ["x1"], "cells": [[{"pairs": [{"v": 0.5, "p": 1}
          "values must be strictly increasing"),
         (lambda: PHFE((0.8,), (0.5,)), ProbabilitySumError,
          "probabilities sum to 0.5, expected 1"),
-        # One row per branch of json_number, which makes the message; parse_phfe prefixes the item.
+        # One row per branch of json_number, which names the field; parse_phfe prefixes the item.
         (lambda: json_number({"v": "abc", "p": 1}, "v"), ParseError,
-         '"v" must be a number, got "abc"'),
+         'v: must be a number, got "abc"'),
         # A long value is echoed to 40 characters, as names are.
         (lambda: json_number({"v": list(range(3000)), "p": 1}, "v"), ParseError,
-         '"v" must be a number, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1'),
+         'v: must be a number, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1'),
         (lambda: parse_phfe({"terms": [{"t": 1, "p": 1}], "tau": "x" * 4000}), ParseError,
-         '"tau" must be a number, got "' + "x" * 39),
+         'tau: must be a number, got "' + "x" * 39),
         (lambda: json_number({"v": 0.5, "p": True}, "p"), ParseError,
-         '"p" must be a number, got true'),
+         "p: must be a number, got true"),
         (lambda: json_number({"v": None, "p": 1}, "v"), ParseError,
-         '"v" must be a number, got null'),
-        # Inside an element the item is named; the first fault reported wins.
+         "v: must be a number, got null"),
+        # Inside an element the item and its field are named; the first fault reported wins.
         (lambda: parse_phfe({"terms": [{"t": "2", "p": 1}], "tau": 3}), ParseError,
-         'terms[0]: "t" must be a number, got "2"'),
+         'terms[0].t: must be a number, got "2"'),
         (lambda: parse_phfe({"pairs": [{"v": 0.5, "p": 0.5}, {"v": 0.7, "p": None}]}), ParseError,
-         'pairs[1]: "p" must be a number, got null'),
+         "pairs[1].p: must be a number, got null"),
         # An item that is no object holding both fields is named by its index.
         (lambda: parse_phfe({"pairs": [{"v": 0.5, "p": 1}, 5]}), ParseError,
          'pairs[1] must be an object with "v" and "p"'),
@@ -357,10 +357,12 @@ _MATRIX_REST = {"alternatives": ["x1"], "cells": [[{"pairs": [{"v": 0.5, "p": 1}
          ParseError, 'decision matrix needs "cells"'),
         (lambda: parse_decision_matrix(_MATRIX_REST), ParseError,
          'decision matrix needs "criteria"'),
+        (lambda: parse_decision_matrix({"criteria": [{"name": "c1"}], **_MATRIX_REST, "tau": "3"}),
+         ParseError, 'tau: must be a number, got "3"'),
         (lambda: parse_phfe({"pairs": [{"v": "x"}]}), ParseError,
-         'pairs[0]: "v" must be a number, got "x"'),
+         'pairs[0].v: must be a number, got "x"'),
         (lambda: json_number({"v": 0.5, "p": 10**400}, "p"), ParseError,
-         '"p" is an integer beyond the float range'),
+         "p: is an integer beyond the float range"),
         (lambda: parse_phfe([1]), ParseError, "expected an object, got list"),
         (lambda: parse_phfe({"pairs": [{"v": 0.5}]}), ParseError,
          'pairs[0] must be an object with "v" and "p"'),
@@ -369,11 +371,16 @@ _MATRIX_REST = {"alternatives": ["x1"], "cells": [[{"pairs": [{"v": 0.5, "p": 1}
         # An element of a list by its index; an item inside it extends the path.
         (lambda: parse_phfe_list({"phfes": [{"terms": [{"t": 1, "p": 1}, {"t": 2.5, "p": 0}],
                                              "tau": 3}]}), ParseError,
-         'phfes[0].terms[1]: "t" must be an integer, got 2.5'),
+         "phfes[0].terms[1].t: must be an integer, got 2.5"),
         (lambda: parse_phfe_list([{"pairs": [{"v": 0.5, "p": 1}]}, {"pairs": [{"v": 0.5}]}]),
          ParseError, '[1].pairs[0] must be an object with "v" and "p"'),
         (lambda: parse_phfe_list([{"pairs": [{"v": 0.5, "p": 0.5}]}]), ProbabilitySumError,
          "[0]: probabilities sum to 0.5, expected 1"),
+        (lambda: parse_phfe_list({"phfes": [{"terms": [{"t": 1, "p": 1}], "tau": "3"}]}),
+         ParseError, 'phfes[0].tau: must be a number, got "3"'),
+        # An element longer than MAX_ELEMENT_ITEMS is refused before any item is read.
+        (lambda: parse_phfe({"terms": [{"t": "x", "p": 0}] * 41, "tau": 3}), ParseError,
+         '"terms" has 41 items, more than 40'),
         # bool is an int subclass; True would make a scale with top term 2.
         (lambda: LinguisticScale(True), OutOfRangeError, "tau must be a positive integer, got True"),
     ],

@@ -99,11 +99,15 @@ class TestDecisionMatrix:
         "cell, error, message",
         [
             ({"pairs": [{"v": 0.5, "p": "x"}]}, ParseError,
-             'cells[2][1].pairs[0]: "p" must be a number, got "x"'),
+             'cells[2][1].pairs[0].p: must be a number, got "x"'),
             ({"pairs": [{"v": 1.5, "p": 1}]}, OutOfRangeError,
              "cells[2][1]: membership value 1.5 outside [0, 1]"),
             ({"terms": [{"t": 1, "p": 0.5}]}, ProbabilitySumError,
              "cells[2][1]: probabilities sum to 0.5, expected 1"),
+            ({"terms": [{"t": 1, "p": 1}], "tau": 2.5}, ParseError,
+             "cells[2][1].tau: must be an integer, got 2.5"),
+            ({"pairs": [{"v": k / 100, "p": 1 / 41} for k in range(41)]}, ParseError,
+             'cells[2][1]: "pairs" has 41 items, more than 40'),
         ],
     )
     def test_a_refused_cell_is_named(self, cell, error, message):
@@ -143,7 +147,7 @@ class TestDecisionMatrix:
             assert parse_decision_matrix(document).shape == (4, 2)
             assert calls == [k / 10 for k in range(8)]
         else:
-            with pytest.raises(ParseError, match=r"^cells\[2\]\[1\]\.pairs\[0\]: "):
+            with pytest.raises(ParseError, match=r"^cells\[2\]\[1\]\.pairs\[0\]\.p: "):
                 parse_decision_matrix(document)
             assert calls == [k / 10 for k in range(6)]
 
